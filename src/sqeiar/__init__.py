@@ -16,19 +16,15 @@ from .model import (
     CostWeights,
     ModelParams,
     QuarantineRegions,
-    StateVec,
-    control_jacobian,
     lambda_term,
     reaction_rhs,
     rho_source,
     state_jacobian,
 )
 from .pde import (
-    AdjointTrajectory,
     Grid,
     IntegrationError,
-    SpaceTimeField,
-    StateTrajectory,
+    Trajectory,
     adjoint_solve,
     forward_solve,
     neumann_laplacian,

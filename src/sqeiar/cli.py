@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config, render_defaults
@@ -15,6 +16,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
+EXIT_OUTPUT = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,8 +49,6 @@ def _load(config_path: Path | None) -> ScenarioConfig:
 
 
 def _cmd_run(args) -> int:
-    from dataclasses import replace
-
     from .runner import run_scenario
 
     try:
@@ -66,7 +66,11 @@ def _cmd_run(args) -> int:
     except (IntegrationError, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
+    problems = []
     for result in (summary.baseline, summary.optimal):
         if result is None:
             continue
@@ -76,15 +80,21 @@ def _cmd_run(args) -> int:
             status = "PASS" if report.passed else "FAIL"
             print(f"  {report.name}: {status} (measured {report.measured:.3g},"
                   f" bound {report.bound:.3g})")
+            if not report.passed:
+                problems.append(f"{result.name} {report.name} check failed")
+        if result.sweep is not None and not result.sweep.converged:
+            problems.append(f"{result.name} sweep did not converge in "
+                            f"{result.sweep.iterations} iterations")
     if summary.deaths_averted is not None:
         print(f"deaths averted: {summary.deaths_averted:.4g}")
     print(f"outputs written to {config.output_dir}")
+    if problems:
+        print(f"verification failure: {'; '.join(problems)}", file=sys.stderr)
+        return EXIT_CHECK
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    from dataclasses import replace
-
     from .control import ControlPair
     from .pde import Grid, forward_solve
     from .verify import (
@@ -96,13 +106,13 @@ def _cmd_check(args) -> int:
 
     try:
         config = _load(args.config)
+        grid = Grid(x_min=config.grid.x_min, x_max=config.grid.x_max,
+                    nx=21, tau=3.0, nt=300)
+        small = replace(config, grid=grid)  # checks CFL on the check grid
     except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    grid = Grid(x_min=config.grid.x_min, x_max=config.grid.x_max,
-                nx=21, tau=3.0, nt=300)
-    small = replace(config, grid=grid)
     initial = small.initial_array()
     base = ControlPair.constant(0.3, 0.3 * small.regions.v_max, grid, small.regions)
 

@@ -4,11 +4,12 @@ region covering the domain)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .control import SweepSettings
 from .model import ContractError, CostWeights, ModelParams, QuarantineRegions
 from .pde import Grid
 
@@ -52,21 +53,6 @@ def evaluate_profile(spec: str, x: np.ndarray) -> np.ndarray:
         return values
     raise ConfigError(
         f"unknown initial profile '{spec}' (expected one of {PROFILE_NAMES} or file:<path>)")
-
-
-@dataclass(frozen=True)
-class SweepSettings:
-    tolerance: float = 1e-4
-    max_iterations: int = 200
-    relaxation: float = 0.5
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ConfigError(f"sweep.tolerance must be > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"sweep.max_iterations must be >= 1, got {self.max_iterations}")
-        if not 0 < self.relaxation <= 1:
-            raise ConfigError(f"sweep.relaxation must lie in (0, 1], got {self.relaxation}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +125,9 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got '{raw}'") from None
 
 
-_MODEL_KEYS = {"beta", "delta", "q", "mu", "xi", "k", "z", "eta", "p", "f", "alpha"}
-_WEIGHT_KEYS = {"rho1", "rho3", "rho4", "rho5", "sigma1", "sigma2"}
-_GRID_FLOAT_KEYS = {"x_min", "x_max", "tau"}
+_MODEL_KEYS = [f.name for f in fields(ModelParams) if f.name != "diffusion"]
+_WEIGHT_KEYS = [f.name for f in fields(CostWeights)]
+_GRID_KEYS = ("x_min", "x_max", "nx", "nt", "tau")  # in rendered order
 _GRID_INT_KEYS = {"nx", "nt"}
 
 
@@ -187,10 +173,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
                 raise ConfigError(f"unknown key '{key}'")
             weight_kw[name] = _parse_float(key, value)
         elif section == "grid":
-            if name in _GRID_FLOAT_KEYS:
-                grid_kw[name] = _parse_float(key, value)
-            elif name in _GRID_INT_KEYS:
+            if name in _GRID_INT_KEYS:
                 grid_kw[name] = _parse_int(key, value)
+            elif name in _GRID_KEYS:
+                grid_kw[name] = _parse_float(key, value)
             else:
                 raise ConfigError(f"unknown key '{key}'")
         elif section == "regions":
@@ -210,12 +196,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
                     value = f"file:{base_dir / path}"
             profiles[name] = value
         elif section == "sweep":
-            if name == "tolerance":
+            if name in ("tolerance", "relaxation"):
                 sweep_kw[name] = _parse_float(key, value)
             elif name == "max_iterations":
                 sweep_kw[name] = _parse_int(key, value)
-            elif name == "relaxation":
-                sweep_kw[name] = _parse_float(key, value)
             else:
                 raise ConfigError(f"unknown key '{key}'")
         elif section == "output":
@@ -265,44 +249,16 @@ def load_config(path) -> ScenarioConfig:
 def render_defaults() -> str:
     """The fully-resolved default configuration in the accepted file format."""
     cfg = ScenarioConfig()
-    p = cfg.params
-    w = cfg.weights
-    g = cfg.grid
-    lines = [
-        "# fully-resolved default scenario",
-        f"model.beta = {p.beta}",
-        f"model.delta = {p.delta}",
-        f"model.q = {p.q}",
-        f"model.mu = {p.mu}",
-        f"model.xi = {p.xi}",
-        f"model.k = {p.k}",
-        f"model.z = {p.z}",
-        f"model.eta = {p.eta}",
-        f"model.p = {p.p}",
-        f"model.f = {p.f}",
-        f"model.alpha = {p.alpha}",
-        f"model.diffusion = {p.diffusion[0]}",
-        f"weights.rho1 = {w.rho1}",
-        f"weights.rho3 = {w.rho3}",
-        f"weights.rho4 = {w.rho4}",
-        f"weights.rho5 = {w.rho5}",
-        f"weights.sigma1 = {w.sigma1}",
-        f"weights.sigma2 = {w.sigma2}",
-    ]
-    for idx, (a, b) in enumerate(cfg.regions.regions, start=1):
-        lines.append(f"regions.{idx} = {a}, {b}")
-    lines += [
-        f"grid.x_min = {g.x_min}",
-        f"grid.x_max = {g.x_max}",
-        f"grid.nx = {g.nx}",
-        f"grid.nt = {g.nt}",
-        f"grid.tau = {g.tau}",
-    ]
+    lines = ["# fully-resolved default scenario"]
+    lines += [f"model.{name} = {getattr(cfg.params, name)}" for name in _MODEL_KEYS]
+    lines.append(f"model.diffusion = {cfg.params.diffusion[0]}")
+    lines += [f"weights.{name} = {getattr(cfg.weights, name)}" for name in _WEIGHT_KEYS]
+    lines += [f"regions.{idx} = {a}, {b}"
+              for idx, (a, b) in enumerate(cfg.regions.regions, start=1)]
+    lines += [f"grid.{name} = {getattr(cfg.grid, name)}" for name in _GRID_KEYS]
     lines += [f"initial.{name} = {spec}" for name, spec in cfg.profiles.items()]
+    lines += [f"sweep.{f.name} = {getattr(cfg.sweep, f.name)}" for f in fields(cfg.sweep)]
     lines += [
-        f"sweep.tolerance = {cfg.sweep.tolerance}",
-        f"sweep.max_iterations = {cfg.sweep.max_iterations}",
-        f"sweep.relaxation = {cfg.sweep.relaxation}",
         f"output.mode = {cfg.mode}",
         f"output.dir = {cfg.output_dir}",
         f"output.stride = {cfg.stride}",

@@ -3,21 +3,12 @@ and the forward-backward sweep iteration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ContractError, CostWeights, ModelParams, QuarantineRegions
-from .pde import (
-    AdjointTrajectory,
-    Grid,
-    SpaceTimeField,
-    StateTrajectory,
-    adjoint_solve,
-    forward_solve,
-)
-
-BOUND_SLACK = 1e-12  # tolerance for floating-point drift at the box boundary
+from .model import ContractError, CostWeights, ModelParams, QuarantineRegions, check_controls
+from .pde import Grid, Trajectory, adjoint_solve, forward_solve, require_aligned
 
 
 @dataclass(frozen=True)
@@ -37,11 +28,7 @@ class ControlPair:
         shape = (self.grid.nt + 1, self.grid.nx)
         if self.u.shape != shape or self.v.shape != shape:
             raise ContractError(f"control fields must have shape {shape}")
-        if np.any(self.u < -BOUND_SLACK) or np.any(self.u > 1 + BOUND_SLACK):
-            raise ContractError("treatment control u outside [0, 1]")
-        v_max = self.regions.v_max
-        if np.any(self.v < -BOUND_SLACK) or np.any(self.v > v_max + BOUND_SLACK):
-            raise ContractError(f"quarantine control v outside [0, {v_max}]")
+        check_controls(self.u, self.v, self.regions.v_max)
         off = ~self.regions.mask(self.grid.x)
         if np.any(self.v[:, off] != 0.0):
             raise ContractError("quarantine control nonzero outside the regions")
@@ -61,6 +48,23 @@ class ControlPair:
 
 
 @dataclass(frozen=True)
+class SweepSettings:
+    """Stopping and relaxation settings of the forward-backward sweep."""
+
+    tolerance: float = 1e-4
+    max_iterations: int = 200
+    relaxation: float = 0.5
+
+    def __post_init__(self):
+        if not self.tolerance > 0:
+            raise ContractError(f"sweep.tolerance must be > 0, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ContractError(f"sweep.max_iterations must be >= 1, got {self.max_iterations}")
+        if not 0 < self.relaxation <= 1:
+            raise ContractError(f"sweep.relaxation must lie in (0, 1], got {self.relaxation}")
+
+
+@dataclass(frozen=True)
 class SweepReport:
     """Record of one forward-backward sweep run."""
 
@@ -71,13 +75,7 @@ class SweepReport:
     relaxation: float
 
 
-def _require_same_grid(grid: Grid, *objs) -> None:
-    for obj in objs:
-        if obj.grid != grid:
-            raise ContractError("grid mismatch between solver inputs")
-
-
-def cost_functional(state: StateTrajectory, controls: ControlPair,
+def cost_functional(state: Trajectory, controls: ControlPair,
                     weights: CostWeights, regions: QuarantineRegions,
                     grid: Grid) -> float:
     """Objective value: weighted epidemic burden plus quadratic control cost.
@@ -85,7 +83,7 @@ def cost_functional(state: StateTrajectory, controls: ControlPair,
     Trapezoid quadrature in both space and time; the susceptible penalty and
     the quarantine control cost are integrated over the regions only.
     """
-    _require_same_grid(grid, state, controls)
+    require_aligned(grid, regions, state, controls)
     wx = grid.space_weights()
     wt = grid.time_weights()
     mask = regions.mask(grid.x).astype(float)
@@ -99,31 +97,32 @@ def cost_functional(state: StateTrajectory, controls: ControlPair,
     return float(wt @ (epidemic + effort))
 
 
-def project_controls(state: StateTrajectory, adjoint: AdjointTrajectory,
+def project_controls(state: Trajectory, adjoint: Trajectory,
                      weights: CostWeights, regions: QuarantineRegions,
                      grid: Grid) -> ControlPair:
     """Pointwise optimality formulas clamped onto the admissible box."""
-    _require_same_grid(grid, state, adjoint)
+    require_aligned(grid, regions, state, adjoint)
     mask = regions.mask(grid.x).astype(float)
-    u = np.clip(state.i * (adjoint.p(5) - adjoint.p(6)) / weights.sigma1, 0.0, 1.0)
-    v = np.clip(mask * state.s * (adjoint.p(1) - adjoint.p(2)) / weights.sigma2,
+    u = np.clip(state.i * (adjoint.i - adjoint.r) / weights.sigma1, 0.0, 1.0)
+    v = np.clip(mask * state.s * (adjoint.s - adjoint.q) / weights.sigma2,
                 0.0, regions.v_max)
     return ControlPair(u, v, grid, regions)
 
 
-def cost_gradient(state: StateTrajectory, adjoint: AdjointTrajectory,
+def cost_gradient(state: Trajectory, adjoint: Trajectory,
                   controls: ControlPair, weights: CostWeights,
                   regions: QuarantineRegions, grid: Grid
-                  ) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Integrands of the directional cost derivative w.r.t. (u, v)."""
-    _require_same_grid(grid, state, adjoint, controls)
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrands of the directional cost derivative w.r.t. (u, v), each of
+    shape (nt + 1, nx)."""
+    require_aligned(grid, regions, state, adjoint, controls)
     mask = regions.mask(grid.x).astype(float)
-    grad_u = weights.sigma1 * controls.u - state.i * (adjoint.p(5) - adjoint.p(6))
-    grad_v = weights.sigma2 * controls.v - mask * state.s * (adjoint.p(1) - adjoint.p(2))
-    return SpaceTimeField(grad_u, grid), SpaceTimeField(grad_v, grid)
+    grad_u = weights.sigma1 * controls.u - state.i * (adjoint.i - adjoint.r)
+    grad_v = weights.sigma2 * controls.v - mask * state.s * (adjoint.s - adjoint.q)
+    return grad_u, grad_v
 
 
-def directional_derivative(grad_u: SpaceTimeField, grad_v: SpaceTimeField,
+def directional_derivative(grad_u: np.ndarray, grad_v: np.ndarray,
                            controls: ControlPair, weights: CostWeights,
                            h_u: np.ndarray, h_v: np.ndarray, grid: Grid) -> float:
     """Pair the gradient fields with a perturbation direction.
@@ -139,8 +138,8 @@ def directional_derivative(grad_u: SpaceTimeField, grad_v: SpaceTimeField,
     ctrl_u = weights.sigma1 * controls.u
     ctrl_v = weights.sigma2 * controls.v
     control_part = float(wt @ ((ctrl_u * h_u) @ wx + (ctrl_v * h_v) @ wx))
-    adj_u = grad_u.values - ctrl_u
-    adj_v = grad_v.values - ctrl_v
+    adj_u = grad_u - ctrl_u
+    adj_v = grad_v - ctrl_v
     adjoint_part = dt * float(((adj_u * h_u)[:-1] @ wx).sum()
                               + ((adj_v * h_v)[:-1] @ wx).sum())
     return control_part + adjoint_part
@@ -151,7 +150,7 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
                regions: QuarantineRegions, grid: Grid,
                tolerance: float = 1e-4, max_iterations: int = 200,
                relaxation: float = 0.5, on_iterate=None
-               ) -> tuple[StateTrajectory, AdjointTrajectory, ControlPair, SweepReport]:
+               ) -> tuple[Trajectory, Trajectory, ControlPair, SweepReport]:
     """Forward-backward sweep to a fixed point of the projected controls.
 
     Each iteration solves the state forward, the adjoint backward, projects
@@ -160,13 +159,7 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
     update falls below ``tolerance``; non-convergence is reported, not
     raised.  ``on_iterate`` (if given) receives each accepted ControlPair.
     """
-    if tolerance <= 0:
-        raise ContractError(f"tolerance must be > 0, got {tolerance}")
-    if max_iterations < 1:
-        raise ContractError(f"max_iterations must be >= 1, got {max_iterations}")
-    if not 0 < relaxation <= 1:
-        raise ContractError(f"relaxation must lie in (0, 1], got {relaxation}")
-
+    SweepSettings(tolerance, max_iterations, relaxation)  # rejects bad settings
     controls = initial_controls
     state = forward_solve(initial_state, controls, params, regions, grid)
     history = [cost_functional(state, controls, weights, regions, grid)]

@@ -7,7 +7,7 @@ and broadcast accordingly; they are pure functions with no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,8 @@ COMPARTMENTS = ("S", "Q", "E", "A", "I", "R")
 
 # index aliases for readability
 _S, _Q, _E, _A, _I, _R = range(6)
+
+BOUND_SLACK = 1e-12  # tolerance for floating-point drift at the box boundary
 
 
 class ContractError(ValueError):
@@ -131,29 +133,7 @@ class CostWeights:
                 raise ContractError(f"weights.{name} must be finite and > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class StateVec:
-    """Person densities at one grid point, ordered (S, Q, E, A, I, R)."""
-
-    s: float
-    qr: float
-    e: float
-    a: float
-    i: float
-    r: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.s, self.qr, self.e, self.a, self.i, self.r], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "StateVec":
-        s, qr, e, a, i, r = np.asarray(arr, dtype=float)
-        return cls(s, qr, e, a, i, r)
-
-
 def _as_state_array(state) -> np.ndarray:
-    if isinstance(state, StateVec):
-        state = state.to_array()
     state = np.asarray(state, dtype=float)
     if state.shape[0] != N_COMPARTMENTS:
         raise ContractError(f"state must have 6 leading components, got shape {state.shape}")
@@ -162,32 +142,28 @@ def _as_state_array(state) -> np.ndarray:
     return state
 
 
-def _check_controls(u, v_eff, v_max: float) -> None:
+def check_controls(u, v, v_max: float) -> None:
+    """Reject u outside [0, 1] or v outside [0, v_max], up to BOUND_SLACK.
+
+    The tests are written so that NaN fails them.
+    """
     u = np.asarray(u, dtype=float)
-    v_eff = np.asarray(v_eff, dtype=float)
-    if np.any(u < 0) or np.any(u > 1):
+    v = np.asarray(v, dtype=float)
+    if not np.all((u >= -BOUND_SLACK) & (u <= 1 + BOUND_SLACK)):
         raise ContractError("treatment control u outside [0, 1]")
-    if np.any(v_eff < 0) or np.any(v_eff > v_max + 1e-12):
+    if not np.all((v >= -BOUND_SLACK) & (v <= v_max + BOUND_SLACK)):
         raise ContractError(f"quarantine control v outside [0, {v_max}]")
 
 
-def lambda_term(state, params: ModelParams):
-    """Force of infection: delta*E + (1-q)*I + mu*A."""
-    y = _as_state_array(state)
+# Unchecked kernels.  The solvers validate their inputs once at entry and
+# call these every step; the public functions after them check first.
+
+def _lambda_term(y: np.ndarray, params: ModelParams):
     return params.delta * y[_E] + (1.0 - params.q) * y[_I] + params.mu * y[_A]
 
 
-def reaction_rhs(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
-    """Non-diffusive right-hand sides of the six compartment equations.
-
-    ``v_eff`` is the quarantine control already multiplied by the region
-    indicator at the evaluation point(s).  The six components sum to
-    (alpha - 1) * f * I exactly.
-    """
-    y = _as_state_array(state)
-    _check_controls(u, v_eff, v_max)
-    lam = lambda_term(y, params)
-    exposure = (params.beta + lam) * y[_S]
+def _reaction_rhs(y: np.ndarray, u, v_eff, params: ModelParams) -> np.ndarray:
+    exposure = (params.beta + _lambda_term(y, params)) * y[_S]
     out = np.empty_like(y)
     out[_S] = -exposure + params.xi * y[_R] - v_eff * y[_S]
     out[_Q] = v_eff * y[_S]
@@ -201,16 +177,10 @@ def reaction_rhs(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np
     return out
 
 
-def state_jacobian(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
-    """Jacobian of reaction_rhs w.r.t. the state, rows/cols ordered (S,Q,E,A,I,R).
-
-    For a batched state of shape (6, nx) the result has shape (nx, 6, 6).
-    """
-    y = _as_state_array(state)
-    _check_controls(u, v_eff, v_max)
+def _state_jacobian(y: np.ndarray, u, v_eff, params: ModelParams) -> np.ndarray:
     batch = y.shape[1:]
     H = np.zeros(batch + (6, 6), dtype=float)
-    m_star = params.beta + lambda_term(y, params)
+    m_star = params.beta + _lambda_term(y, params)
     s = y[_S]
     one = np.ones(batch, dtype=float)
     H[..., _S, _S] = -m_star - v_eff
@@ -234,22 +204,31 @@ def state_jacobian(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> 
     return H
 
 
-def control_jacobian(state, in_region) -> np.ndarray:
-    """Jacobian of reaction_rhs w.r.t. the controls (u, v).
+def lambda_term(state, params: ModelParams):
+    """Force of infection: delta*E + (1-q)*I + mu*A."""
+    return _lambda_term(_as_state_array(state), params)
 
-    Column 0 is the treatment direction, column 1 the quarantine direction;
-    the latter vanishes where ``in_region`` is false.  Batched states of
-    shape (6, nx) yield an (nx, 6, 2) result.
+
+def reaction_rhs(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
+    """Non-diffusive right-hand sides of the six compartment equations.
+
+    ``v_eff`` is the quarantine control already multiplied by the region
+    indicator at the evaluation point(s).  The six components sum to
+    (alpha - 1) * f * I exactly.
     """
     y = _as_state_array(state)
-    batch = y.shape[1:]
-    mask = np.asarray(in_region, dtype=float) * np.ones(batch, dtype=float)
-    G = np.zeros(batch + (6, 2), dtype=float)
-    G[..., _I, 0] = -y[_I]
-    G[..., _R, 0] = y[_I]
-    G[..., _S, 1] = -mask * y[_S]
-    G[..., _Q, 1] = mask * y[_S]
-    return G
+    check_controls(u, v_eff, v_max)
+    return _reaction_rhs(y, u, v_eff, params)
+
+
+def state_jacobian(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
+    """Jacobian of reaction_rhs w.r.t. the state, rows/cols ordered (S,Q,E,A,I,R).
+
+    For a batched state of shape (6, nx) the result has shape (nx, 6, 6).
+    """
+    y = _as_state_array(state)
+    check_controls(u, v_eff, v_max)
+    return _state_jacobian(y, u, v_eff, params)
 
 
 def rho_source(x, regions: QuarantineRegions, weights: CostWeights,

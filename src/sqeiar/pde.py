@@ -10,7 +10,7 @@ balance test relies on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,9 @@ from .model import (
     CostWeights,
     ModelParams,
     QuarantineRegions,
+    _reaction_rhs,
+    _state_jacobian,
     rho_source,
-    state_jacobian,
 )
 
 CFL_LIMIT = 0.5
@@ -94,22 +95,12 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class SpaceTimeField:
-    """Values of one scalar field on the full (time x space) grid."""
+class Trajectory:
+    """Six fields over the full grid, shape (nt + 1, 6, nx).
 
-    values: np.ndarray  # shape (nt + 1, nx)
-    grid: Grid
-
-    def __post_init__(self):
-        expected = (self.grid.nt + 1, self.grid.nx)
-        if self.values.shape != expected:
-            raise ContractError(
-                f"field shape {self.values.shape} does not match grid {expected}")
-
-
-@dataclass(frozen=True)
-class StateTrajectory:
-    """The six compartments over the full grid, ordered (S, Q, E, A, I, R)."""
+    A state trajectory holds the compartments (S, Q, E, A, I, R); an adjoint
+    trajectory holds p1..p6 in the same order, so ``adjoint.i`` is p5.
+    """
 
     values: np.ndarray  # shape (nt + 1, 6, nx)
     grid: Grid
@@ -119,9 +110,6 @@ class StateTrajectory:
         if self.values.shape != expected:
             raise ContractError(
                 f"trajectory shape {self.values.shape} does not match grid {expected}")
-
-    def compartment(self, index: int) -> np.ndarray:
-        return self.values[:, index, :]
 
     @property
     def s(self) -> np.ndarray:
@@ -147,26 +135,15 @@ class StateTrajectory:
     def r(self) -> np.ndarray:
         return self.values[:, 5, :]
 
-    def field(self, index: int) -> SpaceTimeField:
-        return SpaceTimeField(self.values[:, index, :], self.grid)
 
-
-@dataclass(frozen=True)
-class AdjointTrajectory:
-    """The six adjoint fields p1..p6; the terminal row is identically zero."""
-
-    values: np.ndarray  # shape (nt + 1, 6, nx)
-    grid: Grid
-
-    def __post_init__(self):
-        expected = (self.grid.nt + 1, 6, self.grid.nx)
-        if self.values.shape != expected:
-            raise ContractError(
-                f"adjoint shape {self.values.shape} does not match grid {expected}")
-
-    def p(self, index: int) -> np.ndarray:
-        """Adjoint field by 1-based index (p1..p6)."""
-        return self.values[:, index - 1, :]
+def require_aligned(grid: Grid, regions: QuarantineRegions, *inputs) -> None:
+    """Reject trajectories or controls defined on a grid other than ``grid``,
+    and controls defined for quarantine regions other than ``regions``."""
+    for obj in inputs:
+        if obj.grid != grid:
+            raise ContractError(f"{type(obj).__name__} defined on a different grid")
+        if getattr(obj, "regions", regions) != regions:
+            raise ContractError("controls defined for different quarantine regions")
 
 
 def neumann_laplacian(row: np.ndarray, dx: float) -> np.ndarray:
@@ -192,30 +169,26 @@ def _check_finite(block: np.ndarray, step: int, what: str) -> None:
         raise IntegrationError(step, int(bad[-1]), what)
 
 
-def _controls_on_grid(controls, grid: Grid, regions: QuarantineRegions):
-    """Validate alignment and return (u, v_effective) arrays of shape (nt+1, nx)."""
-    if controls.grid is not grid and controls.grid != grid:
-        raise ContractError("controls defined on a different grid")
-    mask = regions.mask(grid.x).astype(float)
-    return controls.u, controls.v * mask
+def _require_finite(state: Trajectory) -> None:
+    if not np.all(np.isfinite(state.values)):
+        raise ContractError("state trajectory contains non-finite values")
 
 
 def forward_solve(initial: np.ndarray, controls, params: ModelParams,
-                  regions: QuarantineRegions, grid: Grid) -> StateTrajectory:
+                  regions: QuarantineRegions, grid: Grid) -> Trajectory:
     """Integrate the nonlinear state system from the given initial profiles.
 
-    ``initial`` holds six nonnegative rows of length nx.  Controls are read
-    at the time level from which each step departs.
+    ``initial`` holds six finite, nonnegative rows of length nx.  Controls
+    are read at the time level from which each step departs.
     """
-    from .model import reaction_rhs  # local import avoids a cycle at module load
-
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (6, grid.nx):
         raise ContractError(f"initial profiles must have shape (6, {grid.nx})")
-    if np.any(initial < 0):
-        raise ContractError("initial profiles must be nonnegative")
+    if not (np.all(np.isfinite(initial)) and np.all(initial >= 0)):
+        raise ContractError("initial profiles must be finite and nonnegative")
     grid.check_cfl(params)
-    u, v_eff = _controls_on_grid(controls, grid, regions)
+    require_aligned(grid, regions, controls)
+    u, v_eff = controls.u, controls.v * regions.mask(grid.x)
 
     D = params.diffusion_array[:, None]
     dt = grid.dt
@@ -223,17 +196,17 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
     y = initial.copy()
     out[0] = y
     for m in range(grid.nt):
-        rhs = D * neumann_laplacian(y, grid.dx) + reaction_rhs(
-            y, u[m], v_eff[m], params, v_max=regions.v_max)
+        rhs = D * neumann_laplacian(y, grid.dx) + _reaction_rhs(
+            y, u[m], v_eff[m], params)
         y = y + dt * rhs
         _check_finite(y, m + 1, "state")
         out[m + 1] = y
-    return StateTrajectory(out, grid)
+    return Trajectory(out, grid)
 
 
-def adjoint_solve(state: StateTrajectory, controls, weights: CostWeights,
+def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
                   params: ModelParams, regions: QuarantineRegions,
-                  grid: Grid) -> AdjointTrajectory:
+                  grid: Grid) -> Trajectory:
     """Integrate the adjoint system backward from a zero terminal condition.
 
     Each backward step applies the transpose of the state Jacobian with the
@@ -244,9 +217,9 @@ def adjoint_solve(state: StateTrajectory, controls, weights: CostWeights,
     linearized discrete dynamics paired with the trapezoid-in-time cost.
     The stored terminal row is identically zero.
     """
-    if state.grid != grid:
-        raise ContractError("state trajectory defined on a different grid")
-    u, v_eff = _controls_on_grid(controls, grid, regions)
+    require_aligned(grid, regions, state, controls)
+    _require_finite(state)
+    u, v_eff = controls.u, controls.v * regions.mask(grid.x)
     rho = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
 
     D = params.diffusion_array[:, None]
@@ -255,30 +228,29 @@ def adjoint_solve(state: StateTrajectory, controls, weights: CostWeights,
     p = 0.5 * dt * rho  # terminal cost sample carries half trapezoid weight
     out[grid.nt - 1] = p
     for m in range(grid.nt - 1, 0, -1):
-        H = state_jacobian(state.values[m], u[m], v_eff[m], params,
-                           v_max=regions.v_max)
+        H = _state_jacobian(state.values[m], u[m], v_eff[m], params)
         ht_p = np.einsum("xij,ix->jx", H, p)
         p = p + dt * (D * neumann_laplacian(p, grid.dx) + ht_p + rho)
         _check_finite(p, m - 1, "adjoint")
         out[m - 1] = p
-    return AdjointTrajectory(out, grid)
+    return Trajectory(out, grid)
 
 
-def sensitivity_solve(state: StateTrajectory, controls, direction,
-                      params: ModelParams, regions: QuarantineRegions,
-                      grid: Grid) -> StateTrajectory:
-    """Integrate the linearized system for a control perturbation direction.
+def sensitivity_solve(state: Trajectory, controls, h_u: np.ndarray,
+                      h_v: np.ndarray, params: ModelParams,
+                      regions: QuarantineRegions, grid: Grid) -> Trajectory:
+    """Integrate the linearized system for a control perturbation (h_u, h_v).
 
     The Jacobians are frozen at the supplied state trajectory, so the result
     is the exact derivative of the discrete forward map at ``controls`` in
-    the direction ``direction``; initial data is zero.
+    that direction; initial data is zero.  ``h_v`` is masked to the regions.
     """
-    if state.grid != grid:
-        raise ContractError("state trajectory defined on a different grid")
-    u, v_eff = _controls_on_grid(controls, grid, regions)
+    require_aligned(grid, regions, state, controls)
+    _require_finite(state)
     mask = regions.mask(grid.x).astype(float)
-    h_u = np.asarray(direction.u, dtype=float)
-    h_v = np.asarray(direction.v, dtype=float) * mask
+    u, v_eff = controls.u, controls.v * mask
+    h_u = np.asarray(h_u, dtype=float)
+    h_v = np.asarray(h_v, dtype=float) * mask
     if not (np.all(np.isfinite(h_u)) and np.all(np.isfinite(h_v))):
         raise ContractError("perturbation direction contains non-finite values")
 
@@ -288,8 +260,9 @@ def sensitivity_solve(state: StateTrajectory, controls, direction,
     Y = out[0]
     for m in range(grid.nt):
         y_m = state.values[m]
-        H = state_jacobian(y_m, u[m], v_eff[m], params, v_max=regions.v_max)
+        H = _state_jacobian(y_m, u[m], v_eff[m], params)
         hy = np.einsum("xij,jx->ix", H, Y)
+        # derivative of the reaction terms in the control direction
         gw = np.zeros((6, grid.nx))
         gw[0] = -mask * y_m[0] * h_v[m]
         gw[1] = mask * y_m[0] * h_v[m]
@@ -298,4 +271,4 @@ def sensitivity_solve(state: StateTrajectory, controls, direction,
         Y = Y + dt * (D * neumann_laplacian(Y, grid.dx) + hy + gw)
         _check_finite(Y, m + 1, "sensitivity")
         out[m + 1] = Y
-    return StateTrajectory(out, grid)
+    return Trajectory(out, grid)

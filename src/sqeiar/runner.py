@@ -3,8 +3,8 @@ controlled runs, verification checks, CSV trajectories, and a run summary."""
 
 from __future__ import annotations
 
-import shutil
-from dataclasses import dataclass, field
+import contextlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +12,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .control import ControlPair, SweepReport, cost_functional, fbsm_solve
 from .model import COMPARTMENTS
-from .pde import Grid, StateTrajectory
-from .pde import forward_solve
+from .pde import Grid, Trajectory, forward_solve
 from .verify import (
     CheckReport,
     RunMetrics,
@@ -28,7 +27,7 @@ class ScenarioResult:
     """One solved scenario: trajectory, controls, cost, metrics, checks."""
 
     name: str
-    trajectory: StateTrajectory
+    trajectory: Trajectory
     controls: ControlPair
     cost: float
     metrics: RunMetrics
@@ -42,44 +41,43 @@ class RunSummary:
     optimal: ScenarioResult | None
     deaths_averted: float | None
 
-    @property
-    def all_checks(self) -> list[CheckReport]:
-        out = []
-        for result in (self.baseline, self.optimal):
-            if result is not None:
-                out.extend(result.checks)
-        return out
+
+def _result(name: str, config: ScenarioConfig, traj: Trajectory,
+            controls: ControlPair, sweep: SweepReport | None = None) -> ScenarioResult:
+    """Cost, trajectory checks and metrics of one solved scenario."""
+    grid = config.grid
+    cost = cost_functional(traj, controls, config.weights, config.regions, grid)
+    checks = [mass_balance_check(traj, config.params, grid), positivity_check(traj)]
+    return ScenarioResult(name, traj, controls, cost, extract_metrics(traj, grid),
+                          checks, sweep)
 
 
 def _solve_baseline(config: ScenarioConfig) -> ScenarioResult:
-    grid = config.grid
-    controls = ControlPair.zeros(grid, config.regions)
+    controls = ControlPair.zeros(config.grid, config.regions)
     traj = forward_solve(config.initial_array(), controls, config.params,
-                         config.regions, grid)
-    cost = cost_functional(traj, controls, config.weights, config.regions, grid)
-    checks = [mass_balance_check(traj, config.params, grid), positivity_check(traj)]
-    return ScenarioResult("baseline", traj, controls, cost,
-                          extract_metrics(traj, grid), checks)
+                         config.regions, config.grid)
+    return _result("baseline", config, traj, controls)
 
 
 def _solve_optimal(config: ScenarioConfig) -> ScenarioResult:
-    grid = config.grid
-    start = ControlPair.zeros(grid, config.regions)
+    start = ControlPair.zeros(config.grid, config.regions)
     state, _adjoint, controls, report = fbsm_solve(
         config.initial_array(), start, config.params, config.weights,
-        config.regions, grid,
+        config.regions, config.grid,
         tolerance=config.sweep.tolerance,
         max_iterations=config.sweep.max_iterations,
         relaxation=config.sweep.relaxation)
-    cost = cost_functional(state, controls, config.weights, config.regions, grid)
-    checks = [mass_balance_check(state, config.params, grid), positivity_check(state)]
-    return ScenarioResult("optimal", state, controls, cost,
-                          extract_metrics(state, grid), checks, sweep=report)
+    return _result("optimal", config, state, controls, report)
+
+
+def _tree(root: Path) -> set[Path]:
+    return {root, *root.rglob("*")} if root.exists() else set()
 
 
 def run_scenario(config: ScenarioConfig, write: bool = True) -> RunSummary:
     """Solve the configured scenario(s), run the trajectory checks, and
-    (optionally) write all outputs.  Partial outputs are removed on failure."""
+    (optionally) write all outputs.  If writing fails, what this call
+    created is removed and nothing that existed before is."""
     baseline = _solve_baseline(config) if config.mode in ("baseline", "both") else None
     optimal = _solve_optimal(config) if config.mode in ("optimal", "both") else None
     deaths_averted = None
@@ -88,10 +86,21 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> RunSummary:
     summary = RunSummary(baseline, optimal, deaths_averted)
     if write:
         out_dir = Path(config.output_dir)
+        root = out_dir  # the highest directory this call may create
+        while not root.parent.exists():
+            root = root.parent
+        before = _tree(root)
         try:
             write_outputs(summary, config, out_dir)
         except Exception:
-            shutil.rmtree(out_dir, ignore_errors=True)
+            # a path sorts after its parent, so reverse order empties
+            # directories before removing them
+            for path in sorted(_tree(root) - before, reverse=True):
+                with contextlib.suppress(OSError):
+                    if path.is_dir() and not path.is_symlink():
+                        path.rmdir()
+                    else:
+                        path.unlink()
             raise
     return summary
 
@@ -110,22 +119,6 @@ def _write_field_csv(path: Path, values: np.ndarray, grid: Grid, stride: int) ->
     for m in indices:
         rows.append(_format(times[m]) + "," + ",".join(_format(v) for v in values[m]))
     path.write_text("\n".join(rows) + "\n")
-
-
-def read_field_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a field CSV back into (times, coordinates, values)."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
-    x = np.array([float(v) for v in header[1:]])
-    times = []
-    values = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: ragged row with {len(cells)} cells")
-        times.append(float(cells[0]))
-        values.append([float(v) for v in cells[1:]])
-    return np.array(times), x, np.array(values)
 
 
 def _write_scenario(result: ScenarioResult, grid: Grid, stride: int,

@@ -4,15 +4,14 @@ aggregate metric extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlPair, cost_functional, cost_gradient
+from .control import ControlPair, cost_functional, cost_gradient, directional_derivative
 from .model import (COMPARTMENTS, ContractError, CostWeights, ModelParams,
                     QuarantineRegions)
-from .pde import Grid, StateTrajectory, adjoint_solve, forward_solve, sensitivity_solve
+from .pde import Grid, Trajectory, adjoint_solve, forward_solve, sensitivity_solve
 
 DEFAULT_SEED = 42
 
@@ -58,7 +57,7 @@ class RunMetrics:
         return float(self.times[hits[0]])
 
 
-def extract_metrics(traj: StateTrajectory, grid: Grid) -> RunMetrics:
+def extract_metrics(traj: Trajectory, grid: Grid) -> RunMetrics:
     """Trapezoid aggregates per compartment plus peak/death statistics."""
 
     wx = grid.space_weights()
@@ -81,7 +80,7 @@ def extract_metrics(traj: StateTrajectory, grid: Grid) -> RunMetrics:
     )
 
 
-def mass_balance_check(traj: StateTrajectory, params: ModelParams,
+def mass_balance_check(traj: Trajectory, params: ModelParams,
                        grid: Grid) -> CheckReport:
     """Discrete total-population balance: per step, the change of the
     integrated population equals dt * (alpha - 1) * f * integrated I,
@@ -102,7 +101,7 @@ def mass_balance_check(traj: StateTrajectory, params: ModelParams,
     )
 
 
-def positivity_check(traj: StateTrajectory) -> CheckReport:
+def positivity_check(traj: Trajectory) -> CheckReport:
     """Most negative compartment value, normalized by the initial population."""
     wx = traj.grid.space_weights()
     scale = max(float(traj.values[0].sum(axis=0) @ wx), 1.0)
@@ -121,11 +120,11 @@ def positivity_check(traj: StateTrajectory) -> CheckReport:
 
 
 def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
-                       rng: np.random.Generator) -> list[ControlPair]:
+                       rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
     """Perturbation directions: uniform in the admissible box, mean-centered.
 
-    Returned as raw (u, v) array pairs wrapped light so they can be scaled;
-    the entries are signed and are NOT admissible controls themselves.
+    Returned as (h_u, h_v) array pairs of shape (nt + 1, nx), h_v zero off
+    the region mask; the entries are signed and are NOT admissible controls.
     """
     shape = (grid.nt + 1, grid.nx)
     mask = regions.mask(grid.x).astype(float)
@@ -140,16 +139,6 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
     return directions
 
 
-def _shifted_controls(base: ControlPair, h_u, h_v, eps: float,
-                      grid: Grid, regions: QuarantineRegions) -> ControlPair:
-    u = base.u + eps * h_u
-    v = (base.v + eps * h_v) * regions.mask(grid.x)
-    if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > regions.v_max):
-        raise ContractError("perturbed controls leave the admissible box; "
-                            "use an interior base control or smaller epsilon")
-    return ControlPair(u, v, grid, regions)
-
-
 def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
                     weights: CostWeights, regions: QuarantineRegions, grid: Grid,
                     epsilons=(1e-3, 1e-4), n_directions: int = 5,
@@ -157,8 +146,6 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
     """Compare the adjoint cost gradient against one-sided divided
     differences of the cost along seeded random directions, and check
     first-order error decay across the epsilon ladder."""
-    from .control import directional_derivative
-
     epsilons = sorted(epsilons, reverse=True)
     rng = np.random.default_rng(seed)
     directions = _random_directions(grid, regions, n_directions, rng)
@@ -174,7 +161,7 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
         predicted = directional_derivative(grad_u, grad_v, base, weights,
                                            h_u, h_v, grid)
         for k, eps in enumerate(epsilons):
-            plus = _shifted_controls(base, h_u, h_v, eps, grid, regions)
+            plus = ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
             j_plus = cost_functional(
                 forward_solve(initial, plus, params, regions, grid),
                 plus, weights, regions, grid)
@@ -194,22 +181,17 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
 
 
 def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
-                       regions: QuarantineRegions, grid: Grid, direction=None,
+                       regions: QuarantineRegions, grid: Grid,
                        epsilons=(1e-2, 1e-3), seed: int = DEFAULT_SEED) -> CheckReport:
     """Compare the linearized solve against divided differences of the
-    nonlinear solve in the discrete L2 norm; the error must shrink
-    proportionally to epsilon."""
+    nonlinear solve in the discrete L2 norm along one seeded random
+    direction; the error must shrink proportionally to epsilon."""
     epsilons = sorted(epsilons, reverse=True)
-    if direction is None:
-        rng = np.random.default_rng(seed)
-        h_u, h_v = _random_directions(grid, regions, 1, rng)[0]
-    else:
-        h_u, h_v = np.asarray(direction.u, float), np.asarray(direction.v, float)
+    rng = np.random.default_rng(seed)
+    h_u, h_v = _random_directions(grid, regions, 1, rng)[0]
 
     state = forward_solve(initial, base, params, regions, grid)
-
-    direction = SimpleNamespace(u=h_u, v=h_v)
-    lin = sensitivity_solve(state, base, direction, params, regions, grid)
+    lin = sensitivity_solve(state, base, h_u, h_v, params, regions, grid)
 
     wx = grid.space_weights()
     wt = grid.time_weights()
@@ -220,7 +202,7 @@ def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelPara
     scale = max(l2(lin.values), 1e-300)
     errs = []
     for eps in epsilons:
-        shifted = _shifted_controls(base, h_u, h_v, eps, grid, regions)
+        shifted = ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
         bumped = forward_solve(initial, shifted, params, regions, grid)
         divided = (bumped.values - state.values) / eps
         errs.append(l2(divided - lin.values) / scale)
@@ -236,11 +218,3 @@ def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelPara
         detail = f"single epsilon {epsilons[0]}, error {measured:.3g}"
     return CheckReport(name="sensitivity_oracle", passed=passed, measured=measured,
                        bound=hi, detail=detail)
-
-
-def inject_fault(traj: StateTrajectory, step: int, compartment: int,
-                 node: int, magnitude: float) -> StateTrajectory:
-    """Copy of the trajectory with one value perturbed (for fault-injection tests)."""
-    values = traj.values.copy()
-    values[step, compartment, node] += magnitude
-    return StateTrajectory(values, traj.grid)

@@ -5,7 +5,22 @@ from pathlib import Path
 import sqeiar as sq
 from sqeiar.cli import main
 from sqeiar.config import ConfigError, parse_config_text, render_defaults
-from sqeiar.runner import read_field_csv
+
+
+def read_field_csv(path):
+    """Parse a field CSV back into (times, coordinates, values)."""
+    lines = Path(path).read_text().strip().split("\n")
+    header = lines[0].split(",")
+    x = np.array([float(v) for v in header[1:]])
+    times = []
+    values = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: ragged row with {len(cells)} cells")
+        times.append(float(cells[0]))
+        values.append([float(v) for v in cells[1:]])
+    return np.array(times), x, np.array(values)
 
 
 class TestConfigParsing:
@@ -154,6 +169,38 @@ class TestCli:
         assert main(["defaults"]) == 0
         text = capsys.readouterr().out
         parse_config_text(text)
+
+    def test_check_grid_cfl_violation_exit_one(self, tmp_path, capsys):
+        # valid on its own 11-node grid, but D*dt/dx^2 = 0.8 on the check grid
+        config = tmp_path / "scenario.conf"
+        config.write_text("model.diffusion = 0.2\ngrid.nx = 11\n")
+        assert main(["check", "--config", str(config)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_unconverged_sweep_exit_three(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, "sweep.max_iterations = 1\n")
+        assert main(["run", "--config", str(config), "--mode", "optimal"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "did not converge" in err[0]
+
+    def test_failed_write_keeps_user_files(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "user"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep\n")
+        (out / "baseline").write_text("a plain file\n")
+        argv = ["run", "--config", str(config), "--mode", "baseline", "--out", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error")
+        assert sorted(p.name for p in out.iterdir()) == ["baseline", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep\n"
+        # S..A, written before I.csv fails, are removed; what was there stays
+        (out / "baseline").unlink()
+        (out / "baseline").mkdir()
+        (out / "baseline" / "I.csv").mkdir()
+        assert main(argv) == 4
+        assert sorted(p.name for p in out.rglob("*")) == ["I.csv", "baseline", "notes.txt"]
 
     def test_runs_are_deterministic(self, tmp_path):
         config = self.write_config(tmp_path)

@@ -18,10 +18,11 @@ class TestControlPair:
     def test_bounds_enforced(self):
         grid = sq.Grid(nx=11, tau=1.0, nt=50)
         shape = (grid.nt + 1, grid.nx)
-        with pytest.raises(ContractError, match="u"):
-            sq.ControlPair(np.full(shape, 1.5), np.zeros(shape), grid, WHOLE)
-        with pytest.raises(ContractError, match="v"):
-            sq.ControlPair(np.zeros(shape), np.full(shape, 1.5), grid, WHOLE)
+        for bad in (1.5, np.nan):
+            with pytest.raises(ContractError, match="u"):
+                sq.ControlPair(np.full(shape, bad), np.zeros(shape), grid, WHOLE)
+            with pytest.raises(ContractError, match="v"):
+                sq.ControlPair(np.zeros(shape), np.full(shape, bad), grid, WHOLE)
 
     def test_quarantine_cap_scales_with_region_count(self):
         grid = sq.Grid(nx=11, tau=1.0, nt=50)
@@ -94,7 +95,7 @@ class TestProjection:
         grid, state, adjoint = self.setup_small()
         loose = sq.CostWeights(sigma1=1e12, sigma2=1e12)
         proj = sq.project_controls(state, adjoint, loose, WHOLE, grid)
-        expected_u = state.i * (adjoint.p(5) - adjoint.p(6)) / 1e12
+        expected_u = state.i * (adjoint.i - adjoint.r) / 1e12
         np.testing.assert_allclose(proj.u, np.clip(expected_u, 0, None))
 
     def test_projection_idempotent(self):
@@ -115,8 +116,8 @@ class TestProjection:
                                           WHOLE, grid)
         interior_u = (proj.u > 0) & (proj.u < 1)
         interior_v = (proj.v > 0) & (proj.v < WHOLE.v_max)
-        assert np.abs(grad_u.values[interior_u]).max(initial=0.0) < 1e-9
-        assert np.abs(grad_v.values[interior_v]).max(initial=0.0) < 1e-9
+        assert np.abs(grad_u[interior_u]).max(initial=0.0) < 1e-9
+        assert np.abs(grad_v[interior_v]).max(initial=0.0) < 1e-9
 
 
 class TestGradientConsistency:

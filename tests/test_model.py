@@ -6,8 +6,6 @@ from sqeiar.model import (
     CostWeights,
     ModelParams,
     QuarantineRegions,
-    StateVec,
-    control_jacobian,
     lambda_term,
     reaction_rhs,
     rho_source,
@@ -88,10 +86,6 @@ class TestLambdaTerm:
         for c in (0.0, 0.5, 3.0):
             assert lambda_term(c * y, TABLE) == pytest.approx(
                 c * lambda_term(y, TABLE), rel=1e-14)
-
-    def test_statevec_accepted(self):
-        vec = StateVec(0, 0, 100, 0, 1000, 0)
-        assert lambda_term(vec, TABLE) == pytest.approx(0.501)
 
 
 class TestReactionRhs:
@@ -175,21 +169,6 @@ class TestStateJacobian:
                   - reaction_rhs(y - step, u, v, TABLE)) / (2 * eps)
             scale = max(np.abs(H[:, j]).max(), 1.0)
             assert np.abs(fd - H[:, j]).max() <= 1e-5 * scale
-
-
-class TestControlJacobian:
-    def test_zero_state(self):
-        assert np.all(control_jacobian(state(), True) == 0.0)
-
-    def test_direct_entries(self):
-        G = control_jacobian(state(s=100, i=3), True)
-        np.testing.assert_allclose(G[:, 0], [0, 0, 0, 0, -3, 3])
-        np.testing.assert_allclose(G[:, 1], [-100, 100, 0, 0, 0, 0])
-
-    def test_off_region_column_zero(self):
-        G = control_jacobian(state(s=100, i=3), False)
-        assert np.all(G[:, 1] == 0.0)
-        np.testing.assert_allclose(G[:, 0], [0, 0, 0, 0, -3, 3])
 
 
 class TestRhoSource:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from types import SimpleNamespace
 
 import sqeiar as sq
-from sqeiar.model import ContractError, ModelParams, QuarantineRegions
+from sqeiar.model import ContractError, ModelParams, QuarantineRegions, rho_source
 from sqeiar.pde import neumann_laplacian
+from sqeiar.verify import _random_directions
 
 WHOLE = QuarantineRegions(((0.0, 1.0),))
 TABLE = ModelParams()
@@ -82,11 +82,12 @@ class TestForwardSolve:
 
     def test_negative_initial_rejected(self):
         grid = sq.Grid(nx=11, tau=1.0, nt=50)
-        initial = np.zeros((6, grid.nx))
-        initial[0, 3] = -1.0
-        with pytest.raises(ContractError):
-            sq.forward_solve(initial, sq.ControlPair.zeros(grid, WHOLE),
-                             TABLE, WHOLE, grid)
+        for bad in (-1.0, np.nan, np.inf):
+            initial = np.zeros((6, grid.nx))
+            initial[0, 3] = bad
+            with pytest.raises(ContractError):
+                sq.forward_solve(initial, sq.ControlPair.zeros(grid, WHOLE),
+                                 TABLE, WHOLE, grid)
 
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
@@ -142,7 +143,7 @@ class TestAdjointSolve:
         weights = sq.CostWeights(rho1=1e-12, rho3=1e-12, rho4=1e-12,
                                  rho5=1.0, sigma1=1, sigma2=1)
         _, adjoint = self.run(weights)
-        assert adjoint.p(5)[:-1].max() > 0.0
+        assert adjoint.i[:-1].max() > 0.0
 
     def test_grid_mismatch_rejected(self):
         grid, initial = small_setup()
@@ -151,6 +152,44 @@ class TestAdjointSolve:
         state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
         with pytest.raises(ContractError):
             sq.adjoint_solve(state, controls, sq.CostWeights(), TABLE, WHOLE, other)
+
+    def test_non_finite_state_rejected(self):
+        grid, initial = small_setup()
+        controls = sq.ControlPair.zeros(grid, WHOLE)
+        state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
+        values = state.values.copy()
+        values[grid.nt // 2, 2, 3] = np.nan
+        broken = sq.Trajectory(values, grid)
+        shape = (grid.nt + 1, grid.nx)
+        with pytest.raises(ContractError):
+            sq.adjoint_solve(broken, controls, sq.CostWeights(), TABLE, WHOLE, grid)
+        with pytest.raises(ContractError):
+            sq.sensitivity_solve(broken, controls, np.ones(shape), np.zeros(shape),
+                                 TABLE, WHOLE, grid)
+
+    @pytest.mark.parametrize("regions", [
+        WHOLE, QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))])
+    def test_exact_discrete_duality(self, regions):
+        # the adjoint pairing equals the derivative of the discrete cost
+        # along the linearized forward solve, to roundoff
+        grid, initial = small_setup()
+        weights = sq.CostWeights(rho1=2.0, rho3=0.5, rho4=3.0, rho5=1.5,
+                                 sigma1=40.0, sigma2=70.0)
+        controls = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
+        state = sq.forward_solve(initial, controls, TABLE, regions, grid)
+        adjoint = sq.adjoint_solve(state, controls, weights, TABLE, regions, grid)
+        gradient = sq.cost_gradient(state, adjoint, controls, weights, regions, grid)
+        wx, wt = grid.space_weights(), grid.time_weights()
+        rho_wx = rho_source(grid.x, regions, weights) * wx
+        rng = np.random.default_rng(3)
+        for h_u, h_v in _random_directions(grid, regions, 3, rng):
+            Y = sq.sensitivity_solve(state, controls, h_u, h_v, TABLE, regions, grid)
+            control_part = wt @ ((weights.sigma1 * controls.u * h_u) @ wx
+                                 + (weights.sigma2 * controls.v * h_v) @ wx)
+            state_part = wt @ np.einsum("cx,mcx->m", rho_wx, Y.values)
+            paired = sq.directional_derivative(*gradient, controls, weights,
+                                               h_u, h_v, grid)
+            assert paired == pytest.approx(control_part + state_part, rel=1e-10)
 
     def test_transpose_consistency(self):
         # <H^T p, y> = <p, H y> pointwise for random data
@@ -170,8 +209,8 @@ class TestSensitivitySolve:
         controls = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
         state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
         shape = (grid.nt + 1, grid.nx)
-        direction = SimpleNamespace(u=np.zeros(shape), v=np.zeros(shape))
-        Y = sq.sensitivity_solve(state, controls, direction, TABLE, WHOLE, grid)
+        Y = sq.sensitivity_solve(state, controls, np.zeros(shape), np.zeros(shape),
+                                 TABLE, WHOLE, grid)
         assert np.all(Y.values == 0.0)
 
     def test_treatment_direction_leaves_quarantine_untouched(self):
@@ -179,8 +218,8 @@ class TestSensitivitySolve:
         controls = sq.ControlPair.zeros(grid, WHOLE)  # v == 0
         state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
         shape = (grid.nt + 1, grid.nx)
-        direction = SimpleNamespace(u=np.full(shape, 0.5), v=np.zeros(shape))
-        Y = sq.sensitivity_solve(state, controls, direction, TABLE, WHOLE, grid)
+        Y = sq.sensitivity_solve(state, controls, np.full(shape, 0.5), np.zeros(shape),
+                                 TABLE, WHOLE, grid)
         assert np.all(Y.q == 0.0)
         assert np.abs(Y.i).max() > 0.0
 

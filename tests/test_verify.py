@@ -3,10 +3,16 @@ import pytest
 
 import sqeiar as sq
 from sqeiar.model import ModelParams, QuarantineRegions
-from sqeiar.verify import inject_fault
 
 WHOLE = QuarantineRegions(((0.0, 1.0),))
 TABLE = ModelParams()
+
+
+def inject_fault(traj, step, compartment, node, magnitude):
+    """Copy of the trajectory with one value perturbed."""
+    values = traj.values.copy()
+    values[step, compartment, node] += magnitude
+    return sq.Trajectory(values, traj.grid)
 
 
 class TestMetrics:

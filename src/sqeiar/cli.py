@@ -51,24 +51,12 @@ def _load(config_path: Path | None) -> ScenarioConfig:
 def _cmd_run(args) -> int:
     from .runner import run_scenario
 
-    try:
-        config = _load(args.config)
-        if args.mode is not None:
-            config = replace(config, mode=args.mode)
-        if args.out is not None:
-            config = replace(config, output_dir=args.out)
-    except (ConfigError, ContractError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        summary = run_scenario(config)
-    except (IntegrationError, RuntimeError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+    config = _load(args.config)
+    overrides = {"mode": args.mode, "output_dir": args.out}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if overrides:
+        config = replace(config, **overrides)
+    summary = run_scenario(config)
 
     problems = []
     for result in (summary.baseline, summary.optimal):
@@ -104,30 +92,20 @@ def _cmd_check(args) -> int:
         sensitivity_oracle,
     )
 
-    try:
-        config = _load(args.config)
-        grid = Grid(x_min=config.grid.x_min, x_max=config.grid.x_max,
-                    nx=21, tau=3.0, nt=300)
-        small = replace(config, grid=grid)  # checks CFL on the check grid
-    except (ConfigError, ContractError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    config = _load(args.config)
+    grid = Grid(x_min=config.grid.x_min, x_max=config.grid.x_max, nx=21, tau=3.0, nt=300)
+    small = replace(config, grid=grid)  # checks CFL on the check grid
     initial = small.initial_array()
     base = ControlPair.constant(0.3, 0.3 * small.regions.v_max, grid, small.regions)
-
-    try:
-        reports = []
-        traj = forward_solve(initial, base, small.params, small.regions, grid)
-        reports.append(mass_balance_check(traj, small.params, grid))
-        reports.append(positivity_check(traj))
-        reports.append(gradient_oracle(initial, base, small.params, small.weights,
-                                       small.regions, grid, seed=small.seed))
-        reports.append(sensitivity_oracle(initial, base, small.params,
-                                          small.regions, grid, seed=small.seed))
-    except (IntegrationError, RuntimeError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    traj = forward_solve(initial, base, small.params, small.regions, grid)
+    reports = [
+        mass_balance_check(traj, small.params, grid),
+        positivity_check(traj),
+        gradient_oracle(initial, base, small.params, small.weights, small.regions,
+                        grid, seed=small.seed),
+        sensitivity_oracle(initial, base, small.params, small.regions, grid,
+                           seed=small.seed),
+    ]
 
     failed = False
     for report in reports:
@@ -141,16 +119,25 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; every expected failure ends in one stderr line and
+    its documented exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "defaults":
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "check":
+            return _cmd_check(args)
         print(render_defaults(), end="")
         return EXIT_OK
-    raise AssertionError(f"unhandled command {args.command}")
-
+    except (ConfigError, ContractError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except IntegrationError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -4,6 +4,7 @@ region covering the domain)."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -44,9 +45,10 @@ def evaluate_profile(spec: str, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
-        if not path.exists():
-            raise ConfigError(f"initial profile file not found: {path}")
-        values = np.loadtxt(path, dtype=float, ndmin=1)
+        try:
+            values = np.loadtxt(path, dtype=float, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read initial profile file {path}: {exc}") from exc
         if values.ndim != 1 or values.size != x.size:
             raise ConfigError(
                 f"profile file {path} must hold one column of {x.size} values")
@@ -80,28 +82,27 @@ class ScenarioConfig:
         self.regions.check_inside(self.grid.x_min, self.grid.x_max)
         self.positivity_step_warning()
 
-    def positivity_step_warning(self) -> str | None:
-        """Advisory bound on dt for a positivity-preserving reaction update.
+    def positivity_step_warning(self) -> None:
+        """Warn when an explicit Euler step may drive a compartment negative.
 
-        The force-of-infection bound is estimated from the initial total
-        population; a violation is reported, not rejected.
+        A step keeps every compartment nonnegative when
+        2 * D*dt/dx^2 + dt * rate < 1, where rate bounds the total outflow
+        rate of any compartment; the force-of-infection part of it is
+        estimated from the initial total population.  A violation is
+        reported, not rejected.
         """
-        import warnings
-
         p = self.params
         wx = self.grid.space_weights()
-        initial = self.initial_array()
-        n0 = float(initial.sum(axis=0) @ wx)
+        n0 = float(self.initial_array().sum(axis=0) @ wx)
         lam_max = p.delta * n0 + (1.0 - p.q) * n0 + p.mu * n0
         rate = (p.beta + lam_max + self.regions.v_max + p.k + p.eta + p.f
                 + 1.0 + p.xi)
-        if self.grid.dt * rate >= 1.0:
-            message = (f"dt * (beta + Lambda_max + 1/n + k + eta + f + 1 + xi)"
-                       f" = {self.grid.dt * rate:.3g} >= 1; compartments may"
-                       f" go negative")
-            warnings.warn(message, stacklevel=2)
-            return message
-        return None
+        bound = 2.0 * self.grid.cfl_number(p) + self.grid.dt * rate
+        if bound >= 1.0:
+            warnings.warn(
+                f"2 * D*dt/dx^2 + dt * (beta + Lambda_max + 1/n + k + eta + f + 1"
+                f" + xi) = {bound:.3g} >= 1; compartments may go negative",
+                stacklevel=2)
 
     def initial_array(self) -> np.ndarray:
         """The six initial profiles evaluated on the grid, shape (6, nx)."""
@@ -111,40 +112,35 @@ class ScenarioConfig:
         return np.vstack(rows)
 
 
-def _parse_float(key: str, raw: str) -> float:
+# Sections whose keys are the scalar fields of one dataclass, by the
+# ScenarioConfig field that holds it.  model.diffusion is a tuple and is
+# parsed on its own.
+_SECTIONS = {"model": ("params", ModelParams), "weights": ("weights", CostWeights),
+             "grid": ("grid", Grid), "sweep": ("sweep", SweepSettings)}
+# "section.name" -> (ScenarioConfig field, dataclass field, int or float)
+_KEYS = {f"{section}.{f.name}": (attr, f.name, int if isinstance(f.default, int) else float)
+         for section, (attr, cls) in _SECTIONS.items()
+         for f in fields(cls) if f.name != "diffusion"}
+_DIFFUSION_KEYS = {f"model.d{i}": i - 1 for i in range(1, 7)}
+
+
+def _parse_number(key: str, raw: str, kind: type = float):
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got '{raw}'") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got '{raw}'") from None
-
-
-_MODEL_KEYS = [f.name for f in fields(ModelParams) if f.name != "diffusion"]
-_WEIGHT_KEYS = [f.name for f in fields(CostWeights)]
-_GRID_KEYS = ("x_min", "x_max", "nx", "nt", "tau")  # in rendered order
-_GRID_INT_KEYS = {"nx", "nt"}
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got '{raw}'") from None
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig:
-    """Parse the flat key-value format; unknown keys are errors."""
-    model_kw: dict = {}
+    """Parse the flat key-value format; unknown and repeated keys are errors."""
+    scalars: dict[str, dict] = {attr: {} for attr, _ in _SECTIONS.values()}
     diffusion = [None] * 6
     diffusion_all = None
-    weight_kw: dict = {}
-    grid_kw: dict = {}
     regions: dict[int, tuple[float, float]] = {}
     profiles = dict(DEFAULT_PROFILES)
-    sweep_kw: dict = {}
-    mode = "both"
-    seed = 42
-    output_dir = Path("out")
-    stride = 100
+    output: dict = {}  # ScenarioConfig keyword arguments from output.*
+    seen: dict[str, int] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -157,107 +153,79 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
         value = value.strip()
         if "." not in key:
             raise ConfigError(f"line {lineno}: key '{key}' lacks a section prefix")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key '{key}' already set on line {seen[key]}")
+        seen[key] = lineno
         section, _, name = key.partition(".")
 
-        if section == "model":
-            if name in _MODEL_KEYS:
-                model_kw[name] = _parse_float(key, value)
-            elif name == "diffusion":
-                diffusion_all = _parse_float(key, value)
-            elif name in {f"d{i}" for i in range(1, 7)}:
-                diffusion[int(name[1]) - 1] = _parse_float(key, value)
-            else:
-                raise ConfigError(f"unknown key '{key}'")
-        elif section == "weights":
-            if name not in _WEIGHT_KEYS:
-                raise ConfigError(f"unknown key '{key}'")
-            weight_kw[name] = _parse_float(key, value)
-        elif section == "grid":
-            if name in _GRID_INT_KEYS:
-                grid_kw[name] = _parse_int(key, value)
-            elif name in _GRID_KEYS:
-                grid_kw[name] = _parse_float(key, value)
-            else:
-                raise ConfigError(f"unknown key '{key}'")
+        if key in _KEYS:
+            attr, _, kind = _KEYS[key]
+            scalars[attr][name] = _parse_number(key, value, kind)
+        elif key == "model.diffusion":
+            diffusion_all = _parse_number(key, value)
+        elif key in _DIFFUSION_KEYS:
+            diffusion[_DIFFUSION_KEYS[key]] = _parse_number(key, value)
         elif section == "regions":
             if not name.isdigit():
                 raise ConfigError(f"unknown key '{key}' (use regions.<index> = a, b)")
+            if int(name) in regions:  # regions.01 repeats regions.1
+                raise ConfigError(f"line {lineno}: region {int(name)} is set twice")
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 2:
                 raise ConfigError(f"{key}: expected 'a, b', got '{value}'")
-            regions[int(name)] = (_parse_float(key, parts[0]),
-                                  _parse_float(key, parts[1]))
-        elif section == "initial":
-            if name not in DEFAULT_PROFILES:
-                raise ConfigError(f"unknown key '{key}'")
+            regions[int(name)] = (_parse_number(key, parts[0]),
+                                  _parse_number(key, parts[1]))
+        elif section == "initial" and name in DEFAULT_PROFILES:
             if value.startswith("file:") and base_dir is not None:
                 path = Path(value[len("file:"):].strip())
                 if not path.is_absolute():
                     value = f"file:{base_dir / path}"
             profiles[name] = value
-        elif section == "sweep":
-            if name in ("tolerance", "relaxation"):
-                sweep_kw[name] = _parse_float(key, value)
-            elif name == "max_iterations":
-                sweep_kw[name] = _parse_int(key, value)
-            else:
-                raise ConfigError(f"unknown key '{key}'")
-        elif section == "output":
-            if name == "mode":
-                mode = value.lower()
-            elif name == "dir":
-                path = Path(value)
-                output_dir = path if path.is_absolute() or base_dir is None \
-                    else base_dir / path
-            elif name == "stride":
-                stride = _parse_int(key, value)
-            elif name == "seed":
-                seed = _parse_int(key, value)
-            else:
-                raise ConfigError(f"unknown key '{key}'")
+        elif key == "output.mode":
+            output["mode"] = value.lower()
+        elif key == "output.dir":
+            path = Path(value)
+            output["output_dir"] = path if path.is_absolute() or base_dir is None \
+                else base_dir / path
+        elif key in ("output.stride", "output.seed"):
+            output[name] = _parse_number(key, value, int)
+        elif section in (*_SECTIONS, "initial", "output"):
+            raise ConfigError(f"unknown key '{key}'")
         else:
             raise ConfigError(f"unknown section '{section}' in key '{key}'")
 
     if diffusion_all is not None or any(d is not None for d in diffusion):
-        base = diffusion_all if diffusion_all is not None else 0.001
-        model_kw["diffusion"] = tuple(base if d is None else d for d in diffusion)
+        base = diffusion_all if diffusion_all is not None else ModelParams.diffusion[0]
+        scalars["params"]["diffusion"] = tuple(base if d is None else d for d in diffusion)
 
     try:
-        params = ModelParams(**model_kw)
-        weights = CostWeights(**weight_kw)
-        grid = Grid(**grid_kw)
+        parts = {attr: cls(**scalars[attr]) for attr, cls in _SECTIONS.values()}
         if regions:
-            region_list = QuarantineRegions(
-                tuple(regions[i] for i in sorted(regions)))
-        else:
-            region_list = QuarantineRegions(((0.0, 1.0),))
-        sweep = SweepSettings(**sweep_kw)
-        return ScenarioConfig(params=params, weights=weights, regions=region_list,
-                              grid=grid, profiles=profiles, sweep=sweep, mode=mode,
-                              seed=seed, output_dir=output_dir, stride=stride)
+            parts["regions"] = QuarantineRegions(tuple(regions[i] for i in sorted(regions)))
+        return ScenarioConfig(**parts, profiles=profiles, **output)
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"configuration file not found: {path}")
-    return parse_config_text(path.read_text(), base_dir=path.parent)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+    return parse_config_text(text, base_dir=path.parent)
 
 
 def render_defaults() -> str:
     """The fully-resolved default configuration in the accepted file format."""
     cfg = ScenarioConfig()
     lines = ["# fully-resolved default scenario"]
-    lines += [f"model.{name} = {getattr(cfg.params, name)}" for name in _MODEL_KEYS]
+    lines += [f"{key} = {getattr(getattr(cfg, attr), name)}"
+              for key, (attr, name, _) in _KEYS.items()]
     lines.append(f"model.diffusion = {cfg.params.diffusion[0]}")
-    lines += [f"weights.{name} = {getattr(cfg.weights, name)}" for name in _WEIGHT_KEYS]
     lines += [f"regions.{idx} = {a}, {b}"
               for idx, (a, b) in enumerate(cfg.regions.regions, start=1)]
-    lines += [f"grid.{name} = {getattr(cfg.grid, name)}" for name in _GRID_KEYS]
     lines += [f"initial.{name} = {spec}" for name, spec in cfg.profiles.items()]
-    lines += [f"sweep.{f.name} = {getattr(cfg.sweep, f.name)}" for f in fields(cfg.sweep)]
     lines += [
         f"output.mode = {cfg.mode}",
         f"output.dir = {cfg.output_dir}",

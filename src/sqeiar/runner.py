@@ -52,18 +52,16 @@ def _result(name: str, config: ScenarioConfig, traj: Trajectory,
                           checks, sweep)
 
 
-def _solve_baseline(config: ScenarioConfig) -> ScenarioResult:
+def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
     controls = ControlPair.zeros(config.grid, config.regions)
-    traj = forward_solve(config.initial_array(), controls, config.params,
-                         config.regions, config.grid)
+    traj = forward_solve(initial, controls, config.params, config.regions, config.grid)
     return _result("baseline", config, traj, controls)
 
 
-def _solve_optimal(config: ScenarioConfig) -> ScenarioResult:
+def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
     start = ControlPair.zeros(config.grid, config.regions)
     state, _adjoint, controls, report = fbsm_solve(
-        config.initial_array(), start, config.params, config.weights,
-        config.regions, config.grid,
+        initial, start, config.params, config.weights, config.regions, config.grid,
         tolerance=config.sweep.tolerance,
         max_iterations=config.sweep.max_iterations,
         relaxation=config.sweep.relaxation)
@@ -78,8 +76,11 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> RunSummary:
     """Solve the configured scenario(s), run the trajectory checks, and
     (optionally) write all outputs.  If writing fails, what this call
     created is removed and nothing that existed before is."""
-    baseline = _solve_baseline(config) if config.mode in ("baseline", "both") else None
-    optimal = _solve_optimal(config) if config.mode in ("optimal", "both") else None
+    initial = config.initial_array()  # read once, so both modes start alike
+    baseline = (_solve_baseline(config, initial)
+                if config.mode in ("baseline", "both") else None)
+    optimal = (_solve_optimal(config, initial)
+               if config.mode in ("optimal", "both") else None)
     deaths_averted = None
     if baseline is not None and optimal is not None:
         deaths_averted = baseline.metrics.deaths - optimal.metrics.deaths
@@ -109,35 +110,28 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_field_csv(path: Path, values: np.ndarray, grid: Grid, stride: int) -> None:
-    """Layout: header `t, x_0, ..., x_{nx-1}`, one row per stored time sample."""
-    rows = ["t," + ",".join(_format(x) for x in grid.x)]
-    times = grid.t
-    indices = list(range(0, grid.nt + 1, stride))
-    if indices[-1] != grid.nt:
-        indices.append(grid.nt)
-    for m in indices:
-        rows.append(_format(times[m]) + "," + ",".join(_format(v) for v in values[m]))
-    path.write_text("\n".join(rows) + "\n")
+def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Write the columns side by side under a one-line header, each value as
+    `%.17g`, which round-trips every float64."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
 def _write_scenario(result: ScenarioResult, grid: Grid, stride: int,
                     directory: Path) -> None:
+    """Field CSVs: header `t,x_0,...,x_{nx-1}`, one row per stored time
+    sample (every stride-th step and the last).  aggregates.csv: every step."""
     directory.mkdir(parents=True, exist_ok=True)
-    for idx, name in enumerate(COMPARTMENTS):
-        _write_field_csv(directory / f"{name}.csv", result.trajectory.values[:, idx, :],
-                         grid, stride)
-    _write_field_csv(directory / "u.csv", result.controls.u, grid, stride)
-    _write_field_csv(directory / "v.csv", result.controls.v, grid, stride)
-
+    header = "t," + ",".join(_format(x) for x in grid.x)
+    rows = np.unique(np.append(np.arange(0, grid.nt + 1, stride), grid.nt))
+    fields = dict(zip(COMPARTMENTS, np.moveaxis(result.trajectory.values, 1, 0)))
+    fields.update(u=result.controls.u, v=result.controls.v)
+    for name, values in fields.items():
+        _write_csv(directory / f"{name}.csv", header, grid.t[rows], values[rows])
     aggregates = result.metrics.aggregates
-    rows = ["t," + ",".join(COMPARTMENTS) + ",N"]
-    for m, t in enumerate(grid.t):
-        cells = [_format(t)]
-        cells += [_format(aggregates[c][m]) for c in COMPARTMENTS]
-        cells.append(_format(result.metrics.total_population[m]))
-        rows.append(",".join(cells))
-    (directory / "aggregates.csv").write_text("\n".join(rows) + "\n")
+    _write_csv(directory / "aggregates.csv", "t," + ",".join(COMPARTMENTS) + ",N",
+               grid.t, *(aggregates[c] for c in COMPARTMENTS),
+               result.metrics.total_population)
 
 
 def _summary_lines(result: ScenarioResult) -> list[str]:

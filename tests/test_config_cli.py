@@ -1,10 +1,13 @@
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from pathlib import Path
 
 import sqeiar as sq
 from sqeiar.cli import main
-from sqeiar.config import ConfigError, parse_config_text, render_defaults
+from sqeiar.config import _KEYS, ConfigError, parse_config_text, render_defaults
 
 
 def read_field_csv(path):
@@ -87,6 +90,36 @@ class TestConfigParsing:
             base_dir=tmp_path)
         np.testing.assert_allclose(config.initial_array()[3], 7.0)
 
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_table_key_sets_its_field(self, key):
+        section, _, name = key.partition(".")
+        attr = {"model": "params", "weights": "weights", "grid": "grid",
+                "sweep": "sweep"}[section]
+        default = getattr(sq.ScenarioConfig(), attr)
+        old = getattr(default, name)
+        value = {"grid.x_min": -0.5, "grid.x_max": 2.0}.get(key, old * 2 if isinstance(
+            old, int) else old / 2)
+        config = parse_config_text(f"{key} = {value!r}")
+        assert getattr(config, attr) == replace(default, **{name: value})
+        assert type(getattr(getattr(config, attr), name)) is type(old)
+
+    @pytest.mark.parametrize("text, message", [
+        ("grid.nx = 21\ngrid.nt = 300\ngrid.nx = 41",
+         "line 3: key 'grid.nx' already set on line 1"),
+        ("regions.1 = 0.1, 0.3\nregions.01 = 0.5, 0.9", "line 2: region 1 is set twice"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
+    def test_positivity_advisory_counts_diffusion(self):
+        # D*dt/dx^2 = 0.5 passes the CFL check but the run diverges
+        with pytest.warns(UserWarning, match="compartments may go negative"):
+            replace(sq.ScenarioConfig(), grid=sq.Grid(nx=101, nt=600))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sq.ScenarioConfig()
+
     def test_render_defaults_round_trips(self):
         config = parse_config_text(render_defaults())
         default = sq.ScenarioConfig()
@@ -96,11 +129,13 @@ class TestConfigParsing:
 
 
 class TestOutputs:
-    def test_field_csv_round_trip(self, tmp_path, small_config):
+    # with stride 7 the last time row, t = tau, is stored outside the stride
+    @pytest.mark.parametrize("stride", [10, 7])
+    def test_field_csv_round_trip(self, tmp_path, small_config, stride):
         from dataclasses import replace
 
         config = replace(small_config, output_dir=tmp_path / "run",
-                         mode="baseline", stride=10)
+                         mode="baseline", stride=stride)
         summary = sq.run_scenario(config)
         t, x, values = read_field_csv(tmp_path / "run" / "baseline" / "S.csv")
         assert x.size == config.grid.nx
@@ -201,6 +236,27 @@ class TestCli:
         (out / "baseline" / "I.csv").mkdir()
         assert main(argv) == 4
         assert sorted(p.name for p in out.rglob("*")) == ["I.csv", "baseline", "notes.txt"]
+
+    @pytest.mark.parametrize("case", ["config_dir", "not_utf8", "profile_abc",
+                                      "profile_dir", "profile_negative", "repeated_key"])
+    def test_unreadable_or_invalid_input_exit_one(self, tmp_path, capsys, case):
+        (tmp_path / "abc.txt").write_text("abc\n")
+        (tmp_path / "dir").mkdir()
+        negative = np.full(21, 5.0)
+        negative[3] = -1.0
+        np.savetxt(tmp_path / "negative.txt", negative)
+        extra = {"profile_abc": "initial.a = file:abc.txt\n",
+                 "profile_dir": "initial.a = file:dir\n",
+                 "profile_negative": "initial.a = file:negative.txt\n",
+                 "repeated_key": "grid.nx = 41\n"}.get(case, "")
+        config = self.write_config(tmp_path, extra)
+        if case == "config_dir":
+            config = tmp_path / "dir"
+        elif case == "not_utf8":
+            config.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(config), "--mode", "baseline"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error")
 
     def test_runs_are_deterministic(self, tmp_path):
         config = self.write_config(tmp_path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,6 +97,7 @@ def _cmd_check(args) -> int:
     grid = Grid(x_min=config.grid.x_min, x_max=config.grid.x_max, nx=21, tau=3.0, nt=300)
     small = replace(config, grid=grid)  # checks CFL on the check grid
     initial = small.initial_array()
+    small.positivity_step_warning(initial)
     base = ControlPair.constant(0.3, 0.3 * small.regions.v_max, grid, small.regions)
     traj = forward_solve(initial, base, small.params, small.regions, grid)
     reports = [
@@ -118,15 +120,21 @@ def _cmd_check(args) -> int:
     return EXIT_CHECK if failed else EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one command; every expected failure ends in one stderr line and
-    its documented exit code."""
+    its documented exit code, and every warning is one `warning:` line."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "check":
+                return _cmd_check(args)
         print(render_defaults(), end="")
         return EXIT_OK
     except (ConfigError, ContractError) as exc:

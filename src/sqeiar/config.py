@@ -33,8 +33,15 @@ DEFAULT_PROFILES = {
 MODES = ("baseline", "optimal", "both")
 
 
+def _require_known_profile(spec: str) -> None:
+    if spec not in PROFILE_NAMES and not spec.startswith("file:"):
+        raise ConfigError(f"unknown initial profile '{spec}' "
+                          f"(expected one of {PROFILE_NAMES} or file:<path>)")
+
+
 def evaluate_profile(spec: str, x: np.ndarray) -> np.ndarray:
     """Resolve a named initial profile (or `file:<path>`) on the grid nodes."""
+    _require_known_profile(spec)
     if spec == "paper_s0":
         return 4000.0 * np.sin(np.pi * x) + 8000.0 * (1.0 - 1.0 / np.pi)
     if spec == "paper_e0":
@@ -43,18 +50,15 @@ def evaluate_profile(spec: str, x: np.ndarray) -> np.ndarray:
         return 500.0 * np.cos(np.pi * x) + 500.0
     if spec == "zero":
         return np.zeros_like(x)
-    if spec.startswith("file:"):
-        path = Path(spec[len("file:"):])
-        try:
-            values = np.loadtxt(path, dtype=float, ndmin=1)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read initial profile file {path}: {exc}") from exc
-        if values.ndim != 1 or values.size != x.size:
-            raise ConfigError(
-                f"profile file {path} must hold one column of {x.size} values")
-        return values
-    raise ConfigError(
-        f"unknown initial profile '{spec}' (expected one of {PROFILE_NAMES} or file:<path>)")
+    path = Path(spec[len("file:"):])
+    try:
+        values = np.loadtxt(path, dtype=float, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read initial profile file {path}: {exc}") from exc
+    if values.ndim != 1 or values.size != x.size:
+        raise ConfigError(
+            f"profile file {path} must hold one column of {x.size} values")
+    return values
 
 
 @dataclass(frozen=True)
@@ -78,31 +82,31 @@ class ScenarioConfig:
         missing = set(DEFAULT_PROFILES) - set(self.profiles)
         if missing:
             raise ConfigError(f"initial profiles missing for: {sorted(missing)}")
+        for spec in self.profiles.values():
+            _require_known_profile(spec)
         self.grid.check_cfl(self.params)
         self.regions.check_inside(self.grid.x_min, self.grid.x_max)
-        self.positivity_step_warning()
 
-    def positivity_step_warning(self) -> None:
+    def positivity_step_warning(self, initial: np.ndarray) -> None:
         """Warn when an explicit Euler step may drive a compartment negative.
 
         A step keeps every compartment nonnegative when
         2 * D*dt/dx^2 + dt * rate < 1, where rate bounds the total outflow
         rate of any compartment; the force-of-infection part of it is
-        estimated from the initial total population.  A violation is
-        reported, not rejected.
+        estimated from the total population of ``initial``, the evaluated
+        initial profiles.  A violation is reported, not rejected.
         """
-        p = self.params
-        wx = self.grid.space_weights()
-        n0 = float(self.initial_array().sum(axis=0) @ wx)
+        p, grid = self.params, self.grid
+        n0 = float(initial.sum(axis=0) @ grid.space_weights())
         lam_max = p.delta * n0 + (1.0 - p.q) * n0 + p.mu * n0
         rate = (p.beta + lam_max + self.regions.v_max + p.k + p.eta + p.f
                 + 1.0 + p.xi)
-        bound = 2.0 * self.grid.cfl_number(p) + self.grid.dt * rate
+        bound = 2.0 * grid.cfl_number(p) + grid.dt * rate
         if bound >= 1.0:
             warnings.warn(
-                f"2 * D*dt/dx^2 + dt * (beta + Lambda_max + 1/n + k + eta + f + 1"
-                f" + xi) = {bound:.3g} >= 1; compartments may go negative",
-                stacklevel=2)
+                f"on the {grid.nx} x {grid.nt} grid, 2 * D*dt/dx^2 + dt * (beta"
+                f" + Lambda_max + 1/n + k + eta + f + 1 + xi) = {bound:.3g} >= 1;"
+                f" compartments may go negative")
 
     def initial_array(self) -> np.ndarray:
         """The six initial profiles evaluated on the grid, shape (6, nx)."""

@@ -155,14 +155,48 @@ def check_controls(u, v, v_max: float) -> None:
         raise ContractError(f"quarantine control v outside [0, {v_max}]")
 
 
-# Unchecked kernels.  The solvers validate their inputs once at entry and
-# call these every step; the public functions after them check first.
-
 def _lambda_term(y: np.ndarray, params: ModelParams):
     return params.delta * y[_E] + (1.0 - params.q) * y[_I] + params.mu * y[_A]
 
 
-def _reaction_rhs(y: np.ndarray, u, v_eff, params: ModelParams) -> np.ndarray:
+def _reaction_split(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The reaction terms as a constant 6x6 matrix L and contact weights c.
+
+    reaction_rhs(y) = L @ y + (beta + c @ y) * S * (e_E - e_S)
+                      + v * S * (e_Q - e_S) + u * I * (e_R - e_I),
+    where c @ y is the force of infection Lambda.
+    """
+    p = params
+    L = np.zeros((N_COMPARTMENTS, N_COMPARTMENTS))
+    L[_S, _R] = p.xi
+    L[_E, _E] = -p.k
+    L[_A, _E] = (1.0 - p.z) * p.k
+    L[_A, _A] = -p.eta
+    L[_I, _E] = p.z * p.k
+    L[_I, _A] = (1.0 - p.p) * p.eta
+    L[_I, _I] = -p.f
+    L[_R, _A] = p.p * p.eta
+    L[_R, _I] = p.alpha * p.f
+    L[_R, _R] = -p.xi
+    contact = np.zeros(N_COMPARTMENTS)
+    contact[[_E, _A, _I]] = p.delta, p.mu, 1.0 - p.q
+    return L, contact
+
+
+def lambda_term(state, params: ModelParams):
+    """Force of infection: delta*E + (1-q)*I + mu*A."""
+    return _lambda_term(_as_state_array(state), params)
+
+
+def reaction_rhs(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
+    """Non-diffusive right-hand sides of the six compartment equations.
+
+    ``v_eff`` is the quarantine control already multiplied by the region
+    indicator at the evaluation point(s).  The six components sum to
+    (alpha - 1) * f * I exactly.
+    """
+    y = _as_state_array(state)
+    check_controls(u, v_eff, v_max)
     exposure = (params.beta + _lambda_term(y, params)) * y[_S]
     out = np.empty_like(y)
     out[_S] = -exposure + params.xi * y[_R] - v_eff * y[_S]
@@ -177,7 +211,13 @@ def _reaction_rhs(y: np.ndarray, u, v_eff, params: ModelParams) -> np.ndarray:
     return out
 
 
-def _state_jacobian(y: np.ndarray, u, v_eff, params: ModelParams) -> np.ndarray:
+def state_jacobian(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
+    """Jacobian of reaction_rhs w.r.t. the state, rows/cols ordered (S,Q,E,A,I,R).
+
+    For a batched state of shape (6, nx) the result has shape (nx, 6, 6).
+    """
+    y = _as_state_array(state)
+    check_controls(u, v_eff, v_max)
     batch = y.shape[1:]
     H = np.zeros(batch + (6, 6), dtype=float)
     m_star = params.beta + _lambda_term(y, params)
@@ -202,33 +242,6 @@ def _state_jacobian(y: np.ndarray, u, v_eff, params: ModelParams) -> np.ndarray:
     H[..., _R, _I] = (params.alpha * params.f + u) * one
     H[..., _R, _R] = -params.xi * one
     return H
-
-
-def lambda_term(state, params: ModelParams):
-    """Force of infection: delta*E + (1-q)*I + mu*A."""
-    return _lambda_term(_as_state_array(state), params)
-
-
-def reaction_rhs(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
-    """Non-diffusive right-hand sides of the six compartment equations.
-
-    ``v_eff`` is the quarantine control already multiplied by the region
-    indicator at the evaluation point(s).  The six components sum to
-    (alpha - 1) * f * I exactly.
-    """
-    y = _as_state_array(state)
-    check_controls(u, v_eff, v_max)
-    return _reaction_rhs(y, u, v_eff, params)
-
-
-def state_jacobian(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:
-    """Jacobian of reaction_rhs w.r.t. the state, rows/cols ordered (S,Q,E,A,I,R).
-
-    For a batched state of shape (6, nx) the result has shape (nx, 6, 6).
-    """
-    y = _as_state_array(state)
-    check_controls(u, v_eff, v_max)
-    return _state_jacobian(y, u, v_eff, params)
 
 
 def rho_source(x, regions: QuarantineRegions, weights: CostWeights,

@@ -6,6 +6,13 @@ Time stepping is forward Euler.  The Laplacian uses ghost-node reflection
 at the boundaries, which keeps the trapezoid-weighted sum of the stencil
 output exactly zero (discrete divergence theorem); the total-population
 balance test relies on that.
+
+The solvers step in matrix form: M = I + dt * L for the linear reaction
+terms, the stencil, the rank-one exposure and the two control moves (see
+model._reaction_split).  The adjoint and sensitivity steps are the closed-form
+transpose and linearization of that same step, so no per-node Jacobian is
+built.  neumann_laplacian, reaction_rhs and state_jacobian are the
+per-equation forms the steps are tested against.
 """
 
 from __future__ import annotations
@@ -15,12 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    _E,
+    _I,
+    _Q,
+    _R,
+    _S,
     ContractError,
     CostWeights,
     ModelParams,
     QuarantineRegions,
-    _reaction_rhs,
-    _state_jacobian,
+    _reaction_split,
     rho_source,
 )
 
@@ -164,7 +175,7 @@ def neumann_laplacian(row: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _check_finite(block: np.ndarray, step: int, what: str) -> None:
-    if not np.all(np.isfinite(block)):
+    if not np.isfinite(block).all():
         bad = np.argwhere(~np.isfinite(block))[0]
         raise IntegrationError(step, int(bad[-1]), what)
 
@@ -172,6 +183,33 @@ def _check_finite(block: np.ndarray, step: int, what: str) -> None:
 def _require_finite(state: Trajectory) -> None:
     if not np.all(np.isfinite(state.values)):
         raise ContractError("state trajectory contains non-finite values")
+
+
+class _Stepper:
+    """Constants of one explicit Euler step on ``grid``: M = I + dt * L, the
+    stencil factors D * dt / dx^2, the contact weights, and the ghost-padded
+    work buffer of the stencil."""
+
+    def __init__(self, params: ModelParams, grid: Grid):
+        L, self.contact = _reaction_split(params)
+        self.dt = grid.dt
+        self.M = np.eye(6) + self.dt * L
+        self.c = params.diffusion_array[:, None] * (self.dt / grid.dx ** 2)
+        self.pad = np.empty((6, grid.nx + 2))
+        self.work = np.empty((6, grid.nx))
+
+    def diffusion(self, y: np.ndarray) -> np.ndarray:
+        """c * (neighbour sum - 2y), the ghost nodes reflecting y[1] and
+        y[-2]; a constant row gives exactly zero."""
+        pad, out = self.pad, self.work
+        pad[:, 1:-1] = y
+        pad[:, 0] = y[:, 1]
+        pad[:, -1] = y[:, -2]
+        np.add(pad[:, :-2], pad[:, 2:], out=out)
+        out -= y
+        out -= y
+        out *= self.c
+        return out
 
 
 def forward_solve(initial: np.ndarray, controls, params: ModelParams,
@@ -190,17 +228,29 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
     require_aligned(grid, regions, controls)
     u, v_eff = controls.u, controls.v * regions.mask(grid.x)
 
-    D = params.diffusion_array[:, None]
-    dt = grid.dt
+    step = _Stepper(params, grid)
+    M, dt = step.M, step.dt
+    contact_dt, beta_dt = dt * step.contact, dt * params.beta
     out = np.empty((grid.nt + 1, 6, grid.nx))
-    y = initial.copy()
-    out[0] = y
+    out[0] = initial
     for m in range(grid.nt):
-        rhs = D * neumann_laplacian(y, grid.dx) + _reaction_rhs(
-            y, u[m], v_eff[m], params)
-        y = y + dt * rhs
-        _check_finite(y, m + 1, "state")
-        out[m + 1] = y
+        y, nxt = out[m], out[m + 1]
+        np.dot(M, y, out=nxt)
+        nxt += step.diffusion(y)
+        flow = contact_dt @ y
+        flow += beta_dt
+        flow *= y[_S]  # dt * (beta + Lambda) * S
+        nxt[_S] -= flow
+        nxt[_E] += flow
+        flow = v_eff[m] * y[_S]
+        flow *= dt
+        nxt[_S] -= flow
+        nxt[_Q] += flow
+        flow = u[m] * y[_I]
+        flow *= dt
+        nxt[_I] -= flow
+        nxt[_R] += flow
+        _check_finite(nxt, m + 1, "state")
     return Trajectory(out, grid)
 
 
@@ -209,30 +259,48 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
                   grid: Grid) -> Trajectory:
     """Integrate the adjoint system backward from a zero terminal condition.
 
-    Each backward step applies the transpose of the state Jacobian with the
-    same Neumann stencil and step size as the forward sweep.  Row m of the
-    result is aligned with the departure level of forward step m, and the
-    trapezoid half-weight of the terminal cost sample is injected into the
-    first backward step, so that the recursion is the exact transpose of the
-    linearized discrete dynamics paired with the trapezoid-in-time cost.
-    The stored terminal row is identically zero.
+    Each backward step applies the transpose of the linearized forward step
+    at the same state, with the same Neumann stencil and step size.  Row m
+    of the result is aligned with the departure level of forward step m,
+    and the trapezoid half-weight of the terminal cost sample is injected
+    into the first backward step, so that the recursion is the exact
+    transpose of the linearized discrete dynamics paired with the
+    trapezoid-in-time cost.  The stored terminal row is identically zero.
     """
     require_aligned(grid, regions, state, controls)
     _require_finite(state)
     u, v_eff = controls.u, controls.v * regions.mask(grid.x)
     rho = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
 
-    D = params.diffusion_array[:, None]
-    dt = grid.dt
+    step = _Stepper(params, grid)
+    MT, dt, contact, beta = np.ascontiguousarray(step.M.T), step.dt, step.contact, params.beta
+    contact_eai = contact[_E:_R, None]  # (delta, mu, 1 - q) on rows E, A, I
+    rho_dt = dt * rho
     out = np.zeros((grid.nt + 1, 6, grid.nx))
-    p = 0.5 * dt * rho  # terminal cost sample carries half trapezoid weight
-    out[grid.nt - 1] = p
+    out[grid.nt - 1] = 0.5 * rho_dt  # terminal cost sample: half trapezoid weight
     for m in range(grid.nt - 1, 0, -1):
-        H = _state_jacobian(state.values[m], u[m], v_eff[m], params)
-        ht_p = np.einsum("xij,ix->jx", H, p)
-        p = p + dt * (D * neumann_laplacian(p, grid.dx) + ht_p + rho)
-        _check_finite(p, m - 1, "adjoint")
-        out[m - 1] = p
+        p, nxt, y = out[m], out[m - 1], state.values[m]
+        np.dot(MT, p, out=nxt)
+        nxt += step.diffusion(p)
+        nxt += rho_dt
+        # exposure: g = dt * (p_E - p_S) onto S by m*, onto E, A, I by S * c
+        g = p[_E] - p[_S]
+        g *= dt
+        m_star = contact @ y
+        m_star += beta
+        m_star *= g
+        nxt[_S] += m_star
+        g *= y[_S]
+        nxt[_E:_R] += contact_eai * g
+        w = p[_Q] - p[_S]
+        w *= v_eff[m]
+        w *= dt
+        nxt[_S] += w
+        w = p[_R] - p[_I]
+        w *= u[m]
+        w *= dt
+        nxt[_I] += w
+        _check_finite(nxt, m - 1, "adjoint")
     return Trajectory(out, grid)
 
 
@@ -241,34 +309,50 @@ def sensitivity_solve(state: Trajectory, controls, h_u: np.ndarray,
                       regions: QuarantineRegions, grid: Grid) -> Trajectory:
     """Integrate the linearized system for a control perturbation (h_u, h_v).
 
-    The Jacobians are frozen at the supplied state trajectory, so the result
-    is the exact derivative of the discrete forward map at ``controls`` in
-    that direction; initial data is zero.  ``h_v`` is masked to the regions.
+    The step is the forward step linearized at the supplied state
+    trajectory, so the result is the exact derivative of the discrete
+    forward map at ``controls`` in that direction; initial data is zero.
+    ``h_u`` and ``h_v`` have shape (nt + 1, nx); ``h_v`` is masked to the
+    regions.
     """
     require_aligned(grid, regions, state, controls)
     _require_finite(state)
+    shape = (grid.nt + 1, grid.nx)
+    h_u = np.asarray(h_u, dtype=float)
+    h_v = np.asarray(h_v, dtype=float)
+    if h_u.shape != shape or h_v.shape != shape:
+        raise ContractError(f"perturbation direction must be two arrays of shape {shape}")
     mask = regions.mask(grid.x).astype(float)
     u, v_eff = controls.u, controls.v * mask
-    h_u = np.asarray(h_u, dtype=float)
-    h_v = np.asarray(h_v, dtype=float) * mask
+    h_v = h_v * mask
     if not (np.all(np.isfinite(h_u)) and np.all(np.isfinite(h_v))):
         raise ContractError("perturbation direction contains non-finite values")
 
-    D = params.diffusion_array[:, None]
-    dt = grid.dt
+    step = _Stepper(params, grid)
+    M, dt, contact, beta = step.M, step.dt, step.contact, params.beta
     out = np.zeros((grid.nt + 1, 6, grid.nx))
-    Y = out[0]
     for m in range(grid.nt):
-        y_m = state.values[m]
-        H = _state_jacobian(y_m, u[m], v_eff[m], params)
-        hy = np.einsum("xij,jx->ix", H, Y)
-        # derivative of the reaction terms in the control direction
-        gw = np.zeros((6, grid.nx))
-        gw[0] = -mask * y_m[0] * h_v[m]
-        gw[1] = mask * y_m[0] * h_v[m]
-        gw[4] = -y_m[4] * h_u[m]
-        gw[5] = y_m[4] * h_u[m]
-        Y = Y + dt * (D * neumann_laplacian(Y, grid.dx) + hy + gw)
-        _check_finite(Y, m + 1, "sensitivity")
-        out[m + 1] = Y
+        Y, nxt, y = out[m], out[m + 1], state.values[m]
+        np.dot(M, Y, out=nxt)
+        nxt += step.diffusion(Y)
+        flow = contact @ y
+        flow += beta
+        flow *= Y[_S]
+        lin = contact @ Y
+        lin *= y[_S]
+        flow += lin
+        flow *= dt  # dt * (m* Y_S + S * (c @ Y))
+        nxt[_S] -= flow
+        nxt[_E] += flow
+        flow = v_eff[m] * Y[_S]
+        flow += h_v[m] * y[_S]
+        flow *= dt
+        nxt[_S] -= flow
+        nxt[_Q] += flow
+        flow = u[m] * Y[_I]
+        flow += h_u[m] * y[_I]
+        flow *= dt
+        nxt[_I] -= flow
+        nxt[_R] += flow
+        _check_finite(nxt, m + 1, "sensitivity")
     return Trajectory(out, grid)

@@ -77,6 +77,7 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> RunSummary:
     (optionally) write all outputs.  If writing fails, what this call
     created is removed and nothing that existed before is."""
     initial = config.initial_array()  # read once, so both modes start alike
+    config.positivity_step_warning(initial)
     baseline = (_solve_baseline(config, initial)
                 if config.mode in ("baseline", "both") else None)
     optimal = (_solve_optimal(config, initial)

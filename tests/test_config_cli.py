@@ -114,11 +114,13 @@ class TestConfigParsing:
 
     def test_positivity_advisory_counts_diffusion(self):
         # D*dt/dx^2 = 0.5 passes the CFL check but the run diverges
-        with pytest.warns(UserWarning, match="compartments may go negative"):
-            replace(sq.ScenarioConfig(), grid=sq.Grid(nx=101, nt=600))
+        config = replace(sq.ScenarioConfig(), grid=sq.Grid(nx=101, nt=600))
+        with pytest.warns(UserWarning, match="101 x 600 grid.*compartments may go negative"):
+            config.positivity_step_warning(config.initial_array())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sq.ScenarioConfig()
+            config = sq.ScenarioConfig()
+            config.positivity_step_warning(config.initial_array())
 
     def test_render_defaults_round_trips(self):
         config = parse_config_text(render_defaults())
@@ -257,6 +259,31 @@ class TestCli:
         assert main(["run", "--config", str(config), "--mode", "baseline"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error")
+
+    def test_positivity_advisory_one_warning_line(self, tmp_path, capsys):
+        config = tmp_path / "scenario.conf"
+        config.write_text("grid.nx = 101\ngrid.nt = 610\n")
+        # the advisory holds: positivity fails, so the run exits 3
+        assert main(["run", "--config", str(config), "--mode", "baseline",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        warned = [line for line in err if "warning" in line.lower()]
+        assert len(warned) == 1
+        assert warned[0].startswith("warning: on the 101 x 610 grid")
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_profile_file_read_once(self, tmp_path, monkeypatch, command):
+        np.savetxt(tmp_path / "a0.txt", np.full(21, 50.0))
+        config = self.write_config(tmp_path, "initial.a = file:a0.txt\n")
+        loadtxt = np.loadtxt
+        reads = []
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *args, **kwargs: reads.append(args) or loadtxt(*args, **kwargs))
+        argv = {"run": ["run", "--config", str(config), "--mode", "baseline",
+                        "--out", str(tmp_path / "out")],
+                "check": ["check", "--config", str(config)]}[command]
+        assert main(argv) == 0
+        assert len(reads) == 1
 
     def test_runs_are_deterministic(self, tmp_path):
         config = self.write_config(tmp_path)

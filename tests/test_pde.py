@@ -223,6 +223,20 @@ class TestSensitivitySolve:
         assert np.all(Y.q == 0.0)
         assert np.abs(Y.i).max() > 0.0
 
+    @pytest.mark.parametrize("which", ["h_u", "h_v"])
+    @pytest.mark.parametrize("bad", ["nx", "nt+1", "scalar", "transposed"])
+    def test_direction_shape_rejected(self, which, bad):
+        grid = sq.Grid(nx=11, tau=1.0, nt=50)
+        controls = sq.ControlPair.zeros(grid, WHOLE)
+        state = sq.forward_solve(np.ones((6, grid.nx)), controls, TABLE, WHOLE, grid)
+        wrong = {"nx": np.ones(grid.nx), "nt+1": np.ones(grid.nt + 1),
+                 "scalar": 1.0, "transposed": np.ones((grid.nx, grid.nt + 1))}[bad]
+        direction = {"h_u": np.ones((grid.nt + 1, grid.nx)),
+                     "h_v": np.ones((grid.nt + 1, grid.nx)), which: wrong}
+        with pytest.raises(ContractError, match="shape"):
+            sq.sensitivity_solve(state, controls, direction["h_u"], direction["h_v"],
+                                 TABLE, WHOLE, grid)
+
     def test_divided_difference_richardson(self, small_config):
         report = sq.sensitivity_oracle(
             small_config.initial_array(),

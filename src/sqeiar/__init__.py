@@ -5,6 +5,7 @@ from .config import ConfigError, ScenarioConfig, load_config, parse_config_text
 from .control import (
     ControlPair,
     SweepReport,
+    SweepSettings,
     cost_functional,
     cost_gradient,
     directional_derivative,

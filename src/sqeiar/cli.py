@@ -9,9 +9,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, load_config, render_defaults
+import numpy as np
+
+from .config import (ConfigError, ScenarioConfig, evaluate_profile, load_config,
+                     render_defaults)
 from .model import ContractError
-from .pde import IntegrationError
+from .pde import Grid, IntegrationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,9 +86,21 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_profiles(config: ScenarioConfig, grid: Grid) -> np.ndarray:
+    """The initial profiles on the check grid: named ones evaluated at its
+    nodes, `file:` ones (values on the config's grid) read once and
+    interpolated linearly."""
+    def row(spec: str) -> np.ndarray:
+        if spec.startswith("file:"):
+            return np.interp(grid.x, config.grid.x, evaluate_profile(spec, config.grid.x))
+        return evaluate_profile(spec, grid.x)
+    names = ("s", "q", "e", "a", "i", "r")
+    return np.vstack([row(config.profiles[name]) for name in names])
+
+
 def _cmd_check(args) -> int:
     from .control import ControlPair
-    from .pde import Grid, forward_solve
+    from .pde import forward_solve
     from .verify import (
         gradient_oracle,
         mass_balance_check,
@@ -96,7 +111,7 @@ def _cmd_check(args) -> int:
     config = _load(args.config)
     grid = Grid(x_min=config.grid.x_min, x_max=config.grid.x_max, nx=21, tau=3.0, nt=300)
     small = replace(config, grid=grid)  # checks CFL on the check grid
-    initial = small.initial_array()
+    initial = _check_profiles(config, grid)
     small.positivity_step_warning(initial)
     base = ControlPair.constant(0.3, 0.3 * small.regions.v_max, grid, small.regions)
     traj = forward_solve(initial, base, small.params, small.regions, grid)

@@ -148,18 +148,16 @@ def directional_derivative(grad_u: np.ndarray, grad_v: np.ndarray,
 def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
                params: ModelParams, weights: CostWeights,
                regions: QuarantineRegions, grid: Grid,
-               tolerance: float = 1e-4, max_iterations: int = 200,
-               relaxation: float = 0.5, on_iterate=None
+               sweep: SweepSettings = SweepSettings(), on_iterate=None
                ) -> tuple[Trajectory, Trajectory, ControlPair, SweepReport]:
     """Forward-backward sweep to a fixed point of the projected controls.
 
     Each iteration solves the state forward, the adjoint backward, projects
     the optimality formulas, and mixes the result into the current controls
-    with the given relaxation factor.  Stops when the max-norm control
-    update falls below ``tolerance``; non-convergence is reported, not
+    with the relaxation factor of ``sweep``.  Stops when the max-norm control
+    update falls below ``sweep.tolerance``; non-convergence is reported, not
     raised.  ``on_iterate`` (if given) receives each accepted ControlPair.
     """
-    SweepSettings(tolerance, max_iterations, relaxation)  # rejects bad settings
     controls = initial_controls
     state = forward_solve(initial_state, controls, params, regions, grid)
     history = [cost_functional(state, controls, weights, regions, grid)]
@@ -168,10 +166,10 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
     converged = False
     update_norm = np.inf
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(sweep.max_iterations):
         projected = project_controls(state, adjoint, weights, regions, grid)
-        u_next = (1.0 - relaxation) * controls.u + relaxation * projected.u
-        v_next = (1.0 - relaxation) * controls.v + relaxation * projected.v
+        u_next = (1.0 - sweep.relaxation) * controls.u + sweep.relaxation * projected.u
+        v_next = (1.0 - sweep.relaxation) * controls.v + sweep.relaxation * projected.v
         update_norm = max(np.abs(u_next - controls.u).max(),
                           np.abs(v_next - controls.v).max())
         controls = ControlPair(u_next, v_next, grid, regions)
@@ -182,11 +180,11 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
         state = forward_solve(initial_state, controls, params, regions, grid)
         history.append(cost_functional(state, controls, weights, regions, grid))
         adjoint = adjoint_solve(state, controls, weights, params, regions, grid)
-        if update_norm <= tolerance:
+        if update_norm <= sweep.tolerance:
             converged = True
             break
 
     report = SweepReport(iterations=iterations, cost_history=history,
                          final_update_norm=float(update_norm),
-                         converged=converged, relaxation=relaxation)
+                         converged=converged, relaxation=sweep.relaxation)
     return state, adjoint, controls, report

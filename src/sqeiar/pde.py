@@ -9,10 +9,11 @@ balance test relies on that.
 
 The solvers step in matrix form: M = I + dt * L for the linear reaction
 terms, the stencil, the rank-one exposure and the two control moves (see
-model._reaction_split).  The adjoint and sensitivity steps are the closed-form
-transpose and linearization of that same step, so no per-node Jacobian is
-built.  neumann_laplacian, reaction_rhs and state_jacobian are the
-per-equation forms the steps are tested against.
+model._reaction_split).  The adjoint step is its closed-form transpose, so
+no per-node Jacobian is built, and the sensitivity solve runs the forward
+step itself on complex values (complex step).  neumann_laplacian,
+reaction_rhs and state_jacobian are the per-equation forms the steps are
+tested against.
 """
 
 from __future__ import annotations
@@ -180,23 +181,18 @@ def _check_finite(block: np.ndarray, step: int, what: str) -> None:
         raise IntegrationError(step, int(bad[-1]), what)
 
 
-def _require_finite(state: Trajectory) -> None:
-    if not np.all(np.isfinite(state.values)):
-        raise ContractError("state trajectory contains non-finite values")
-
-
 class _Stepper:
     """Constants of one explicit Euler step on ``grid``: M = I + dt * L, the
     stencil factors D * dt / dx^2, the contact weights, and the ghost-padded
-    work buffer of the stencil."""
+    work buffers of the stencil, of the given dtype."""
 
-    def __init__(self, params: ModelParams, grid: Grid):
+    def __init__(self, params: ModelParams, grid: Grid, dtype=float):
         L, self.contact = _reaction_split(params)
         self.dt = grid.dt
         self.M = np.eye(6) + self.dt * L
         self.c = params.diffusion_array[:, None] * (self.dt / grid.dx ** 2)
-        self.pad = np.empty((6, grid.nx + 2))
-        self.work = np.empty((6, grid.nx))
+        self.pad = np.empty((6, grid.nx + 2), dtype=dtype)
+        self.work = np.empty((6, grid.nx), dtype=dtype)
 
     def diffusion(self, y: np.ndarray) -> np.ndarray:
         """c * (neighbour sum - 2y), the ghost nodes reflecting y[1] and
@@ -212,13 +208,9 @@ class _Stepper:
         return out
 
 
-def forward_solve(initial: np.ndarray, controls, params: ModelParams,
-                  regions: QuarantineRegions, grid: Grid) -> Trajectory:
-    """Integrate the nonlinear state system from the given initial profiles.
-
-    ``initial`` holds six finite, nonnegative rows of length nx.  Controls
-    are read at the time level from which each step departs.
-    """
+def _check_initial(initial, controls, params: ModelParams,
+                   regions: QuarantineRegions, grid: Grid) -> None:
+    """Entry checks of the forward map at (initial, controls)."""
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (6, grid.nx):
         raise ContractError(f"initial profiles must have shape (6, {grid.nx})")
@@ -226,13 +218,22 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
         raise ContractError("initial profiles must be finite and nonnegative")
     grid.check_cfl(params)
     require_aligned(grid, regions, controls)
-    u, v_eff = controls.u, controls.v * regions.mask(grid.x)
 
-    step = _Stepper(params, grid)
+
+def _integrate(initial: np.ndarray, u: np.ndarray, v_eff: np.ndarray,
+               params: ModelParams, grid: Grid, what: str) -> np.ndarray:
+    """Explicit Euler steps from ``initial`` in the dtype of the controls,
+    read at each step's departure level; shape (nt + 1, 6, nx).
+
+    The step must stay analytic in (y, u, v): sums and products only, no abs,
+    clip, maximum or comparison on state or controls, or the complex step of
+    sensitivity_solve silently gives a wrong derivative.
+    """
+    out = np.empty((grid.nt + 1, 6, grid.nx), dtype=np.result_type(float, u, v_eff))
+    out[0] = initial
+    step = _Stepper(params, grid, out.dtype)
     M, dt = step.M, step.dt
     contact_dt, beta_dt = dt * step.contact, dt * params.beta
-    out = np.empty((grid.nt + 1, 6, grid.nx))
-    out[0] = initial
     for m in range(grid.nt):
         y, nxt = out[m], out[m + 1]
         np.dot(M, y, out=nxt)
@@ -250,8 +251,20 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
         flow *= dt
         nxt[_I] -= flow
         nxt[_R] += flow
-        _check_finite(nxt, m + 1, "state")
-    return Trajectory(out, grid)
+        _check_finite(nxt, m + 1, what)
+    return out
+
+
+def forward_solve(initial: np.ndarray, controls, params: ModelParams,
+                  regions: QuarantineRegions, grid: Grid) -> Trajectory:
+    """Integrate the nonlinear state system from the given initial profiles.
+
+    ``initial`` holds six finite, nonnegative rows of length nx.  Controls
+    are read at the time level from which each step departs.
+    """
+    _check_initial(initial, controls, params, regions, grid)
+    v_eff = controls.v * regions.mask(grid.x)
+    return Trajectory(_integrate(initial, controls.u, v_eff, params, grid, "state"), grid)
 
 
 def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
@@ -268,7 +281,8 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     trapezoid-in-time cost.  The stored terminal row is identically zero.
     """
     require_aligned(grid, regions, state, controls)
-    _require_finite(state)
+    if not np.all(np.isfinite(state.values)):
+        raise ContractError("state trajectory contains non-finite values")
     u, v_eff = controls.u, controls.v * regions.mask(grid.x)
     rho = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
 
@@ -304,55 +318,26 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     return Trajectory(out, grid)
 
 
-def sensitivity_solve(state: Trajectory, controls, h_u: np.ndarray,
+def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
                       h_v: np.ndarray, params: ModelParams,
                       regions: QuarantineRegions, grid: Grid) -> Trajectory:
-    """Integrate the linearized system for a control perturbation (h_u, h_v).
+    """Derivative of ``forward_solve(initial, .)`` at ``controls`` along the
+    finite (nt + 1, nx) arrays (h_u, h_v), h_v masked to the regions.
 
-    The step is the forward step linearized at the supplied state
-    trajectory, so the result is the exact derivative of the discrete
-    forward map at ``controls`` in that direction; initial data is zero.
-    ``h_u`` and ``h_v`` have shape (nt + 1, nx); ``h_v`` is masked to the
-    regions.
+    The forward step is analytic, so this is the complex step
+    Im F(u + i*h*h_u, v + i*h*h_v) / h, exact to roundoff: second-order
+    terms are h^2 = 1e-60 below the real values.
     """
-    require_aligned(grid, regions, state, controls)
-    _require_finite(state)
+    _check_initial(initial, controls, params, regions, grid)
     shape = (grid.nt + 1, grid.nx)
     h_u = np.asarray(h_u, dtype=float)
     h_v = np.asarray(h_v, dtype=float)
     if h_u.shape != shape or h_v.shape != shape:
         raise ContractError(f"perturbation direction must be two arrays of shape {shape}")
-    mask = regions.mask(grid.x).astype(float)
-    u, v_eff = controls.u, controls.v * mask
-    h_v = h_v * mask
     if not (np.all(np.isfinite(h_u)) and np.all(np.isfinite(h_v))):
         raise ContractError("perturbation direction contains non-finite values")
-
-    step = _Stepper(params, grid)
-    M, dt, contact, beta = step.M, step.dt, step.contact, params.beta
-    out = np.zeros((grid.nt + 1, 6, grid.nx))
-    for m in range(grid.nt):
-        Y, nxt, y = out[m], out[m + 1], state.values[m]
-        np.dot(M, Y, out=nxt)
-        nxt += step.diffusion(Y)
-        flow = contact @ y
-        flow += beta
-        flow *= Y[_S]
-        lin = contact @ Y
-        lin *= y[_S]
-        flow += lin
-        flow *= dt  # dt * (m* Y_S + S * (c @ Y))
-        nxt[_S] -= flow
-        nxt[_E] += flow
-        flow = v_eff[m] * Y[_S]
-        flow += h_v[m] * y[_S]
-        flow *= dt
-        nxt[_S] -= flow
-        nxt[_Q] += flow
-        flow = u[m] * Y[_I]
-        flow += h_u[m] * y[_I]
-        flow *= dt
-        nxt[_I] -= flow
-        nxt[_R] += flow
-        _check_finite(nxt, m + 1, "sensitivity")
-    return Trajectory(out, grid)
+    h = 1e-30
+    u = controls.u + 1j * h * h_u
+    v_eff = (controls.v + 1j * h * h_v) * regions.mask(grid.x)
+    out = _integrate(initial, u, v_eff, params, grid, "sensitivity")
+    return Trajectory(out.imag / h, grid)

@@ -62,9 +62,7 @@ def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResul
     start = ControlPair.zeros(config.grid, config.regions)
     state, _adjoint, controls, report = fbsm_solve(
         initial, start, config.params, config.weights, config.regions, config.grid,
-        tolerance=config.sweep.tolerance,
-        max_iterations=config.sweep.max_iterations,
-        relaxation=config.sweep.relaxation)
+        config.sweep)
     return _result("optimal", config, state, controls, report)
 
 

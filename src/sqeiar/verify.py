@@ -18,6 +18,9 @@ DEFAULT_SEED = 42
 MASS_BALANCE_BOUND = 1e-8
 POSITIVITY_BOUND = 1e-10
 GRADIENT_REL_BOUND = 1e-2
+GRADIENT_EPSILONS = (1e-3, 1e-4)  # decreasing: the decay ratio is first / last
+GRADIENT_DIRECTIONS = 5
+SENSITIVITY_EPSILONS = (1e-2, 1e-3)
 DECAY_RATIO_RANGE = (5.0, 20.0)
 
 
@@ -141,14 +144,13 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
 
 def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
                     weights: CostWeights, regions: QuarantineRegions, grid: Grid,
-                    epsilons=(1e-3, 1e-4), n_directions: int = 5,
                     seed: int = DEFAULT_SEED) -> CheckReport:
     """Compare the adjoint cost gradient against one-sided divided
     differences of the cost along seeded random directions, and check
     first-order error decay across the epsilon ladder."""
-    epsilons = sorted(epsilons, reverse=True)
+    epsilons = GRADIENT_EPSILONS
     rng = np.random.default_rng(seed)
-    directions = _random_directions(grid, regions, n_directions, rng)
+    directions = _random_directions(grid, regions, GRADIENT_DIRECTIONS, rng)
 
     state = forward_solve(initial, base, params, regions, grid)
     adjoint = adjoint_solve(state, base, weights, params, regions, grid)
@@ -156,7 +158,7 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
     j_base = cost_functional(state, base, weights, regions, grid)
 
     # errors[i][k]: relative error for direction i at epsilons[k]
-    errors = np.zeros((n_directions, len(epsilons)))
+    errors = np.zeros((GRADIENT_DIRECTIONS, len(epsilons)))
     for i, (h_u, h_v) in enumerate(directions):
         predicted = directional_derivative(grad_u, grad_v, base, weights,
                                            h_u, h_v, grid)
@@ -171,7 +173,7 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
     worst = float(errors[:, -1].max())
     ratios = errors[:, 0] / np.maximum(errors[:, -1], 1e-300)
     lo, hi = DECAY_RATIO_RANGE
-    decay_ok = bool(np.all((ratios >= lo) & (ratios <= hi))) if len(epsilons) > 1 else True
+    decay_ok = bool(np.all((ratios >= lo) & (ratios <= hi)))
     passed = worst < GRADIENT_REL_BOUND and decay_ok
     detail = (f"seed={seed}, epsilons={list(epsilons)}, "
               f"rel errors={np.array2string(errors, precision=3)}, "
@@ -182,16 +184,18 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
 
 def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
                        regions: QuarantineRegions, grid: Grid,
-                       epsilons=(1e-2, 1e-3), seed: int = DEFAULT_SEED) -> CheckReport:
-    """Compare the linearized solve against divided differences of the
+                       seed: int = DEFAULT_SEED) -> CheckReport:
+    """Compare sensitivity_solve against divided differences of the
     nonlinear solve in the discrete L2 norm along one seeded random
-    direction; the error must shrink proportionally to epsilon."""
-    epsilons = sorted(epsilons, reverse=True)
+    direction; the error must shrink proportionally to epsilon.  The complex
+    step of sensitivity_solve is exact only while the forward step stays
+    analytic; these black-box differences catch a step that is not."""
+    epsilons = SENSITIVITY_EPSILONS
     rng = np.random.default_rng(seed)
     h_u, h_v = _random_directions(grid, regions, 1, rng)[0]
 
     state = forward_solve(initial, base, params, regions, grid)
-    lin = sensitivity_solve(state, base, h_u, h_v, params, regions, grid)
+    lin = sensitivity_solve(initial, base, h_u, h_v, params, regions, grid)
 
     wx = grid.space_weights()
     wt = grid.time_weights()
@@ -207,14 +211,8 @@ def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelPara
         divided = (bumped.values - state.values) / eps
         errs.append(l2(divided - lin.values) / scale)
 
-    measured = errs[-1]
     lo, hi = DECAY_RATIO_RANGE
-    if len(errs) > 1:
-        ratio = errs[0] / max(errs[-1], 1e-300)
-        passed = lo <= ratio <= hi
-        detail = f"seed={seed}, epsilons={list(epsilons)}, errors={errs}, ratio={ratio:.3g}"
-    else:
-        passed = measured < 1.0
-        detail = f"single epsilon {epsilons[0]}, error {measured:.3g}"
-    return CheckReport(name="sensitivity_oracle", passed=passed, measured=measured,
-                       bound=hi, detail=detail)
+    ratio = errs[0] / max(errs[-1], 1e-300)
+    detail = f"seed={seed}, epsilons={list(epsilons)}, errors={errs}, ratio={ratio:.3g}"
+    return CheckReport(name="sensitivity_oracle", passed=lo <= ratio <= hi,
+                       measured=errs[-1], bound=hi, detail=detail)

@@ -46,10 +46,7 @@ def optimal_run(default_config):
     start = time.perf_counter()
     state, adjoint, controls, report = sq.fbsm_solve(
         cfg.initial_array(), sq.ControlPair.zeros(cfg.grid, cfg.regions),
-        cfg.params, cfg.weights, cfg.regions, cfg.grid,
-        tolerance=cfg.sweep.tolerance,
-        max_iterations=cfg.sweep.max_iterations,
-        relaxation=cfg.sweep.relaxation,
+        cfg.params, cfg.weights, cfg.regions, cfg.grid, cfg.sweep,
         on_iterate=iterates.append)
     elapsed = time.perf_counter() - start
     return state, adjoint, controls, report, iterates, elapsed

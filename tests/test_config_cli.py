@@ -285,6 +285,14 @@ class TestCli:
         assert main(argv) == 0
         assert len(reads) == 1
 
+    def test_check_interpolates_file_profile(self, tmp_path, capsys):
+        # the file holds the config grid's 11 values; check runs on 21 nodes
+        np.savetxt(tmp_path / "a0.txt", np.linspace(400.0, 600.0, 11))
+        config = tmp_path / "scenario.conf"
+        config.write_text("grid.nx = 11\ngrid.nt = 300\ninitial.a = file:a0.txt\n")
+        assert main(["check", "--config", str(config)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_runs_are_deterministic(self, tmp_path):
         config = self.write_config(tmp_path)
         main(["run", "--config", str(config), "--mode", "baseline",

@@ -190,9 +190,7 @@ class TestSweep:
         grid = small_config.grid
         zero = sq.ControlPair.zeros(grid, WHOLE)
         initial = small_config.initial_array()
-        with pytest.raises(ContractError):
-            sq.fbsm_solve(initial, zero, TABLE, sq.CostWeights(), WHOLE, grid,
-                          tolerance=0.0)
-        with pytest.raises(ContractError):
-            sq.fbsm_solve(initial, zero, TABLE, sq.CostWeights(), WHOLE, grid,
-                          relaxation=1.5)
+        for bad in ({"tolerance": 0.0}, {"relaxation": 1.5}, {"max_iterations": 0}):
+            with pytest.raises(ContractError):
+                sq.fbsm_solve(initial, zero, TABLE, sq.CostWeights(), WHOLE, grid,
+                              sq.SweepSettings(**bad))

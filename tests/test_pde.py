@@ -81,13 +81,20 @@ class TestForwardSolve:
         assert np.all(traj.s == 123.25)
 
     def test_negative_initial_rejected(self):
+        # forward_solve and sensitivity_solve share the entry checks
         grid = sq.Grid(nx=11, tau=1.0, nt=50)
-        for bad in (-1.0, np.nan, np.inf):
-            initial = np.zeros((6, grid.nx))
-            initial[0, 3] = bad
-            with pytest.raises(ContractError):
-                sq.forward_solve(initial, sq.ControlPair.zeros(grid, WHOLE),
-                                 TABLE, WHOLE, grid)
+        controls = sq.ControlPair.zeros(grid, WHOLE)
+        direction = np.ones((grid.nt + 1, grid.nx))
+        solves = (
+            lambda initial: sq.forward_solve(initial, controls, TABLE, WHOLE, grid),
+            lambda initial: sq.sensitivity_solve(initial, controls, direction, direction,
+                                                 TABLE, WHOLE, grid))
+        for solve in solves:
+            for bad in (-1.0, np.nan, np.inf):
+                initial = np.zeros((6, grid.nx))
+                initial[0, 3] = bad
+                with pytest.raises(ContractError):
+                    solve(initial)
 
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
@@ -160,12 +167,8 @@ class TestAdjointSolve:
         values = state.values.copy()
         values[grid.nt // 2, 2, 3] = np.nan
         broken = sq.Trajectory(values, grid)
-        shape = (grid.nt + 1, grid.nx)
         with pytest.raises(ContractError):
             sq.adjoint_solve(broken, controls, sq.CostWeights(), TABLE, WHOLE, grid)
-        with pytest.raises(ContractError):
-            sq.sensitivity_solve(broken, controls, np.ones(shape), np.zeros(shape),
-                                 TABLE, WHOLE, grid)
 
     @pytest.mark.parametrize("regions", [
         WHOLE, QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))])
@@ -183,7 +186,7 @@ class TestAdjointSolve:
         rho_wx = rho_source(grid.x, regions, weights) * wx
         rng = np.random.default_rng(3)
         for h_u, h_v in _random_directions(grid, regions, 3, rng):
-            Y = sq.sensitivity_solve(state, controls, h_u, h_v, TABLE, regions, grid)
+            Y = sq.sensitivity_solve(initial, controls, h_u, h_v, TABLE, regions, grid)
             control_part = wt @ ((weights.sigma1 * controls.u * h_u) @ wx
                                  + (weights.sigma2 * controls.v * h_v) @ wx)
             state_part = wt @ np.einsum("cx,mcx->m", rho_wx, Y.values)
@@ -207,18 +210,16 @@ class TestSensitivitySolve:
     def test_zero_direction_zero_output(self):
         grid, initial = small_setup()
         controls = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
         shape = (grid.nt + 1, grid.nx)
-        Y = sq.sensitivity_solve(state, controls, np.zeros(shape), np.zeros(shape),
+        Y = sq.sensitivity_solve(initial, controls, np.zeros(shape), np.zeros(shape),
                                  TABLE, WHOLE, grid)
         assert np.all(Y.values == 0.0)
 
     def test_treatment_direction_leaves_quarantine_untouched(self):
         grid, initial = small_setup()
         controls = sq.ControlPair.zeros(grid, WHOLE)  # v == 0
-        state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
         shape = (grid.nt + 1, grid.nx)
-        Y = sq.sensitivity_solve(state, controls, np.full(shape, 0.5), np.zeros(shape),
+        Y = sq.sensitivity_solve(initial, controls, np.full(shape, 0.5), np.zeros(shape),
                                  TABLE, WHOLE, grid)
         assert np.all(Y.q == 0.0)
         assert np.abs(Y.i).max() > 0.0
@@ -228,20 +229,19 @@ class TestSensitivitySolve:
     def test_direction_shape_rejected(self, which, bad):
         grid = sq.Grid(nx=11, tau=1.0, nt=50)
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        state = sq.forward_solve(np.ones((6, grid.nx)), controls, TABLE, WHOLE, grid)
         wrong = {"nx": np.ones(grid.nx), "nt+1": np.ones(grid.nt + 1),
                  "scalar": 1.0, "transposed": np.ones((grid.nx, grid.nt + 1))}[bad]
         direction = {"h_u": np.ones((grid.nt + 1, grid.nx)),
                      "h_v": np.ones((grid.nt + 1, grid.nx)), which: wrong}
         with pytest.raises(ContractError, match="shape"):
-            sq.sensitivity_solve(state, controls, direction["h_u"], direction["h_v"],
-                                 TABLE, WHOLE, grid)
+            sq.sensitivity_solve(np.ones((6, grid.nx)), controls, direction["h_u"],
+                                 direction["h_v"], TABLE, WHOLE, grid)
 
     def test_divided_difference_richardson(self, small_config):
         report = sq.sensitivity_oracle(
             small_config.initial_array(),
             sq.ControlPair.constant(0.3, 0.3, small_config.grid, WHOLE),
-            TABLE, WHOLE, small_config.grid, epsilons=(1e-2, 1e-3), seed=42)
+            TABLE, WHOLE, small_config.grid, seed=42)
         assert report.passed, report.detail
 
 

@@ -101,7 +101,7 @@ def test_adjoint_pairing_is_exact(scenario, weights):
     shape = (grid.nt + 1, grid.nx)
     mask = regions.mask(grid.x)
     h_u, h_v = rng.normal(size=shape), rng.normal(size=shape) * mask
-    Y = sq.sensitivity_solve(state, controls, h_u, h_v, params, regions, grid)
+    Y = sq.sensitivity_solve(y, controls, h_u, h_v, params, regions, grid)
 
     wx, wt = grid.space_weights(), grid.time_weights()
     rho_wx = rho_source(grid.x, regions, weights) * wx

@@ -17,7 +17,6 @@ from .model import (
     CostWeights,
     ModelParams,
     QuarantineRegions,
-    lambda_term,
     reaction_rhs,
     rho_source,
     state_jacobian,

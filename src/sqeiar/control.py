@@ -68,11 +68,10 @@ class SweepSettings:
 class SweepReport:
     """Record of one forward-backward sweep run."""
 
-    iterations: int
-    cost_history: list[float]
-    final_update_norm: float
+    iterations: int             # mixed control updates made
+    cost_history: list[float]   # J at the initial controls and after each update
+    residual: float             # max |P(u) - u| at the returned controls
     converged: bool
-    relaxation: float
 
 
 def cost_functional(state: Trajectory, controls: ControlPair,
@@ -150,41 +149,32 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
                regions: QuarantineRegions, grid: Grid,
                sweep: SweepSettings = SweepSettings(), on_iterate=None
                ) -> tuple[Trajectory, Trajectory, ControlPair, SweepReport]:
-    """Forward-backward sweep to a fixed point of the projected controls.
+    """Forward-backward sweep to a fixed point u = P(S(u)) of the projected
+    controls.
 
-    Each iteration solves the state forward, the adjoint backward, projects
-    the optimality formulas, and mixes the result into the current controls
-    with the relaxation factor of ``sweep``.  Stops when the max-norm control
-    update falls below ``sweep.tolerance``; non-convergence is reported, not
-    raised.  ``on_iterate`` (if given) receives each accepted ControlPair.
+    Each pass solves the state forward, the adjoint backward and projects
+    the optimality formulas at the current controls u.  It stops when the
+    residual max |P(u) - u| is at most ``sweep.tolerance``, or after
+    ``sweep.max_iterations`` updates; otherwise it mixes P(u) into u with
+    the relaxation factor of ``sweep``.  Non-convergence is reported, not
+    raised.  ``on_iterate`` (if given) receives each updated ControlPair.
     """
     controls = initial_controls
-    state = forward_solve(initial_state, controls, params, regions, grid)
-    history = [cost_functional(state, controls, weights, regions, grid)]
-    adjoint = adjoint_solve(state, controls, weights, params, regions, grid)
-
-    converged = False
-    update_norm = np.inf
-    iterations = 0
-    for _ in range(sweep.max_iterations):
-        projected = project_controls(state, adjoint, weights, regions, grid)
-        u_next = (1.0 - sweep.relaxation) * controls.u + sweep.relaxation * projected.u
-        v_next = (1.0 - sweep.relaxation) * controls.v + sweep.relaxation * projected.v
-        update_norm = max(np.abs(u_next - controls.u).max(),
-                          np.abs(v_next - controls.v).max())
-        controls = ControlPair(u_next, v_next, grid, regions)
-        if on_iterate is not None:
-            on_iterate(controls)
-        iterations += 1
-
+    history = []
+    for iterations in range(sweep.max_iterations + 1):
         state = forward_solve(initial_state, controls, params, regions, grid)
         history.append(cost_functional(state, controls, weights, regions, grid))
         adjoint = adjoint_solve(state, controls, weights, params, regions, grid)
-        if update_norm <= sweep.tolerance:
-            converged = True
+        projected = project_controls(state, adjoint, weights, regions, grid)
+        residual = float(max(np.abs(projected.u - controls.u).max(),
+                             np.abs(projected.v - controls.v).max()))
+        if residual <= sweep.tolerance or iterations == sweep.max_iterations:
             break
+        u_next = (1.0 - sweep.relaxation) * controls.u + sweep.relaxation * projected.u
+        v_next = (1.0 - sweep.relaxation) * controls.v + sweep.relaxation * projected.v
+        controls = ControlPair(u_next, v_next, grid, regions)
+        if on_iterate is not None:
+            on_iterate(controls)
 
-    report = SweepReport(iterations=iterations, cost_history=history,
-                         final_update_norm=float(update_norm),
-                         converged=converged, relaxation=sweep.relaxation)
+    report = SweepReport(iterations, history, residual, residual <= sweep.tolerance)
     return state, adjoint, controls, report

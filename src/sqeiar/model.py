@@ -156,6 +156,7 @@ def check_controls(u, v, v_max: float) -> None:
 
 
 def _lambda_term(y: np.ndarray, params: ModelParams):
+    """Force of infection: delta*E + (1-q)*I + mu*A."""
     return params.delta * y[_E] + (1.0 - params.q) * y[_I] + params.mu * y[_A]
 
 
@@ -181,11 +182,6 @@ def _reaction_split(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     contact = np.zeros(N_COMPARTMENTS)
     contact[[_E, _A, _I]] = p.delta, p.mu, 1.0 - p.q
     return L, contact
-
-
-def lambda_term(state, params: ModelParams):
-    """Force of infection: delta*E + (1-q)*I + mu*A."""
-    return _lambda_term(_as_state_array(state), params)
 
 
 def reaction_rhs(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> np.ndarray:

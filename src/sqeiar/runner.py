@@ -70,10 +70,10 @@ def _tree(root: Path) -> set[Path]:
     return {root, *root.rglob("*")} if root.exists() else set()
 
 
-def run_scenario(config: ScenarioConfig, write: bool = True) -> RunSummary:
+def run_scenario(config: ScenarioConfig) -> RunSummary:
     """Solve the configured scenario(s), run the trajectory checks, and
-    (optionally) write all outputs.  If writing fails, what this call
-    created is removed and nothing that existed before is."""
+    write all outputs.  If writing fails, what this call created is
+    removed and nothing that existed before is."""
     initial = config.initial_array()  # read once, so both modes start alike
     config.positivity_step_warning(initial)
     baseline = (_solve_baseline(config, initial)
@@ -84,24 +84,23 @@ def run_scenario(config: ScenarioConfig, write: bool = True) -> RunSummary:
     if baseline is not None and optimal is not None:
         deaths_averted = baseline.metrics.deaths - optimal.metrics.deaths
     summary = RunSummary(baseline, optimal, deaths_averted)
-    if write:
-        out_dir = Path(config.output_dir)
-        root = out_dir  # the highest directory this call may create
-        while not root.parent.exists():
-            root = root.parent
-        before = _tree(root)
-        try:
-            write_outputs(summary, config, out_dir)
-        except Exception:
-            # a path sorts after its parent, so reverse order empties
-            # directories before removing them
-            for path in sorted(_tree(root) - before, reverse=True):
-                with contextlib.suppress(OSError):
-                    if path.is_dir() and not path.is_symlink():
-                        path.rmdir()
-                    else:
-                        path.unlink()
-            raise
+    out_dir = Path(config.output_dir)
+    root = out_dir  # the highest directory this call may create
+    while not root.parent.exists():
+        root = root.parent
+    before = _tree(root)
+    try:
+        write_outputs(summary, config, out_dir)
+    except Exception:
+        # a path sorts after its parent, so reverse order empties
+        # directories before removing them
+        for path in sorted(_tree(root) - before, reverse=True):
+            with contextlib.suppress(OSError):
+                if path.is_dir() and not path.is_symlink():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        raise
     return summary
 
 
@@ -145,8 +144,7 @@ def _summary_lines(result: ScenarioResult) -> list[str]:
         sweep = result.sweep
         lines.append(f"sweep: iterations={sweep.iterations} "
                      f"converged={sweep.converged} "
-                     f"final_update_norm={_format(sweep.final_update_norm)} "
-                     f"relaxation={sweep.relaxation}")
+                     f"residual={_format(sweep.residual)}")
         lines.append("cost history: "
                      + ", ".join(_format(j) for j in sweep.cost_history))
     for check in result.checks:

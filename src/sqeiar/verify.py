@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlPair, cost_functional, cost_gradient, directional_derivative
-from .model import (COMPARTMENTS, ContractError, CostWeights, ModelParams,
-                    QuarantineRegions)
+from .model import COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
 from .pde import Grid, Trajectory, adjoint_solve, forward_solve, sensitivity_solve
 
 DEFAULT_SEED = 42
@@ -44,20 +43,6 @@ class RunMetrics:
     total_population: np.ndarray       # integral of N over time
     final_total_population: float
     deaths: float                      # N(0) - N(tau), integrated
-
-    def time_to_threshold(self, compartment: str, level: float,
-                          direction: str = "below") -> float | None:
-        """First time the named aggregate crosses ``level``; None if never."""
-        series = self.aggregates[compartment]
-        if direction == "below":
-            hits = np.nonzero(series < level)[0]
-        elif direction == "above":
-            hits = np.nonzero(series > level)[0]
-        else:
-            raise ContractError(f"direction must be 'below' or 'above', got {direction}")
-        if hits.size == 0:
-            return None
-        return float(self.times[hits[0]])
 
 
 def extract_metrics(traj: Trajectory, grid: Grid) -> RunMetrics:

@@ -11,6 +11,8 @@ import pytest
 import sqeiar as sq
 from sqeiar.model import ModelParams, QuarantineRegions
 
+from helpers import time_to_threshold
+
 WHOLE = QuarantineRegions(((0.0, 1.0),))
 
 
@@ -84,7 +86,7 @@ def test_04_sensitivity_oracle(small_config):
 
 def test_05_uncontrolled_reproduction(baseline_metrics):
     m = baseline_metrics
-    t_collapse = m.time_to_threshold("S", 80.0)
+    t_collapse = time_to_threshold(m, "S", 80.0)
     checks = {
         "S below 80 by day 10": t_collapse is not None and t_collapse <= 10.0,
         "E above 1800 in days 5-15": window_max(m, "E", 5, 15) > 1800.0,
@@ -107,8 +109,8 @@ def test_06_controlled_reproduction(optimal_metrics, baseline_metrics,
     checks = {
         "E peak below 1500": m.peak_value["E"] < 1500.0,
         "A peak below 1500": m.peak_value["A"] < 1500.0,
-        "I below 50 by day 25": m.time_to_threshold("I", 50.0) is not None
-            and m.time_to_threshold("I", 50.0) <= 25.0,
+        "I below 50 by day 25": time_to_threshold(m, "I", 50.0) is not None
+            and time_to_threshold(m, "I", 50.0) <= 25.0,
         "Q above 3000 at some time": m.peak_value["Q"] > 3000.0,
         "final R at most 4500": m.aggregates["R"][-1] <= 4500.0,
         "at least 40 deaths averted": averted >= 40.0,

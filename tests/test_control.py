@@ -179,12 +179,28 @@ class TestSweep:
             initial, zero, TABLE, sq.CostWeights(), WHOLE, grid,
             on_iterate=iterates.append)
         assert report.converged
-        assert report.final_update_norm <= 1e-4
+        assert report.residual <= 1e-4
         assert report.cost_history[-1] < report.cost_history[0]
         assert len(iterates) == report.iterations
         for it in iterates:  # every accepted iterate is admissible
             assert it.u.min() >= 0.0 and it.u.max() <= 1.0
             assert it.v.min() >= 0.0 and it.v.max() <= WHOLE.v_max
+
+    def test_stops_on_residual_of_returned_controls(self, small_config):
+        # the relaxed update r * |P(u) - u| falls below the tolerance before
+        # the residual |P(u) - u| of the returned controls does
+        grid = small_config.grid
+        zero = sq.ControlPair.zeros(grid, WHOLE)
+        sweep = sq.SweepSettings(tolerance=1e-3, relaxation=0.3)
+        state, adjoint, controls, report = sq.fbsm_solve(
+            small_config.initial_array(), zero, TABLE, sq.CostWeights(), WHOLE,
+            grid, sweep)
+        assert report.converged
+        projected = sq.project_controls(state, adjoint, sq.CostWeights(), WHOLE, grid)
+        residual = max(np.abs(projected.u - controls.u).max(),
+                       np.abs(projected.v - controls.v).max())
+        assert residual <= sweep.tolerance
+        assert residual == report.residual
 
     def test_bad_sweep_arguments(self, small_config):
         grid = small_config.grid

@@ -6,7 +6,7 @@ from sqeiar.model import (
     CostWeights,
     ModelParams,
     QuarantineRegions,
-    lambda_term,
+    _lambda_term,
     reaction_rhs,
     rho_source,
     state_jacobian,
@@ -69,23 +69,23 @@ class TestWeights:
 
 class TestLambdaTerm:
     def test_zero_state(self):
-        assert lambda_term(state(), TABLE) == 0.0
+        assert _lambda_term(state(), TABLE) == 0.0
 
     def test_table_values(self):
         # 1e-5 * 100 + (1 - 0.9995) * 1000 + 1e-5 * 0
-        value = lambda_term(state(e=100, i=1000), TABLE)
+        value = _lambda_term(state(e=100, i=1000), TABLE)
         assert value == pytest.approx(0.501, abs=1e-12)
 
     def test_only_exposed_term(self):
         params = ModelParams(delta=1.0, q=1.0, mu=0.0)
-        assert lambda_term(state(e=7, i=99, a=5), params) == pytest.approx(7.0)
+        assert _lambda_term(state(e=7, i=99, a=5), params) == pytest.approx(7.0)
 
     def test_homogeneous(self):
         rng = np.random.default_rng(0)
         y = rng.uniform(0, 1e4, 6)
         for c in (0.0, 0.5, 3.0):
-            assert lambda_term(c * y, TABLE) == pytest.approx(
-                c * lambda_term(y, TABLE), rel=1e-14)
+            assert _lambda_term(c * y, TABLE) == pytest.approx(
+                c * _lambda_term(y, TABLE), rel=1e-14)
 
 
 class TestReactionRhs:

@@ -6,6 +6,8 @@ from sqeiar.model import ContractError, ModelParams, QuarantineRegions, rho_sour
 from sqeiar.pde import neumann_laplacian
 from sqeiar.verify import _random_directions
 
+from helpers import time_to_threshold
+
 WHOLE = QuarantineRegions(((0.0, 1.0),))
 TABLE = ModelParams()
 
@@ -99,7 +101,7 @@ class TestForwardSolve:
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
         metrics = sq.extract_metrics(traj, default_config.grid)
-        crossing = metrics.time_to_threshold("S", 0.01 * metrics.aggregates["S"][0])
+        crossing = time_to_threshold(metrics, "S", 0.01 * metrics.aggregates["S"][0])
         assert crossing is not None and crossing <= 10.0
 
     def test_integration_failure_reports_location(self):

@@ -4,6 +4,8 @@ import pytest
 import sqeiar as sq
 from sqeiar.model import ModelParams, QuarantineRegions
 
+from helpers import time_to_threshold
+
 WHOLE = QuarantineRegions(((0.0, 1.0),))
 TABLE = ModelParams()
 
@@ -40,9 +42,9 @@ class TestMetrics:
     def test_threshold_directions(self, default_config, baseline_run):
         traj, _, _ = baseline_run
         metrics = sq.extract_metrics(traj, default_config.grid)
-        t_above = metrics.time_to_threshold("E", 1800.0, direction="above")
+        t_above = time_to_threshold(metrics, "E", 1800.0, direction="above")
         assert t_above is not None and 0.0 < t_above < 30.0
-        assert metrics.time_to_threshold("S", -1.0) is None
+        assert time_to_threshold(metrics, "S", -1.0) is None
 
 
 class TestMassBalance:

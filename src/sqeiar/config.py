@@ -12,7 +12,7 @@ import numpy as np
 
 from .control import SweepSettings
 from .model import ContractError, CostWeights, ModelParams, QuarantineRegions
-from .pde import Grid
+from .pde import Grid, positivity_bound
 
 
 class ConfigError(ValueError):
@@ -88,20 +88,11 @@ class ScenarioConfig:
         self.regions.check_inside(self.grid.x_min, self.grid.x_max)
 
     def positivity_step_warning(self, initial: np.ndarray) -> None:
-        """Warn when an explicit Euler step may drive a compartment negative.
-
-        A step keeps every compartment nonnegative when
-        2 * D*dt/dx^2 + dt * rate < 1, where rate bounds the total outflow
-        rate of any compartment; the force-of-infection part of it is
-        estimated from the total population of ``initial``, the evaluated
-        initial profiles.  A violation is reported, not rejected.
-        """
-        p, grid = self.params, self.grid
-        n0 = float(initial.sum(axis=0) @ grid.space_weights())
-        lam_max = p.delta * n0 + (1.0 - p.q) * n0 + p.mu * n0
-        rate = (p.beta + lam_max + self.regions.v_max + p.k + p.eta + p.f
-                + 1.0 + p.xi)
-        bound = 2.0 * grid.cfl_number(p) + grid.dt * rate
+        """Warn when an explicit Euler step may drive a compartment negative,
+        that is when ``pde.positivity_bound`` of the evaluated initial
+        profiles is at least 1.  A violation is reported, not rejected."""
+        grid = self.grid
+        bound = positivity_bound(initial, self.params, self.regions, grid)
         if bound >= 1.0:
             warnings.warn(
                 f"on the {grid.nx} x {grid.nt} grid, 2 * D*dt/dx^2 + dt * (beta"

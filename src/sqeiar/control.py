@@ -3,12 +3,23 @@ and the forward-backward sweep iteration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import ContractError, CostWeights, ModelParams, QuarantineRegions, check_controls
-from .pde import Grid, Trajectory, adjoint_solve, forward_solve, require_aligned
+from .pde import (
+    Grid,
+    Trajectory,
+    _check_initial,
+    adjoint_solve,
+    forward_solve,
+    positivity_bound,
+    require_aligned,
+)
+
+ANDERSON_DEPTH = 3  # differences of iterates the sweep's update combines
+COARSE_FACTOR = 3   # fine time steps per step of the sweep's coarse start
 
 
 @dataclass(frozen=True)
@@ -68,8 +79,9 @@ class SweepSettings:
 class SweepReport:
     """Record of one forward-backward sweep run."""
 
-    iterations: int             # mixed control updates made
-    cost_history: list[float]   # J at the initial controls and after each update
+    iterations: int             # control updates made on the grid of the run
+    coarse_iterations: int      # updates of the coarse start; 0 when skipped
+    cost_history: list[float]   # J at the start on the grid and after each update
     residual: float             # max |P(u) - u| at the returned controls
     converged: bool
 
@@ -102,9 +114,15 @@ def project_controls(state: Trajectory, adjoint: Trajectory,
     """Pointwise optimality formulas clamped onto the admissible box."""
     require_aligned(grid, regions, state, adjoint)
     mask = regions.mask(grid.x).astype(float)
-    u = np.clip(state.i * (adjoint.i - adjoint.r) / weights.sigma1, 0.0, 1.0)
-    v = np.clip(mask * state.s * (adjoint.s - adjoint.q) / weights.sigma2,
-                0.0, regions.v_max)
+    u = np.subtract(adjoint.i, adjoint.r)
+    u *= state.i
+    u /= weights.sigma1
+    np.clip(u, 0.0, 1.0, out=u)
+    v = np.subtract(adjoint.s, adjoint.q)
+    v *= state.s
+    v *= mask
+    v /= weights.sigma2
+    np.clip(v, 0.0, regions.v_max, out=v)
     return ControlPair(u, v, grid, regions)
 
 
@@ -152,29 +170,133 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
     """Forward-backward sweep to a fixed point u = P(S(u)) of the projected
     controls.
 
-    Each pass solves the state forward, the adjoint backward and projects
-    the optimality formulas at the current controls u.  It stops when the
-    residual max |P(u) - u| is at most ``sweep.tolerance``, or after
-    ``sweep.max_iterations`` updates; otherwise it mixes P(u) into u with
-    the relaxation factor of ``sweep``.  Non-convergence is reported, not
-    raised.  ``on_iterate`` (if given) receives each updated ControlPair.
+    The Anderson-accelerated sweep (see _sweep) first runs on the grid with
+    nt / COARSE_FACTOR time steps, from every COARSE_FACTOR-th level of the
+    initial controls, and then on ``grid`` from the coarse controls
+    interpolated linearly in time.  The coarse stage is skipped when nt is
+    not a multiple of COARSE_FACTOR or when the coarse step fails the CFL
+    bound or the positivity advisory.  Both stages stop when the residual
+    max |P(u) - u| is at most ``sweep.tolerance``, or after
+    ``sweep.max_iterations`` updates.  Non-convergence on ``grid`` is
+    reported, not raised.  ``on_iterate`` (if given) receives each updated
+    ControlPair on ``grid``.
     """
-    controls = initial_controls
+    _check_initial(initial_state, initial_controls, params, regions, grid)
+    coarse = _coarse_grid(initial_state, params, regions, grid)
+    start, coarse_iterations = initial_controls, 0
+    if coarse is not None:
+        _, _, start, coarse_iterations, _, _ = _sweep(
+            initial_state, start, params, weights, regions, coarse, sweep, None)
+    state, adjoint, controls, iterations, history, residual = _sweep(
+        initial_state, start, params, weights, regions, grid, sweep, on_iterate)
+    report = SweepReport(iterations, coarse_iterations, history, residual,
+                         residual <= sweep.tolerance)
+    return state, adjoint, controls, report
+
+
+def _coarse_grid(initial: np.ndarray, params: ModelParams,
+                 regions: QuarantineRegions, grid: Grid) -> Grid | None:
+    """The grid of the coarse start, or None where it is skipped.  The
+    advisory's bound is at least 2 * D*dt/dx^2, so a coarse grid under it
+    also keeps the CFL bound."""
+    if grid.nt % COARSE_FACTOR:
+        return None
+    coarse = replace(grid, nt=grid.nt // COARSE_FACTOR)
+    if positivity_bound(initial, params, regions, coarse) >= 1.0:
+        return None
+    return coarse
+
+
+def _to_grid(controls: ControlPair, grid: Grid) -> ControlPair:
+    """``controls`` moved between the fine grid and its coarse grid: every
+    COARSE_FACTOR-th time level onto the coarse grid, linear interpolation
+    in time onto the fine grid (convex combinations, so the box and the
+    region mask hold)."""
+    f = COARSE_FACTOR
+    if controls.grid.nt > grid.nt:
+        return ControlPair(controls.u[::f], controls.v[::f], grid, controls.regions)
+    fields = []
+    for coarse in (controls.u, controls.v):
+        fine = np.empty((grid.nt + 1, grid.nx))
+        fine[::f] = coarse
+        for r in range(1, f):
+            np.multiply(coarse[:-1], (f - r) / f, out=fine[r::f])
+            fine[r::f] += coarse[1:] * (r / f)
+        fields.append(fine)
+    return ControlPair(*fields, grid, controls.regions)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product accumulated in float64, without BLAS threads."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel(), dtype=float))
+
+
+def _sweep(initial_state: np.ndarray, controls: ControlPair, params: ModelParams,
+           weights: CostWeights, regions: QuarantineRegions, grid: Grid,
+           sweep: SweepSettings, on_iterate):
+    """Anderson type-II iteration (Walker & Ni 2011) of x -> P(S(x)) on
+    ``grid``, from ``controls`` moved onto ``grid`` (see _to_grid).
+
+    Each pass solves the state forward, the adjoint backward and projects
+    the optimality formulas at the current controls x_k, giving the residual
+    f_k = P(x_k) - x_k.  Unless it stops, the next controls are
+    x_k + r f_k - sum_j gamma_j (dx_j + r df_j), clipped onto the box with
+    v masked to the regions, where r is ``sweep.relaxation``, dx_j and df_j
+    are the last ANDERSON_DEPTH differences of iterates and residuals, and
+    gamma minimizes |f_k - sum_j gamma_j df_j|.  With no history this is
+    the relaxed update (1 - r) x_k + r P(x_k).
+
+    The differences are kept in float32 (only gamma depends on them); f_k
+    waits in the slot of its difference until f_{k+1} is known.  Returns
+    the state, adjoint and controls of the last pass, the number of updates,
+    the cost at each pass and the last residual.
+    """
+    if controls.grid != grid:  # the moved copy is held only here
+        controls = _to_grid(controls, grid)
+    shape = (ANDERSON_DEPTH, 2, grid.nt + 1, grid.nx)
+    steps = np.empty(shape, dtype=np.float32)    # x_{j+1} - x_j
+    changes = np.empty(shape, dtype=np.float32)  # f_{j+1} - f_j
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # df_i . df_j
+    mask = regions.mask(grid.x)
+    r = sweep.relaxation
     history = []
     for iterations in range(sweep.max_iterations + 1):
         state = forward_solve(initial_state, controls, params, regions, grid)
         history.append(cost_functional(state, controls, weights, regions, grid))
         adjoint = adjoint_solve(state, controls, weights, params, regions, grid)
         projected = project_controls(state, adjoint, weights, regions, grid)
-        residual = float(max(np.abs(projected.u - controls.u).max(),
-                             np.abs(projected.v - controls.v).max()))
+        f = (np.subtract(projected.u, controls.u, out=projected.u),
+             np.subtract(projected.v, controls.v, out=projected.v))
+        residual = float(max(f[0].max(), -f[0].min(), f[1].max(), -f[1].min()))
         if residual <= sweep.tolerance or iterations == sweep.max_iterations:
             break
-        u_next = (1.0 - sweep.relaxation) * controls.u + sweep.relaxation * projected.u
-        v_next = (1.0 - sweep.relaxation) * controls.v + sweep.relaxation * projected.v
-        controls = ControlPair(u_next, v_next, grid, regions)
+        del state, adjoint, projected
+
+        n = min(iterations, ANDERSON_DEPTH)
+        if iterations:  # complete the newest df and its row of the Gram matrix
+            last = (iterations - 1) % ANDERSON_DEPTH
+            for part in (0, 1):
+                np.subtract(f[part], changes[last, part], out=changes[last, part])
+            for j in range(n):
+                gram[last, j] = gram[j, last] = _dot(changes[last], changes[j])
+        rhs = [_dot(changes[i, 0], f[0]) + _dot(changes[i, 1], f[1]) for i in range(n)]
+        gamma = np.linalg.lstsq(gram[:n, :n], rhs, rcond=None)[0].tolist() if n else []
+
+        u, v = f[0] * r, f[1] * r
+        for part, (y, x) in enumerate(((u, controls.u), (v, controls.v))):
+            y += x
+            for j, g in enumerate(gamma):
+                y -= g * steps[j, part]
+                y -= (r * g) * changes[j, part]
+        np.clip(u, 0.0, 1.0, out=u)
+        np.clip(v, 0.0, regions.v_max, out=v)
+        v *= mask
+        slot = iterations % ANDERSON_DEPTH
+        np.subtract(u, controls.u, out=steps[slot, 0])
+        np.subtract(v, controls.v, out=steps[slot, 1])
+        changes[slot, 0], changes[slot, 1] = f
+        del f, x, y  # the projection and the previous controls
+        controls = ControlPair(u, v, grid, regions)
         if on_iterate is not None:
             on_iterate(controls)
-
-    report = SweepReport(iterations, history, residual, residual <= sweep.tolerance)
-    return state, adjoint, controls, report
+    return state, adjoint, controls, iterations, history, residual

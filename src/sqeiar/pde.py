@@ -148,6 +148,22 @@ class Trajectory:
         return self.values[:, 5, :]
 
 
+def positivity_bound(initial: np.ndarray, params: ModelParams,
+                     regions: QuarantineRegions, grid: Grid) -> float:
+    """The positivity advisory's bound 2 * D*dt/dx^2 + dt * rate on ``grid``.
+
+    An explicit Euler step keeps every compartment nonnegative when it is
+    under 1: rate bounds the total outflow rate of any compartment, and its
+    force-of-infection part is estimated from the total population of
+    ``initial``, the evaluated initial profiles.
+    """
+    p = params
+    n0 = float(initial.sum(axis=0) @ grid.space_weights())
+    lam_max = p.delta * n0 + (1.0 - p.q) * n0 + p.mu * n0
+    rate = p.beta + lam_max + regions.v_max + p.k + p.eta + p.f + 1.0 + p.xi
+    return 2.0 * grid.cfl_number(p) + grid.dt * rate
+
+
 def require_aligned(grid: Grid, regions: QuarantineRegions, *inputs) -> None:
     """Reject trajectories or controls defined on a grid other than ``grid``,
     and controls defined for quarantine regions other than ``regions``."""

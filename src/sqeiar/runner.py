@@ -143,6 +143,7 @@ def _summary_lines(result: ScenarioResult) -> list[str]:
     if result.sweep is not None:
         sweep = result.sweep
         lines.append(f"sweep: iterations={sweep.iterations} "
+                     f"coarse_iterations={sweep.coarse_iterations} "
                      f"converged={sweep.converged} "
                      f"residual={_format(sweep.residual)}")
         lines.append("cost history: "

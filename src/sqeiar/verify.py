@@ -36,7 +36,6 @@ class CheckReport:
 class RunMetrics:
     """Spatially integrated summary of one trajectory."""
 
-    times: np.ndarray                  # shape (nt + 1,)
     aggregates: dict[str, np.ndarray]  # compartment -> time series of integrals
     peak_value: dict[str, float]
     peak_time: dict[str, float]
@@ -58,7 +57,6 @@ def extract_metrics(traj: Trajectory, grid: Grid) -> RunMetrics:
     peak_time = {name: float(times[int(series.argmax())])
                  for name, series in aggregates.items()}
     return RunMetrics(
-        times=times,
         aggregates=aggregates,
         peak_value=peak_value,
         peak_time=peak_time,

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import sqeiar as sq
@@ -51,7 +50,3 @@ def optimal_run(default_config):
     elapsed = time.perf_counter() - start
     return state, adjoint, controls, report, iterates, elapsed
 
-
-def random_state(rng, nx=None, scale=1e4):
-    shape = (6,) if nx is None else (6, nx)
-    return rng.uniform(0.0, scale, shape)

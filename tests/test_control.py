@@ -3,7 +3,9 @@ import pytest
 from dataclasses import replace
 
 import sqeiar as sq
+from sqeiar.control import COARSE_FACTOR
 from sqeiar.model import ContractError, ModelParams, QuarantineRegions
+from sqeiar.pde import positivity_bound
 
 WHOLE = QuarantineRegions(((0.0, 1.0),))
 TABLE = ModelParams()
@@ -201,6 +203,46 @@ class TestSweep:
                        np.abs(projected.v - controls.v).max())
         assert residual <= sweep.tolerance
         assert residual == report.residual
+
+    def test_anderson_iterates_admissible(self, small_config):
+        # two regions, so the mask of the quarantine control is exercised too
+        grid = small_config.grid
+        two = QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))
+        off = ~two.mask(grid.x)
+        iterates = []
+        _, _, controls, report = sq.fbsm_solve(
+            small_config.initial_array(), sq.ControlPair.zeros(grid, two), TABLE,
+            sq.CostWeights(), two, grid, on_iterate=iterates.append)
+        assert report.converged and report.coarse_iterations > 0
+        assert len(iterates) == report.iterations > 0
+        assert iterates[-1] is controls
+        for it in iterates:  # fine iterates only, each inside the box
+            assert it.grid == grid
+            assert it.u.min() >= 0.0 and it.u.max() <= 1.0
+            assert it.v.min() >= 0.0 and it.v.max() <= two.v_max
+            assert np.all(it.v[:, off] == 0.0)
+
+    @pytest.mark.parametrize("case", ["nt_not_multiple", "coarse_cfl", "coarse_advisory"])
+    def test_coarse_start_skipped(self, small_config, case):
+        params, grid = {
+            "nt_not_multiple": (TABLE, sq.Grid(nx=21, tau=3.0, nt=301)),
+            "coarse_cfl": (ModelParams(diffusion=(0.05,) * 6), sq.Grid(nx=21, tau=3.0, nt=300)),
+            "coarse_advisory": (TABLE, sq.Grid(nx=21, tau=30.0, nt=300)),
+        }[case]
+        initial = replace(small_config, grid=grid).initial_array()
+        coarse = replace(grid, nt=grid.nt // COARSE_FACTOR)
+        if case == "coarse_cfl":
+            assert coarse.cfl_number(params) > 0.5 >= grid.cfl_number(params)
+        if case == "coarse_advisory":
+            assert coarse.cfl_number(params) <= 0.5
+            assert positivity_bound(initial, params, WHOLE, coarse) >= 1.0
+        iterates = []
+        _, _, _, report = sq.fbsm_solve(
+            initial, sq.ControlPair.zeros(grid, WHOLE), params, sq.CostWeights(),
+            WHOLE, grid, on_iterate=iterates.append)
+        assert report.coarse_iterations == 0
+        assert report.converged and report.residual <= 1e-4
+        assert len(iterates) == report.iterations > 0
 
     def test_bad_sweep_arguments(self, small_config):
         grid = small_config.grid

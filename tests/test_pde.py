@@ -101,7 +101,7 @@ class TestForwardSolve:
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
         metrics = sq.extract_metrics(traj, default_config.grid)
-        crossing = time_to_threshold(metrics, "S", 0.01 * metrics.aggregates["S"][0])
+        crossing = time_to_threshold(metrics, default_config.grid.t, "S", 0.01 * metrics.aggregates["S"][0])
         assert crossing is not None and crossing <= 10.0
 
     def test_integration_failure_reports_location(self):

@@ -1,7 +1,7 @@
 """Property tests of the solver steps over random parameters, regions and
 grids, against the per-equation reference forms neumann_laplacian,
-reaction_rhs and state_jacobian.  Grids keep the CFL bound and the
-positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1."""
+reaction_rhs and state_jacobian, and of the positivity advisory.  Grids keep
+the CFL bound and the positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1."""
 
 import warnings
 
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sqeiar as sq
 from sqeiar.model import rho_source
+from sqeiar.pde import positivity_bound
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -70,6 +71,15 @@ def test_forward_step_matches_reference(scenario):
         y, controls.u[0], controls.v[0], params, regions.v_max))
     np.testing.assert_allclose(traj.values[1], expected, rtol=0,
                                atol=1e-12 * np.abs(y).max())
+
+
+@PROPERTY
+@given(scenarios(nt_range=(1, 40)))
+def test_forward_solve_stays_nonnegative(scenario):
+    params, regions, grid, y, controls, _ = scenario
+    assert positivity_bound(y, params, regions, grid) < 1.0
+    traj = sq.forward_solve(y, controls, params, regions, grid)
+    assert traj.values.min() >= 0.0
 
 
 @PROPERTY

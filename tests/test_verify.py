@@ -42,9 +42,9 @@ class TestMetrics:
     def test_threshold_directions(self, default_config, baseline_run):
         traj, _, _ = baseline_run
         metrics = sq.extract_metrics(traj, default_config.grid)
-        t_above = time_to_threshold(metrics, "E", 1800.0, direction="above")
+        t_above = time_to_threshold(metrics, default_config.grid.t, "E", 1800.0, direction="above")
         assert t_above is not None and 0.0 < t_above < 30.0
-        assert time_to_threshold(metrics, "S", -1.0) is None
+        assert time_to_threshold(metrics, default_config.grid.t, "S", -1.0) is None
 
 
 class TestMassBalance:

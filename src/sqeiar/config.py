@@ -79,6 +79,8 @@ class ScenarioConfig:
             raise ConfigError(f"output.mode must be one of {MODES}, got '{self.mode}'")
         if self.stride < 1:
             raise ConfigError(f"output.stride must be >= 1, got {self.stride}")
+        if self.seed < 0:
+            raise ConfigError(f"output.seed must be >= 0, got {self.seed}")
         missing = set(DEFAULT_PROFILES) - set(self.profiles)
         if missing:
             raise ConfigError(f"initial profiles missing for: {sorted(missing)}")

@@ -7,7 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ContractError, CostWeights, ModelParams, QuarantineRegions, check_controls
+from .model import (ContractError, CostWeights, ModelParams, QuarantineRegions, check_controls,
+                    rho_source)
 from .pde import (
     Grid,
     Trajectory,
@@ -91,21 +92,16 @@ def cost_functional(state: Trajectory, controls: ControlPair,
                     grid: Grid) -> float:
     """Objective value: weighted epidemic burden plus quadratic control cost.
 
-    Trapezoid quadrature in both space and time; the susceptible penalty and
-    the quarantine control cost are integrated over the regions only.
+    Trapezoid quadrature in space and time.  The state pairs with the
+    adjoint's source ``rho_source``, and v vanishes off the regions.
     """
     require_aligned(grid, regions, state, controls)
     wx = grid.space_weights()
-    wt = grid.time_weights()
-    mask = regions.mask(grid.x).astype(float)
-
-    epidemic = (weights.rho1 * (state.s * (wx * mask)).sum(axis=1)
-                + weights.rho3 * (state.e * wx).sum(axis=1)
-                + weights.rho4 * (state.a * wx).sum(axis=1)
-                + weights.rho5 * (state.i * wx).sum(axis=1))
-    effort = (0.5 * weights.sigma1 * (controls.u ** 2 * wx).sum(axis=1)
-              + 0.5 * weights.sigma2 * (controls.v ** 2 * (wx * mask)).sum(axis=1))
-    return float(wt @ (epidemic + effort))
+    rho_wx = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max) * wx
+    per_level = (np.einsum("tcn,cn->t", state.values, rho_wx)
+                 + 0.5 * weights.sigma1 * np.einsum("tn,tn,n->t", controls.u, controls.u, wx)
+                 + 0.5 * weights.sigma2 * np.einsum("tn,tn,n->t", controls.v, controls.v, wx))
+    return float(grid.time_weights() @ per_level)
 
 
 def project_controls(state: Trajectory, adjoint: Trajectory,

@@ -89,9 +89,9 @@ class Grid:
 
     def check_cfl(self, params: ModelParams) -> None:
         number = self.cfl_number(params)
-        if number > CFL_LIMIT:
+        if number >= CFL_LIMIT:
             raise ContractError(
-                f"CFL violation: max D*dt/dx^2 = {number:.4g} exceeds {CFL_LIMIT}")
+                f"CFL violation: max D*dt/dx^2 = {number:.4g} is not below {CFL_LIMIT}")
 
     def space_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights over the spatial nodes."""
@@ -236,7 +236,7 @@ def _check_initial(initial, controls, params: ModelParams,
     require_aligned(grid, regions, controls)
 
 
-def _integrate(initial: np.ndarray, u: np.ndarray, v_eff: np.ndarray,
+def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
                params: ModelParams, grid: Grid, what: str) -> np.ndarray:
     """Explicit Euler steps from ``initial`` in the dtype of the controls,
     read at each step's departure level; shape (nt + 1, 6, nx).
@@ -245,7 +245,7 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v_eff: np.ndarray,
     clip, maximum or comparison on state or controls, or the complex step of
     sensitivity_solve silently gives a wrong derivative.
     """
-    out = np.empty((grid.nt + 1, 6, grid.nx), dtype=np.result_type(float, u, v_eff))
+    out = np.empty((grid.nt + 1, 6, grid.nx), dtype=np.result_type(float, u, v))
     out[0] = initial
     step = _Stepper(params, grid, out.dtype)
     M, dt = step.M, step.dt
@@ -259,7 +259,7 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v_eff: np.ndarray,
         flow *= y[_S]  # dt * (beta + Lambda) * S
         nxt[_S] -= flow
         nxt[_E] += flow
-        flow = v_eff[m] * y[_S]
+        flow = v[m] * y[_S]
         flow *= dt
         nxt[_S] -= flow
         nxt[_Q] += flow
@@ -276,11 +276,11 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
     """Integrate the nonlinear state system from the given initial profiles.
 
     ``initial`` holds six finite, nonnegative rows of length nx.  Controls
-    are read at the time level from which each step departs.
+    are read at the time level from which each step departs, v as given:
+    ControlPair keeps it zero off the regions.
     """
     _check_initial(initial, controls, params, regions, grid)
-    v_eff = controls.v * regions.mask(grid.x)
-    return Trajectory(_integrate(initial, controls.u, v_eff, params, grid, "state"), grid)
+    return Trajectory(_integrate(initial, controls.u, controls.v, params, grid, "state"), grid)
 
 
 def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
@@ -299,7 +299,6 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     require_aligned(grid, regions, state, controls)
     if not np.all(np.isfinite(state.values)):
         raise ContractError("state trajectory contains non-finite values")
-    u, v_eff = controls.u, controls.v * regions.mask(grid.x)
     rho = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
 
     step = _Stepper(params, grid)
@@ -323,11 +322,11 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
         g *= y[_S]
         nxt[_E:_R] += contact_eai * g
         w = p[_Q] - p[_S]
-        w *= v_eff[m]
+        w *= controls.v[m]
         w *= dt
         nxt[_S] += w
         w = p[_R] - p[_I]
-        w *= u[m]
+        w *= controls.u[m]
         w *= dt
         nxt[_I] += w
         _check_finite(nxt, m - 1, "adjoint")
@@ -354,6 +353,6 @@ def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
         raise ContractError("perturbation direction contains non-finite values")
     h = 1e-30
     u = controls.u + 1j * h * h_u
-    v_eff = (controls.v + 1j * h * h_v) * regions.mask(grid.x)
-    out = _integrate(initial, u, v_eff, params, grid, "sensitivity")
+    v = controls.v + 1j * h * (h_v * regions.mask(grid.x))
+    out = _integrate(initial, u, v, params, grid, "sensitivity")
     return Trajectory(out.imag / h, grid)

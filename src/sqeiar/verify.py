@@ -44,15 +44,17 @@ class RunMetrics:
     deaths: float                      # N(0) - N(tau), integrated
 
 
+def _aggregates(traj: Trajectory, grid: Grid) -> dict[str, np.ndarray]:
+    """Trapezoid integral over space of each compartment, per time level."""
+    wx = grid.space_weights()
+    return {name: traj.values[:, c, :] @ wx for c, name in enumerate(COMPARTMENTS)}
+
+
 def extract_metrics(traj: Trajectory, grid: Grid) -> RunMetrics:
     """Trapezoid aggregates per compartment plus peak/death statistics."""
-
-    wx = grid.space_weights()
-    times = grid.t
-    aggregates = {}
-    for idx, name in enumerate(COMPARTMENTS):
-        aggregates[name] = traj.values[:, idx, :] @ wx
+    aggregates = _aggregates(traj, grid)
     total = sum(aggregates.values())
+    times = grid.t
     peak_value = {name: float(series.max()) for name, series in aggregates.items()}
     peak_time = {name: float(times[int(series.argmax())])
                  for name, series in aggregates.items()}
@@ -71,10 +73,9 @@ def mass_balance_check(traj: Trajectory, params: ModelParams,
     """Discrete total-population balance: per step, the change of the
     integrated population equals dt * (alpha - 1) * f * integrated I,
     up to roundoff (the reflected stencil has zero weighted sum)."""
-    wx = grid.space_weights()
-    total = traj.values.sum(axis=1) @ wx          # (nt + 1,)
-    agg_i = traj.i @ wx
-    expected = grid.dt * (params.alpha - 1.0) * params.f * agg_i[:-1]
+    aggregates = _aggregates(traj, grid)
+    total = sum(aggregates.values())
+    expected = grid.dt * (params.alpha - 1.0) * params.f * aggregates["I"][:-1]
     residual = np.abs(np.diff(total) - expected)
     scale = max(total[0], 1.0)
     measured = float(residual.max() / scale) if residual.size else 0.0

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -71,8 +72,8 @@ class TestConfigParsing:
     def test_uniform_and_per_compartment_diffusion(self):
         config = parse_config_text("model.diffusion = 0.002")
         assert config.params.diffusion == (0.002,) * 6
-        config = parse_config_text("model.d3 = 0.005")
-        assert config.params.diffusion[2] == 0.005
+        config = parse_config_text("model.d3 = 0.004")
+        assert config.params.diffusion[2] == 0.004
         assert config.params.diffusion[0] == 0.001
 
     def test_profile_names_validated(self):
@@ -113,9 +114,9 @@ class TestConfigParsing:
             parse_config_text(text)
 
     def test_positivity_advisory_counts_diffusion(self):
-        # D*dt/dx^2 = 0.5 passes the CFL check but the run diverges
-        config = replace(sq.ScenarioConfig(), grid=sq.Grid(nx=101, nt=600))
-        with pytest.warns(UserWarning, match="101 x 600 grid.*compartments may go negative"):
+        # D*dt/dx^2 = 0.492 passes the CFL check, but the advisory's bound is 1.38
+        config = replace(sq.ScenarioConfig(), grid=sq.Grid(nx=101, nt=610))
+        with pytest.warns(UserWarning, match="101 x 610 grid.*compartments may go negative"):
             config.positivity_step_warning(config.initial_array())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -213,6 +214,18 @@ class TestCli:
         config.write_text("model.diffusion = 0.2\ngrid.nx = 11\n")
         assert main(["check", "--config", str(config)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("check", "output.seed = -1\n", "output.seed must be >= 0, got -1"),
+        ("run", "grid.nx = 101\ngrid.nt = 600\n", "D\\*dt/dx\\^2 = 0.5 is not below 0.5"),
+    ], ids=["negative_seed", "cfl_at_half"])
+    def test_rejected_value_exit_one(self, tmp_path, capsys, command, extra, message):
+        config = tmp_path / "scenario.conf"
+        config.write_text(f"output.dir = {tmp_path / 'out'}\n" + extra)
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(f"configuration error: .*{message}", err[0])
+        assert not (tmp_path / "out").exists()
 
     def test_unconverged_sweep_exit_three(self, tmp_path, capsys):
         config = self.write_config(tmp_path, "sweep.max_iterations = 1\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ class TestGrid:
 
     def test_cfl_rejected(self):
         grid = sq.Grid(nx=101, tau=30.0, nt=30)  # dt = 1.0 -> CFL number 10
+        with pytest.raises(ContractError, match="CFL"):
+            grid.check_cfl(TABLE)
+
+    def test_cfl_at_half_rejected(self):
+        # D*dt/dx^2 is exactly 1/2 here, where the explicit scheme diverges
+        grid = sq.Grid(nx=101, nt=600)
+        assert grid.cfl_number(TABLE) == 0.5
         with pytest.raises(ContractError, match="CFL"):
             grid.check_cfl(TABLE)
 
@@ -264,3 +273,40 @@ class TestDiscreteBalance:
     def test_positivity_default_run(self, baseline_run):
         traj, _, _ = baseline_run
         assert sq.positivity_check(traj).passed
+
+
+def _extra_peak(call, grid) -> float:
+    """Peak bytes ``call`` allocates beyond the array its result holds, in
+    (nt + 1) x nx float64 fields of ``grid``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = getattr(result, "values", None)
+    return (peak - before - (held.nbytes if held is not None else 0)) / (
+        (grid.nt + 1) * grid.nx * 8)
+
+
+@pytest.mark.parametrize("name", ["forward_solve", "adjoint_solve", "cost_functional",
+                                  "mass_balance_check"])
+def test_solves_and_integrals_build_no_field(name):
+    # a temporary as large as one control or state field is waste here
+    grid = sq.Grid(nx=101, tau=10.0, nt=1000)
+    regions = QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))
+    config = sq.ScenarioConfig(grid=grid, regions=regions)
+    params, weights = config.params, config.weights
+    initial = config.initial_array()
+    controls = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
+    state = sq.forward_solve(initial, controls, params, regions, grid)
+    call = {
+        "forward_solve": lambda: sq.forward_solve(initial, controls, params, regions, grid),
+        "adjoint_solve": lambda: sq.adjoint_solve(state, controls, weights, params,
+                                                  regions, grid),
+        "cost_functional": lambda: sq.cost_functional(state, controls, weights, regions, grid),
+        "mass_balance_check": lambda: sq.mass_balance_check(state, params, grid),
+    }[name]
+    assert _extra_peak(call, grid) < 0.5

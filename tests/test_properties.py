@@ -1,11 +1,14 @@
 """Property tests of the solver steps over random parameters, regions and
 grids, against the per-equation reference forms neumann_laplacian,
-reaction_rhs and state_jacobian, and of the positivity advisory.  Grids keep
-the CFL bound and the positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1."""
+reaction_rhs and state_jacobian, of the positivity advisory, of the cost
+functional against its compartment-by-compartment form, and of the discrete
+population balance.  Grids keep the CFL bound and the positivity advisory's
+bound 2*D*dt/dx^2 + dt*rate < 1."""
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +123,36 @@ def test_adjoint_pairing_is_exact(scenario, weights):
                                + h_v * mask * state.s * (adjoint.q - adjoint.s))[:-1]
     scale = np.abs(forward).sum() + np.abs(backward).sum()
     assert abs(forward.sum() - backward.sum()) <= 1e-10 * scale
+
+
+def reference_cost(state, controls, weights, regions, grid):
+    """The cost written out compartment by compartment: trapezoid in space
+    and time, with the rho1 and sigma2 terms weighted by the region mask."""
+    wx, wt = grid.space_weights(), grid.time_weights()
+    mask = regions.mask(grid.x).astype(float)
+    epidemic = (weights.rho1 * (state.s * (wx * mask)).sum(axis=1)
+                + weights.rho3 * (state.e * wx).sum(axis=1)
+                + weights.rho4 * (state.a * wx).sum(axis=1)
+                + weights.rho5 * (state.i * wx).sum(axis=1))
+    effort = (0.5 * weights.sigma1 * (controls.u ** 2 * wx).sum(axis=1)
+              + 0.5 * weights.sigma2 * (controls.v ** 2 * (wx * mask)).sum(axis=1))
+    return float(wt @ (epidemic + effort))
+
+
+@PROPERTY
+@given(scenarios(nt_range=(1, 20)), weights_st)
+def test_cost_functional_matches_reference(scenario, weights):
+    params, regions, grid, y, controls, _ = scenario
+    state = sq.forward_solve(y, controls, params, regions, grid)
+    expected = reference_cost(state, controls, weights, regions, grid)
+    assert sq.cost_functional(state, controls, weights, regions, grid) == pytest.approx(
+        expected, rel=1e-12)
+
+
+@PROPERTY
+@given(scenarios(nt_range=(1, 40)))
+def test_forward_solve_balances_population(scenario):
+    params, regions, grid, y, controls, _ = scenario
+    report = sq.mass_balance_check(sq.forward_solve(y, controls, params, regions, grid),
+                                   params, grid)
+    assert report.passed, report.detail

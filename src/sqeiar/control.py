@@ -41,8 +41,8 @@ class ControlPair:
         if self.u.shape != shape or self.v.shape != shape:
             raise ContractError(f"control fields must have shape {shape}")
         check_controls(self.u, self.v, self.regions.v_max)
-        off = ~self.regions.mask(self.grid.x)
-        if np.any(self.v[:, off] != 0.0):
+        off = ~self.regions.mask(self.grid.x)  # column reductions keep NaN
+        if np.any(self.v.min(axis=0)[off] != 0) or np.any(self.v.max(axis=0)[off] != 0):
             raise ContractError("quarantine control nonzero outside the regions")
 
     @classmethod

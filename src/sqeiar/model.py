@@ -145,13 +145,11 @@ def _as_state_array(state) -> np.ndarray:
 def check_controls(u, v, v_max: float) -> None:
     """Reject u outside [0, 1] or v outside [0, v_max], up to BOUND_SLACK.
 
-    The tests are written so that NaN fails them.
+    The tests are written so that NaN fails them: min and max propagate it.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.all((u >= -BOUND_SLACK) & (u <= 1 + BOUND_SLACK)):
+    if not (np.min(u) >= -BOUND_SLACK and np.max(u) <= 1 + BOUND_SLACK):
         raise ContractError("treatment control u outside [0, 1]")
-    if not np.all((v >= -BOUND_SLACK) & (v <= v_max + BOUND_SLACK)):
+    if not (np.min(v) >= -BOUND_SLACK and np.max(v) <= v_max + BOUND_SLACK):
         raise ContractError(f"quarantine control v outside [0, {v_max}]")
 
 

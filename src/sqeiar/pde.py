@@ -191,10 +191,13 @@ def neumann_laplacian(row: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _check_finite(block: np.ndarray, step: int, what: str) -> None:
-    if not np.isfinite(block).all():
-        bad = np.argwhere(~np.isfinite(block))[0]
-        raise IntegrationError(step, int(bad[-1]), what)
+def _check_finite(out: np.ndarray, rows: range, what: str) -> None:
+    """Raise IntegrationError at the first non-finite row in computation order ``rows``,
+    at its first bad node.  The last row decides: every step adds -2 * D*dt/dx^2 * y to
+    each entry (D > 0), and IEEE sums and products keep a non-finite operand non-finite."""
+    if not np.isfinite(out[rows[-1]]).all():
+        m = next(m for m in rows if not np.isfinite(out[m]).all())
+        raise IntegrationError(m, int(np.argwhere(~np.isfinite(out[m]))[0][-1]), what)
 
 
 class _Stepper:
@@ -227,10 +230,9 @@ class _Stepper:
 def _check_initial(initial, controls, params: ModelParams,
                    regions: QuarantineRegions, grid: Grid) -> None:
     """Entry checks of the forward map at (initial, controls)."""
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (6, grid.nx):
+    if np.shape(initial) != (6, grid.nx):
         raise ContractError(f"initial profiles must have shape (6, {grid.nx})")
-    if not (np.all(np.isfinite(initial)) and np.all(initial >= 0)):
+    if not (np.min(initial) >= 0 and np.max(initial) < np.inf):  # NaN fails both
         raise ContractError("initial profiles must be finite and nonnegative")
     grid.check_cfl(params)
     require_aligned(grid, regions, controls)
@@ -250,24 +252,25 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
     step = _Stepper(params, grid, out.dtype)
     M, dt = step.M, step.dt
     contact_dt, beta_dt = dt * step.contact, dt * params.beta
-    for m in range(grid.nt):
-        y, nxt = out[m], out[m + 1]
-        np.dot(M, y, out=nxt)
-        nxt += step.diffusion(y)
-        flow = contact_dt @ y
-        flow += beta_dt
-        flow *= y[_S]  # dt * (beta + Lambda) * S
-        nxt[_S] -= flow
-        nxt[_E] += flow
-        flow = v[m] * y[_S]
-        flow *= dt
-        nxt[_S] -= flow
-        nxt[_Q] += flow
-        flow = u[m] * y[_I]
-        flow *= dt
-        nxt[_I] -= flow
-        nxt[_R] += flow
-        _check_finite(nxt, m + 1, what)
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
+        for m in range(grid.nt):
+            y, nxt = out[m], out[m + 1]
+            np.dot(M, y, out=nxt)
+            nxt += step.diffusion(y)
+            flow = contact_dt @ y
+            flow += beta_dt
+            flow *= y[_S]  # dt * (beta + Lambda) * S
+            nxt[_S] -= flow
+            nxt[_E] += flow
+            flow = v[m] * y[_S]
+            flow *= dt
+            nxt[_S] -= flow
+            nxt[_Q] += flow
+            flow = u[m] * y[_I]
+            flow *= dt
+            nxt[_I] -= flow
+            nxt[_R] += flow
+    _check_finite(out, range(1, grid.nt + 1), what)
     return out
 
 
@@ -307,29 +310,30 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     rho_dt = dt * rho
     out = np.zeros((grid.nt + 1, 6, grid.nx))
     out[grid.nt - 1] = 0.5 * rho_dt  # terminal cost sample: half trapezoid weight
-    for m in range(grid.nt - 1, 0, -1):
-        p, nxt, y = out[m], out[m - 1], state.values[m]
-        np.dot(MT, p, out=nxt)
-        nxt += step.diffusion(p)
-        nxt += rho_dt
-        # exposure: g = dt * (p_E - p_S) onto S by m*, onto E, A, I by S * c
-        g = p[_E] - p[_S]
-        g *= dt
-        m_star = contact @ y
-        m_star += beta
-        m_star *= g
-        nxt[_S] += m_star
-        g *= y[_S]
-        nxt[_E:_R] += contact_eai * g
-        w = p[_Q] - p[_S]
-        w *= controls.v[m]
-        w *= dt
-        nxt[_S] += w
-        w = p[_R] - p[_I]
-        w *= controls.u[m]
-        w *= dt
-        nxt[_I] += w
-        _check_finite(nxt, m - 1, "adjoint")
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
+        for m in range(grid.nt - 1, 0, -1):
+            p, nxt, y = out[m], out[m - 1], state.values[m]
+            np.dot(MT, p, out=nxt)
+            nxt += step.diffusion(p)
+            nxt += rho_dt
+            # exposure: g = dt * (p_E - p_S) onto S by m*, onto E, A, I by S * c
+            g = p[_E] - p[_S]
+            g *= dt
+            m_star = contact @ y
+            m_star += beta
+            m_star *= g
+            nxt[_S] += m_star
+            g *= y[_S]
+            nxt[_E:_R] += contact_eai * g
+            w = p[_Q] - p[_S]
+            w *= controls.v[m]
+            w *= dt
+            nxt[_S] += w
+            w = p[_R] - p[_I]
+            w *= controls.u[m]
+            w *= dt
+            nxt[_I] += w
+    _check_finite(out, range(grid.nt - 1, -1, -1), "adjoint")
     return Trajectory(out, grid)
 
 

@@ -203,6 +203,24 @@ class TestCli:
             assert name in out
         assert "FAIL" not in out
 
+    def test_check_passes_for_seeds(self, tmp_path, capsys):
+        failed = []
+        for seed in range(20):
+            config = self.write_config(tmp_path, f"output.seed = {seed}\n")
+            if main(["check", "--config", str(config)]) != 0:
+                failed.append(seed)
+        assert failed == [], capsys.readouterr().out
+
+    def test_divergence_exit_two_with_one_failure_line(self, tmp_path, capsys):
+        config = tmp_path / "scenario.conf"
+        config.write_text("grid.nx = 11\ngrid.nt = 1000\ngrid.tau = 10\nmodel.k = 500\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: on the 11 x 1000 grid, 2 * D*dt/dx^2 + dt * (beta + Lambda_max + 1/n"
+            " + k + eta + f + 1 + xi) = 5.08 >= 1; compartments may go negative",
+            "solver failure: non-finite state value at time step 18, node 0",
+        ]
+
     def test_defaults_prints_parseable_config(self, capsys):
         assert main(["defaults"]) == 0
         text = capsys.readouterr().out

@@ -42,6 +42,10 @@ class TestControlPair:
         shape = (grid.nt + 1, grid.nx)
         with pytest.raises(ContractError):
             sq.ControlPair(np.zeros(shape), np.full(shape, 0.5), grid, half)
+        v = np.zeros(shape)
+        v[7, -1] = -1e-13  # inside the box's slack, but off the region
+        with pytest.raises(ContractError, match="outside the regions"):
+            sq.ControlPair(np.zeros(shape), v, grid, half)
 
 
 class TestCostFunctional:

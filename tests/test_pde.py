@@ -120,10 +120,32 @@ class TestForwardSolve:
         initial = np.zeros((6, grid.nx))
         initial[0] = 1e300
         initial[2] = 1e300
-        with np.errstate(over="ignore"), pytest.raises(sq.IntegrationError) as err:
+        # no errstate here: a RuntimeWarning from the solve fails the test
+        with pytest.raises(sq.IntegrationError) as err:
             sq.forward_solve(initial, sq.ControlPair.zeros(grid, WHOLE),
                              params, WHOLE, grid)
-        assert err.value.step >= 1
+        assert str(err.value) == "non-finite state value at time step 1, node 0"
+        assert (err.value.step, err.value.node) == (1, 0)
+
+    def test_state_and_sensitivity_diverge_at_one_location(self):
+        # dt * k = 5 makes the explicit step unstable: both overflow at step 18
+        params = ModelParams(k=500, diffusion=(1e-3, 2e-3, 1e-3, 3e-3, 1e-3, 1e-3))
+        grid = sq.Grid(nx=11, tau=10.0, nt=1000)
+        regions = QuarantineRegions(((0.2, 0.6),))
+        controls = sq.ControlPair.constant(0.3, 0.5, grid, regions)
+        initial = np.full((6, grid.nx), 100.0)
+        initial[2, 7] = 1e3
+        ones = np.ones((grid.nt + 1, grid.nx))
+        solves = {
+            "state": lambda: sq.forward_solve(initial, controls, params, regions, grid),
+            "sensitivity": lambda: sq.sensitivity_solve(initial, controls, ones, ones,
+                                                        params, regions, grid),
+        }
+        for what, solve in solves.items():
+            with pytest.raises(sq.IntegrationError) as err:
+                solve()
+            assert str(err.value) == f"non-finite {what} value at time step 18, node 7"
+            assert (err.value.step, err.value.node) == (18, 7)
 
     def test_spatial_symmetry(self):
         grid = sq.Grid(nx=41, tau=2.0, nt=200)
@@ -152,6 +174,17 @@ class TestAdjointSolve:
                               rho5=1e-300, sigma1=1, sigma2=1)
         _, adjoint = self.run(tiny)
         assert np.abs(adjoint.values).max() < 1e-290
+
+    def test_divergence_reports_location(self):
+        grid = sq.Grid(nx=9, tau=50.0, nt=500)
+        values = np.ones((grid.nt + 1, 6, grid.nx))
+        values[:, 0, 4] = 1e200
+        values[:, 2, 4] = 1e150
+        with pytest.raises(sq.IntegrationError) as err:
+            sq.adjoint_solve(sq.Trajectory(values, grid), sq.ControlPair.zeros(grid, WHOLE),
+                             sq.CostWeights(), TABLE, WHOLE, grid)
+        assert str(err.value) == "non-finite adjoint value at time step 495, node 4"
+        assert (err.value.step, err.value.node) == (495, 4)
 
     def test_terminal_row_zero(self):
         _, adjoint = self.run(sq.CostWeights())
@@ -292,9 +325,10 @@ def _extra_peak(call, grid) -> float:
 
 
 @pytest.mark.parametrize("name", ["forward_solve", "adjoint_solve", "cost_functional",
-                                  "mass_balance_check"])
+                                  "mass_balance_check", "ControlPair"])
 def test_solves_and_integrals_build_no_field(name):
-    # a temporary as large as one control or state field is waste here
+    # a temporary as large as one control or state field is waste here, and
+    # the checks of a ControlPair need only reductions
     grid = sq.Grid(nx=101, tau=10.0, nt=1000)
     regions = QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))
     config = sq.ScenarioConfig(grid=grid, regions=regions)
@@ -308,5 +342,6 @@ def test_solves_and_integrals_build_no_field(name):
                                                   regions, grid),
         "cost_functional": lambda: sq.cost_functional(state, controls, weights, regions, grid),
         "mass_balance_check": lambda: sq.mass_balance_check(state, params, grid),
+        "ControlPair": lambda: sq.ControlPair(controls.u, controls.v, grid, regions),
     }[name]
-    assert _extra_peak(call, grid) < 0.5
+    assert _extra_peak(call, grid) < (0.1 if name == "ControlPair" else 0.5)

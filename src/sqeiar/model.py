@@ -161,12 +161,15 @@ def _lambda_term(y: np.ndarray, params: ModelParams):
 def _reaction_split(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The reaction terms as a constant 6x6 matrix L and contact weights c.
 
-    reaction_rhs(y) = L @ y + (beta + c @ y) * S * (e_E - e_S)
+    reaction_rhs(y) = L @ y + (c @ y) * S * (e_E - e_S)
                       + v * S * (e_Q - e_S) + u * I * (e_R - e_I),
-    where c @ y is the force of infection Lambda.
+    where c @ y is the force of infection Lambda; L holds the linear part
+    beta * S of the exposure.
     """
     p = params
     L = np.zeros((N_COMPARTMENTS, N_COMPARTMENTS))
+    L[_S, _S] = -p.beta
+    L[_E, _S] = p.beta
     L[_S, _R] = p.xi
     L[_E, _E] = -p.k
     L[_A, _E] = (1.0 - p.z) * p.k

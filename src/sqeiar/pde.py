@@ -7,13 +7,15 @@ at the boundaries, which keeps the trapezoid-weighted sum of the stencil
 output exactly zero (discrete divergence theorem); the total-population
 balance test relies on that.
 
-The solvers step in matrix form: M = I + dt * L for the linear reaction
-terms, the stencil, the rank-one exposure and the two control moves (see
-model._reaction_split).  The adjoint step is its closed-form transpose, so
-no per-node Jacobian is built, and the sensitivity solve runs the forward
-step itself on complex values (complex step).  neumann_laplacian,
-reaction_rhs and state_jacobian are the per-equation forms the steps are
-tested against.
+Each explicit step is one product with a constant 6 x K matrix (see
+_step_operator): the forward step is [M' | B | diag(c)] @ [y; F; N(y)], with
+M' = I + dt * L - 2 * diag(c) (L from model._reaction_split, which holds the
+linear exposure beta * S), the flows F = ((dt * contact) @ y * S, v * S, u * I)
+moved by the incidence matrix B, c = D*dt/dx^2 and N the reflected neighbour
+sum.  The adjoint step is its exact transpose in the same form, and the
+sensitivity solve runs the forward step itself on complex values (complex
+step).  neumann_laplacian, reaction_rhs and state_jacobian are the
+per-equation forms the steps are tested against.
 """
 
 from __future__ import annotations
@@ -63,10 +65,16 @@ class Grid:
             raise ContractError(f"grid.nx must be >= 3, got {self.nx}")
         if self.nt < 1:
             raise ContractError(f"grid.nt must be >= 1, got {self.nt}")
+        for name in ("x_min", "x_max", "tau"):
+            if not np.isfinite(getattr(self, name)):
+                raise ContractError(f"grid.{name} must be finite, got {getattr(self, name)}")
         if not self.x_max > self.x_min:
             raise ContractError("grid.x_max must exceed grid.x_min")
         if not self.tau > 0:
             raise ContractError(f"grid.tau must be > 0, got {self.tau}")
+        if not 0 < self.dx * self.dx < np.inf:  # dx**2 divides the CFL number
+            raise ContractError(f"grid.dx = (grid.x_max - grid.x_min) / (grid.nx - 1) = "
+                                f"{self.dx:.4g}: its square must be finite and nonzero")
 
     @property
     def dx(self) -> float:
@@ -193,38 +201,28 @@ def neumann_laplacian(row: np.ndarray, dx: float) -> np.ndarray:
 
 def _check_finite(out: np.ndarray, rows: range, what: str) -> None:
     """Raise IntegrationError at the first non-finite row in computation order ``rows``,
-    at its first bad node.  The last row decides: every step adds -2 * D*dt/dx^2 * y to
-    each entry (D > 0), and IEEE sums and products keep a non-finite operand non-finite."""
+    at its first bad node.  The last row decides: each step is one product K @ Z in
+    which every entry of the departure row reaches the next row through K's diagonal
+    and, with the factor D*dt/dx^2 > 0, its stencil column; IEEE sums and products,
+    0 * inf included, keep a non-finite operand non-finite."""
     if not np.isfinite(out[rows[-1]]).all():
         m = next(m for m in rows if not np.isfinite(out[m]).all())
         raise IntegrationError(m, int(np.argwhere(~np.isfinite(out[m]))[0][-1]), what)
 
 
-class _Stepper:
-    """Constants of one explicit Euler step on ``grid``: M = I + dt * L, the
-    stencil factors D * dt / dx^2, the contact weights, and the ghost-padded
-    work buffers of the stencil, of the given dtype."""
-
-    def __init__(self, params: ModelParams, grid: Grid, dtype=float):
-        L, self.contact = _reaction_split(params)
-        self.dt = grid.dt
-        self.M = np.eye(6) + self.dt * L
-        self.c = params.diffusion_array[:, None] * (self.dt / grid.dx ** 2)
-        self.pad = np.empty((6, grid.nx + 2), dtype=dtype)
-        self.work = np.empty((6, grid.nx), dtype=dtype)
-
-    def diffusion(self, y: np.ndarray) -> np.ndarray:
-        """c * (neighbour sum - 2y), the ghost nodes reflecting y[1] and
-        y[-2]; a constant row gives exactly zero."""
-        pad, out = self.pad, self.work
-        pad[:, 1:-1] = y
-        pad[:, 0] = y[:, 1]
-        pad[:, -1] = y[:, -2]
-        np.add(pad[:, :-2], pad[:, 2:], out=out)
-        out -= y
-        out -= y
-        out *= self.c
-        return out
+def _step_operator(params: ModelParams, grid: Grid):
+    """Constants of one explicit Euler step on ``grid``: M' = I + dt * L - 2 * diag(c),
+    with L from model._reaction_split; the (6, 3) incidence B of the moves
+    S -> E, S -> Q and I -> R, dt folded into the last two (the first flow,
+    (dt * contact) @ y * S, carries its own); the stencil factors c = D*dt/dx^2;
+    and the scaled contact weights dt * contact."""
+    L, contact = _reaction_split(params)
+    dt, c = grid.dt, params.diffusion_array * (grid.dt / grid.dx ** 2)
+    B = np.zeros((6, 3))
+    B[[_S, _E], 0] = -1.0, 1.0
+    B[[_S, _Q], 1] = -dt, dt
+    B[[_I, _R], 2] = -dt, dt
+    return np.eye(6) + dt * L - 2.0 * np.diag(c), B, c, dt * contact
 
 
 def _check_initial(initial, controls, params: ModelParams,
@@ -249,27 +247,27 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
     """
     out = np.empty((grid.nt + 1, 6, grid.nx), dtype=np.result_type(float, u, v))
     out[0] = initial
-    step = _Stepper(params, grid, out.dtype)
-    M, dt = step.M, step.dt
-    contact_dt, beta_dt = dt * step.contact, dt * params.beta
+    M, B, c, contact_dt = _step_operator(params, grid)
+    # one product per step: out[m + 1] = [M' | B | diag(c)] @ [y; flows; neighbour sum]
+    K = np.hstack([M, B, np.diag(c)]).astype(out.dtype)
+    contact_dt = contact_dt.astype(out.dtype)
+    Z = np.empty((15, grid.nx), dtype=out.dtype)
+    exposure, quarantine, treatment, near = Z[6], Z[7], Z[8], Z[9:]
+    # the neighbour sum: one sum over the flattened rows, then the row ends,
+    # where it mixes rows, set to twice columns 1 and nx - 2 (the reflected ghosts)
+    flat, near_flat = out.reshape(grid.nt + 1, -1), near.reshape(-1)
+    ends, edge = near[:, ::grid.nx - 1], slice(1, grid.nx - 1, max(grid.nx - 3, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
         for m in range(grid.nt):
-            y, nxt = out[m], out[m + 1]
-            np.dot(M, y, out=nxt)
-            nxt += step.diffusion(y)
-            flow = contact_dt @ y
-            flow += beta_dt
-            flow *= y[_S]  # dt * (beta + Lambda) * S
-            nxt[_S] -= flow
-            nxt[_E] += flow
-            flow = v[m] * y[_S]
-            flow *= dt
-            nxt[_S] -= flow
-            nxt[_Q] += flow
-            flow = u[m] * y[_I]
-            flow *= dt
-            nxt[_I] -= flow
-            nxt[_R] += flow
+            y = out[m]
+            Z[:6] = y
+            np.add(flat[m, :-2], flat[m, 2:], out=near_flat[1:-1])
+            np.multiply(y[:, edge], 2.0, out=ends)
+            np.dot(contact_dt, y, out=exposure)
+            exposure *= y[_S]
+            np.multiply(v[m], y[_S], out=quarantine)
+            np.multiply(u[m], y[_I], out=treatment)
+            np.dot(K, Z, out=out[m + 1])
     _check_finite(out, range(1, grid.nt + 1), what)
     return out
 
@@ -304,35 +302,34 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
         raise ContractError("state trajectory contains non-finite values")
     rho = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
 
-    step = _Stepper(params, grid)
-    MT, dt, contact, beta = np.ascontiguousarray(step.M.T), step.dt, step.contact, params.beta
-    contact_eai = contact[_E:_R, None]  # (delta, mu, 1 - q) on rows E, A, I
-    rho_dt = dt * rho
+    M, B, c, contact_dt = _step_operator(params, grid)
+    # one product per step, the transpose of the forward step linearized at y_m:
+    # out[m - 1] = [M'^T | Q | diag(c)] @ [p; W; N(p)] + dt * rho, where G = B^T p and
+    # Q sends W = (G_0 * Lambda_m, G_0 * S_m, G_1 * v, G_2 * u) onto S, E A I, S and I
+    e = np.eye(6)
+    K = np.hstack([M.T, np.column_stack([e[_S], contact_dt, e[_S], e[_I]]), np.diag(c)])
+    BT, lam_s = np.ascontiguousarray(B.T), np.vstack([contact_dt, e[_S]])  # (Lambda_m, S_m)
+    G, ls, Z = np.empty((3, grid.nx)), np.empty((2, grid.nx)), np.empty((16, grid.nx))
+    exposure, quarantine, treatment, near = Z[6:8], Z[8], Z[9], Z[10:]
+    u, v, values = controls.u, controls.v, state.values
+    rho_dt = grid.dt * rho
     out = np.zeros((grid.nt + 1, 6, grid.nx))
     out[grid.nt - 1] = 0.5 * rho_dt  # terminal cost sample: half trapezoid weight
+    flat, near_flat = out.reshape(grid.nt + 1, -1), near.reshape(-1)  # as in _integrate
+    ends, edge = near[:, ::grid.nx - 1], slice(1, grid.nx - 1, max(grid.nx - 3, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
         for m in range(grid.nt - 1, 0, -1):
-            p, nxt, y = out[m], out[m - 1], state.values[m]
-            np.dot(MT, p, out=nxt)
-            nxt += step.diffusion(p)
+            p, nxt = out[m], out[m - 1]
+            Z[:6] = p
+            np.add(flat[m, :-2], flat[m, 2:], out=near_flat[1:-1])
+            np.multiply(p[:, edge], 2.0, out=ends)
+            np.dot(BT, p, out=G)
+            np.dot(lam_s, values[m], out=ls)
+            np.multiply(G[0], ls, out=exposure)
+            np.multiply(G[1], v[m], out=quarantine)
+            np.multiply(G[2], u[m], out=treatment)
+            np.dot(K, Z, out=nxt)
             nxt += rho_dt
-            # exposure: g = dt * (p_E - p_S) onto S by m*, onto E, A, I by S * c
-            g = p[_E] - p[_S]
-            g *= dt
-            m_star = contact @ y
-            m_star += beta
-            m_star *= g
-            nxt[_S] += m_star
-            g *= y[_S]
-            nxt[_E:_R] += contact_eai * g
-            w = p[_Q] - p[_S]
-            w *= controls.v[m]
-            w *= dt
-            nxt[_S] += w
-            w = p[_R] - p[_I]
-            w *= controls.u[m]
-            w *= dt
-            nxt[_I] += w
     _check_finite(out, range(grid.nt - 1, -1, -1), "adjoint")
     return Trajectory(out, grid)
 

@@ -120,8 +120,9 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
         h_u = rng.uniform(0.0, 1.0, shape)
         h_u -= h_u.mean()
         h_v = rng.uniform(0.0, regions.v_max, shape) * mask
-        h_v -= h_v[:, mask.astype(bool)].mean()
-        h_v *= mask
+        if mask.any():  # else h_v stays zero: no node lies in a region
+            h_v -= h_v[:, mask.astype(bool)].mean()
+            h_v *= mask
         directions.append((h_u, h_v))
     return directions
 

@@ -233,10 +233,26 @@ class TestCli:
         assert main(["check", "--config", str(config)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_check_without_region_node_exit_zero(self, tmp_path, capsys):
+        # valid for run, but no node of the 21-node check grid lies in (0.51, 0.54)
+        config = tmp_path / "scenario.conf"
+        config.write_text("regions.1 = 0.51, 0.54\n")
+        assert main(["check", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command, extra, message", [
         ("check", "output.seed = -1\n", "output.seed must be >= 0, got -1"),
         ("run", "grid.nx = 101\ngrid.nt = 600\n", "D\\*dt/dx\\^2 = 0.5 is not below 0.5"),
-    ], ids=["negative_seed", "cfl_at_half"])
+        ("run", "grid.x_max = inf\n", "grid.x_max must be finite, got inf"),
+        ("run", "grid.x_min = -inf\n", "grid.x_min must be finite, got -inf"),
+        ("run", "grid.x_min = -1e308\ngrid.x_max = 1e308\n",
+         "grid.dx = .* = inf: its square must be finite and nonzero"),
+        ("run", "grid.tau = inf\n", "grid.tau must be finite, got inf"),
+        # dx ** 2 in the CFL number would raise OverflowError, or divide by zero
+        ("run", "grid.x_max = 1e250\n", "grid.dx = .* = 1e\\+248: its square must"),
+        ("run", "grid.x_max = 1e-160\n", "grid.dx = .* = 1e-162: its square must"),
+    ], ids=["negative_seed", "cfl_at_half", "x_max_inf", "x_min_inf", "dx_overflow",
+            "tau_inf", "dx_square_overflow", "dx_square_underflow"])
     def test_rejected_value_exit_one(self, tmp_path, capsys, command, extra, message):
         config = tmp_path / "scenario.conf"
         config.write_text(f"output.dir = {tmp_path / 'out'}\n" + extra)

@@ -3,9 +3,11 @@ grids, against the per-equation reference forms neumann_laplacian,
 reaction_rhs and state_jacobian, of the positivity advisory, of the cost
 functional against its compartment-by-compartment form, and of the discrete
 population balance.  Grids keep the CFL bound and the positivity advisory's
-bound 2*D*dt/dx^2 + dt*rate < 1."""
+bound 2*D*dt/dx^2 + dt*rate < 1, except those of the divergence test, which
+keep only the CFL bound."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,3 +158,64 @@ def test_forward_solve_balances_population(scenario):
     report = sq.mass_balance_check(sq.forward_solve(y, controls, params, regions, grid),
                                    params, grid)
     assert report.passed, report.detail
+
+
+@st.composite
+def diverging_scenarios(draw):
+    """A scenario whose explicit step is unstable: dt * k or dt * beta in [3, 30]
+    at D*dt/dx^2 < 0.45, over 1500 steps."""
+    nx, nt = draw(st.integers(3, 15)), 1500
+    dt, dx = draw(st.floats(1e-3, 0.1)), 1.0 / (nx - 1)
+    cfl = draw(st.floats(0.05, 0.45))
+    weights = draw(st.tuples(*[st.floats(0.1, 1.0)] * 6))
+    rate = draw(st.sampled_from(["k", "beta"]))
+    params = replace(draw(params_st), diffusion=tuple(cfl * dx ** 2 / dt * w for w in weights),
+                     **{rate: draw(st.floats(3.0, 30.0)) / dt})
+    regions, grid = draw(regions_st()), sq.Grid(nx=nx, tau=nt * dt, nt=nt)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    initial = rng.uniform(0.0, draw(st.floats(1.0, 1e4)), (6, nx))
+    shape = (nt + 1, nx)
+    controls = sq.ControlPair(rng.uniform(0.0, 1.0, shape),
+                              rng.uniform(0.0, regions.v_max, shape) * regions.mask(grid.x),
+                              grid, regions)
+    return params, regions, grid, initial, controls
+
+
+def first_divergence(y, controls, params, regions, grid):
+    """(step, node) of the first non-finite entry, in (compartment, node) order,
+    of explicit Euler steps written from neumann_laplacian and reaction_rhs and
+    tested after every step; None if all stay finite.  The rates and controls
+    are scaled by dt before reaction_rhs, so that each term has the size of a
+    step's increment: dt * reaction_rhs(y) overflows up to 1/dt sooner."""
+    dt, p = grid.dt, params
+    scaled = replace(p, beta=dt * p.beta, delta=dt * p.delta, mu=dt * p.mu,
+                     q=1.0 - dt * (1.0 - p.q), xi=dt * p.xi, k=dt * p.k, eta=dt * p.eta,
+                     f=dt * p.f)
+    c = p.diffusion_array[:, None] * (dt / grid.dx ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(grid.nt):
+            y = y + c * sq.neumann_laplacian(y, 1.0) + sq.reaction_rhs(
+                y, dt * controls.u[m], dt * controls.v[m], scaled, regions.v_max)
+            bad = np.argwhere(~np.isfinite(y))
+            if len(bad):
+                return m + 1, int(bad[0][-1])
+    return None
+
+
+@PROPERTY
+@given(diverging_scenarios())
+def test_divergence_reported_where_it_first_happens(scenario):
+    params, regions, grid, y, controls = scenario
+    expected = first_divergence(y, controls, params, regions, grid)
+    assert expected is not None
+    ones = np.ones((grid.nt + 1, grid.nx))
+    solves = {
+        "state": lambda: sq.forward_solve(y, controls, params, regions, grid),
+        "sensitivity": lambda: sq.sensitivity_solve(y, controls, ones, ones, params,
+                                                    regions, grid),
+    }
+    for what, solve in solves.items():
+        with pytest.raises(sq.IntegrationError) as err:
+            solve()
+        assert (err.value.step, err.value.node) == expected
+        assert str(err.value).startswith(f"non-finite {what} value")

@@ -12,7 +12,11 @@ _step_operator): the forward step is [M' | B | diag(c)] @ [y; F; N(y)], with
 M' = I + dt * L - 2 * diag(c) (L from model._reaction_split, which holds the
 linear exposure beta * S), the flows F = ((dt * contact) @ y * S, v * S, u * I)
 moved by the incidence matrix B, c = D*dt/dx^2 and N the reflected neighbour
-sum.  The adjoint step is its exact transpose in the same form, and the
+sum: 8 numpy calls per step.  The adjoint step is its exact transpose in the
+same form, 6 numpy calls per step: its flows are one product with B^T (row 0
+doubled) times the coefficient rows (Lambda_m, S_m, v_m, u_m), which are
+filled once per block of _BLOCK levels into a (_BLOCK, 4, nx) buffer, and the
+source dt * rho rides in the product as two constant operand rows.  The
 sensitivity solve runs the forward step itself on complex values (complex
 step).  neumann_laplacian, reaction_rhs and state_jacobian are the
 per-equation forms the steps are tested against.
@@ -39,6 +43,7 @@ from .model import (
 )
 
 CFL_LIMIT = 0.5
+_BLOCK = 64  # time levels per block of the adjoint's coefficient rows
 
 
 class IntegrationError(RuntimeError):
@@ -304,32 +309,40 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
 
     M, B, c, contact_dt = _step_operator(params, grid)
     # one product per step, the transpose of the forward step linearized at y_m:
-    # out[m - 1] = [M'^T | Q | diag(c)] @ [p; W; N(p)] + dt * rho, where G = B^T p and
-    # Q sends W = (G_0 * Lambda_m, G_0 * S_m, G_1 * v, G_2 * u) onto S, E A I, S and I
+    # out[m - 1] = [M'^T | Q | diag(c) | R] @ [p; F; N(p); r], where the flows
+    # F = (B^T p)[0, 0, 1, 2] * (Lambda_m, S_m, v_m, u_m) and Q sends them onto S,
+    # E A I, S and I; R @ r = dt * rho from the constant rows r = (dt * rho_S, 1),
+    # since rho_source holds rho_S on S and constants on E, A, I
     e = np.eye(6)
-    K = np.hstack([M.T, np.column_stack([e[_S], contact_dt, e[_S], e[_I]]), np.diag(c)])
-    BT, lam_s = np.ascontiguousarray(B.T), np.vstack([contact_dt, e[_S]])  # (Lambda_m, S_m)
-    G, ls, Z = np.empty((3, grid.nx)), np.empty((2, grid.nx)), np.empty((16, grid.nx))
-    exposure, quarantine, treatment, near = Z[6:8], Z[8], Z[9], Z[10:]
-    u, v, values = controls.u, controls.v, state.values
     rho_dt = grid.dt * rho
+    R = np.column_stack([e[_S], rho_dt[:, 0]])
+    R[_S, 1] = 0.0
+    K = np.hstack([M.T, np.column_stack([e[_S], contact_dt, e[_S], e[_I]]), np.diag(c), R])
+    BT4, lam_s = B.T[[0, 0, 1, 2]], np.vstack([contact_dt, e[_S]])  # (Lambda_m, S_m)
+    # rows (Lambda_m, S_m, v_m, u_m) of the levels of one block, filled per block
+    W, Z = np.empty((_BLOCK, 4, grid.nx)), np.empty((18, grid.nx))
+    p, flows, near = Z[:6], Z[6:10], Z[10:16]
+    Z[16], Z[17] = rho_dt[_S], 1.0
+    u, v, values = controls.u, controls.v, state.values
     out = np.zeros((grid.nt + 1, 6, grid.nx))
     out[grid.nt - 1] = 0.5 * rho_dt  # terminal cost sample: half trapezoid weight
-    flat, near_flat = out.reshape(grid.nt + 1, -1), near.reshape(-1)  # as in _integrate
-    ends, edge = near[:, ::grid.nx - 1], slice(1, grid.nx - 1, max(grid.nx - 3, 1))
+    # the neighbour sum and ends as in _integrate, read from the copy of p in Z
+    p_flat, edge = p.reshape(-1), slice(1, grid.nx - 1, max(grid.nx - 3, 1))
+    left, right, inner = p_flat[:-2], p_flat[2:], near.reshape(-1)[1:-1]
+    ends, p_edge = near[:, ::grid.nx - 1], p[:, edge]
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
-        for m in range(grid.nt - 1, 0, -1):
-            p, nxt = out[m], out[m - 1]
-            Z[:6] = p
-            np.add(flat[m, :-2], flat[m, 2:], out=near_flat[1:-1])
-            np.multiply(p[:, edge], 2.0, out=ends)
-            np.dot(BT, p, out=G)
-            np.dot(lam_s, values[m], out=ls)
-            np.multiply(G[0], ls, out=exposure)
-            np.multiply(G[1], v[m], out=quarantine)
-            np.multiply(G[2], u[m], out=treatment)
-            np.dot(K, Z, out=nxt)
-            nxt += rho_dt
+        for hi in range(grid.nt, 1, -_BLOCK):  # levels lo..hi - 1, the last block down to 1
+            lo = max(hi - _BLOCK, 1)
+            w = W[:hi - lo]
+            np.matmul(lam_s, values[lo:hi], out=w[:, :2])
+            w[:, 2], w[:, 3] = v[lo:hi], u[lo:hi]
+            for m in range(hi - 1, lo - 1, -1):
+                p[...] = out[m]
+                np.add(left, right, out=inner)
+                np.multiply(p_edge, 2.0, out=ends)
+                np.dot(BT4, p, out=flows)
+                np.multiply(flows, w[m - lo], out=flows)
+                np.dot(K, Z, out=out[m - 1])
     _check_finite(out, range(grid.nt - 1, -1, -1), "adjoint")
     return Trajectory(out, grid)
 

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .control import ControlPair, SweepReport, cost_functional, fbsm_solve
-from .model import COMPARTMENTS
+from .model import COMPARTMENTS, QuarantineRegions
 from .pde import Grid, Trajectory, forward_solve
 from .verify import (
     CheckReport,
@@ -73,7 +73,13 @@ def _tree(root: Path) -> set[Path]:
 def run_scenario(config: ScenarioConfig) -> RunSummary:
     """Solve the configured scenario(s), run the trajectory checks, and
     write all outputs.  If writing fails, what this call created is
-    removed and nothing that existed before is."""
+    removed and nothing that existed before is.  A quarantine region that
+    holds no node of the grid is a ConfigError: its control could not act."""
+    grid = config.grid
+    for region in config.regions.regions:
+        if not QuarantineRegions((region,)).mask(grid.x).any():
+            raise ConfigError(f"region {region} holds no node of the "
+                              f"{grid.nx} x {grid.nt} grid")
     initial = config.initial_array()  # read once, so both modes start alike
     config.positivity_step_warning(initial)
     baseline = (_solve_baseline(config, initial)

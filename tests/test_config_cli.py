@@ -240,6 +240,16 @@ class TestCli:
         assert main(["check", "--config", str(config)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_region_without_run_grid_node_exit_one(self, tmp_path, capsys):
+        # (0.511, 0.519) lies between the nodes 0.5 and 0.55 of the 21-node grid:
+        # a run rejects it, check keeps running on its own grid
+        config = self.write_config(tmp_path, "regions.1 = 0.1, 0.4\nregions.2 = 0.511, 0.519\n")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: region (0.511, 0.519) holds no node of the 21 x 300 grid"]
+        assert not (tmp_path / "out").exists()
+        assert main(["check", "--config", str(config)]) == 0
+
     @pytest.mark.parametrize("command, extra, message", [
         ("check", "output.seed = -1\n", "output.seed must be >= 0, got -1"),
         ("run", "grid.nx = 101\ngrid.nt = 600\n", "D\\*dt/dx\\^2 = 0.5 is not below 0.5"),

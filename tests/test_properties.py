@@ -1,10 +1,10 @@
 """Property tests of the solver steps over random parameters, regions and
 grids, against the per-equation reference forms neumann_laplacian,
 reaction_rhs and state_jacobian, of the positivity advisory, of the cost
-functional against its compartment-by-compartment form, and of the discrete
-population balance.  Grids keep the CFL bound and the positivity advisory's
-bound 2*D*dt/dx^2 + dt*rate < 1, except those of the divergence test, which
-keep only the CFL bound."""
+functional against its compartment-by-compartment form, of the discrete
+population balance, and of the box projection.  Grids keep the CFL bound and
+the positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1, except those of
+the divergence test, which keep only the CFL bound."""
 
 import warnings
 from dataclasses import replace
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import sqeiar as sq
 from sqeiar.model import rho_source
-from sqeiar.pde import positivity_bound
+from sqeiar.pde import _BLOCK, positivity_bound
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -39,10 +39,11 @@ def regions_st(draw):
 
 
 @st.composite
-def scenarios(draw, nt_range):
-    """params, regions, grid, initial state and admissible controls."""
+def scenarios(draw, nt):
+    """params, regions, grid, initial state and admissible controls; ``nt``
+    draws the number of steps."""
     params, regions = draw(params_st), draw(regions_st())
-    nx, nt = draw(st.integers(3, 30)), draw(st.integers(*nt_range))
+    nx, nt = draw(st.integers(3, 30)), draw(nt)
     fraction = draw(st.floats(0.05, 0.9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     initial = rng.uniform(0.0, draw(st.floats(1.0, 1e4)), (6, nx))
@@ -67,7 +68,7 @@ def scenarios(draw, nt_range):
 
 
 @PROPERTY
-@given(scenarios(nt_range=(1, 1)))
+@given(scenarios(st.integers(1, 1)))
 def test_forward_step_matches_reference(scenario):
     params, regions, grid, y, controls, _ = scenario
     traj = sq.forward_solve(y, controls, params, regions, grid)
@@ -79,7 +80,7 @@ def test_forward_step_matches_reference(scenario):
 
 
 @PROPERTY
-@given(scenarios(nt_range=(1, 40)))
+@given(scenarios(st.integers(1, 40)))
 def test_forward_solve_stays_nonnegative(scenario):
     params, regions, grid, y, controls, _ = scenario
     assert positivity_bound(y, params, regions, grid) < 1.0
@@ -88,7 +89,7 @@ def test_forward_solve_stays_nonnegative(scenario):
 
 
 @PROPERTY
-@given(scenarios(nt_range=(2, 2)), weights_st)
+@given(scenarios(st.integers(2, 2)), weights_st)
 def test_adjoint_step_matches_reference(scenario, weights):
     params, regions, grid, y, controls, _ = scenario
     state = sq.forward_solve(y, controls, params, regions, grid)
@@ -106,7 +107,7 @@ def test_adjoint_step_matches_reference(scenario, weights):
 
 
 @PROPERTY
-@given(scenarios(nt_range=(2, 12)), weights_st)
+@given(scenarios(st.integers(2, 12)), weights_st)
 def test_adjoint_pairing_is_exact(scenario, weights):
     # <J h, rho>: the cost-weighted linearized solve along h = (h_u, h_v);
     # <h, J^T p>: h paired with the adjoint through the control terms
@@ -127,6 +128,46 @@ def test_adjoint_pairing_is_exact(scenario, weights):
     assert abs(forward.sum() - backward.sum()) <= 1e-10 * scale
 
 
+def reference_adjoint(state, controls, weights, params, regions, grid):
+    """Every level of the adjoint, stepped from state_jacobian and
+    neumann_laplacian one level at a time."""
+    rho, D = rho_source(grid.x, regions, weights), params.diffusion_array[:, None]
+    out = np.zeros_like(state.values)
+    out[grid.nt - 1] = 0.5 * grid.dt * rho
+    for m in range(grid.nt - 1, 0, -1):
+        p = out[m]
+        H = sq.state_jacobian(state.values[m], controls.u[m], controls.v[m], params,
+                              regions.v_max)
+        out[m - 1] = p + grid.dt * (D * sq.neumann_laplacian(p, grid.dx)
+                                    + np.einsum("xij,ix->jx", H, p) + rho)
+    return out
+
+
+@PROPERTY
+@given(scenarios(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])),
+       weights_st)
+def test_adjoint_matches_reference_across_blocks(scenario, weights):
+    # the adjoint reads its coefficient rows per block of _BLOCK levels
+    params, regions, grid, y, controls, _ = scenario
+    state = sq.forward_solve(y, controls, params, regions, grid)
+    adjoint = sq.adjoint_solve(state, controls, weights, params, regions, grid)
+    expected = reference_adjoint(state, controls, weights, params, regions, grid)
+    np.testing.assert_allclose(adjoint.values, expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+@PROPERTY
+@given(scenarios(st.integers(1, 20)), weights_st)
+def test_projection_is_idempotent(scenario, weights):
+    params, regions, grid, y, controls, _ = scenario
+    state = sq.forward_solve(y, controls, params, regions, grid)
+    adjoint = sq.adjoint_solve(state, controls, weights, params, regions, grid)
+    projected = sq.project_controls(state, adjoint, weights, regions, grid)
+    np.testing.assert_array_equal(np.clip(projected.u, 0.0, 1.0), projected.u)
+    np.testing.assert_array_equal(
+        np.clip(projected.v, 0.0, regions.v_max) * regions.mask(grid.x), projected.v)
+
+
 def reference_cost(state, controls, weights, regions, grid):
     """The cost written out compartment by compartment: trapezoid in space
     and time, with the rho1 and sigma2 terms weighted by the region mask."""
@@ -142,7 +183,7 @@ def reference_cost(state, controls, weights, regions, grid):
 
 
 @PROPERTY
-@given(scenarios(nt_range=(1, 20)), weights_st)
+@given(scenarios(st.integers(1, 20)), weights_st)
 def test_cost_functional_matches_reference(scenario, weights):
     params, regions, grid, y, controls, _ = scenario
     state = sq.forward_solve(y, controls, params, regions, grid)
@@ -152,7 +193,7 @@ def test_cost_functional_matches_reference(scenario, weights):
 
 
 @PROPERTY
-@given(scenarios(nt_range=(1, 40)))
+@given(scenarios(st.integers(1, 40)))
 def test_forward_solve_balances_population(scenario):
     params, regions, grid, y, controls, _ = scenario
     report = sq.mass_balance_check(sq.forward_solve(y, controls, params, regions, grid),

@@ -155,6 +155,9 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"configuration error: the grid does not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

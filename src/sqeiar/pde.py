@@ -14,12 +14,12 @@ linear exposure beta * S), the flows F = ((dt * contact) @ y * S, v * S, u * I)
 moved by the incidence matrix B, c = D*dt/dx^2 and N the reflected neighbour
 sum: 8 numpy calls per step.  The adjoint step is its exact transpose in the
 same form, 6 numpy calls per step: its flows are one product with B^T (row 0
-doubled) times the coefficient rows (Lambda_m, S_m, v_m, u_m), which are
-filled once per block of _BLOCK levels into a (_BLOCK, 4, nx) buffer, and the
-source dt * rho rides in the product as two constant operand rows.  The
-sensitivity solve runs the forward step itself on complex values (complex
-step).  neumann_laplacian, reaction_rhs and state_jacobian are the
-per-equation forms the steps are tested against.
+doubled) times the coefficient rows (Lambda_m, S_m, v_m, u_m), filled once per
+block of _BLOCK levels into a (_BLOCK, 4, nx) buffer, and the source dt * rho
+rides in the product as two constant operand rows.  Both steps read N from their
+operand's copy of y or p (see _stencil).  The sensitivity solve runs the forward
+step itself on complex values (complex step).  neumann_laplacian, reaction_rhs
+and state_jacobian are the per-equation forms the steps are tested against.
 """
 
 from __future__ import annotations
@@ -215,6 +215,14 @@ def _check_finite(out: np.ndarray, rows: range, what: str) -> None:
         raise IntegrationError(m, int(np.argwhere(~np.isfinite(out[m]))[0][-1]), what)
 
 
+def _stencil(rows: np.ndarray, near: np.ndarray):
+    """Views by which np.add(left, right, out=inner), then np.multiply(edge, 2.0, out=ends) at the
+    row ends it mixed, write the reflected neighbour sum of contiguous ``rows`` into ``near``."""
+    flat, nx = rows.reshape(-1), rows.shape[-1]
+    edge = rows[:, 1:nx - 1:max(nx - 3, 1)]
+    return flat[:-2], flat[2:], near.reshape(-1)[1:-1], edge, near[:, ::nx - 1]
+
+
 def _step_operator(params: ModelParams, grid: Grid):
     """Constants of one explicit Euler step on ``grid``: M' = I + dt * L - 2 * diag(c),
     with L from model._reaction_split; the (6, 3) incidence B of the moves
@@ -257,21 +265,18 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
     K = np.hstack([M, B, np.diag(c)]).astype(out.dtype)
     contact_dt = contact_dt.astype(out.dtype)
     Z = np.empty((15, grid.nx), dtype=out.dtype)
-    exposure, quarantine, treatment, near = Z[6], Z[7], Z[8], Z[9:]
-    # the neighbour sum: one sum over the flattened rows, then the row ends,
-    # where it mixes rows, set to twice columns 1 and nx - 2 (the reflected ghosts)
-    flat, near_flat = out.reshape(grid.nt + 1, -1), near.reshape(-1)
-    ends, edge = near[:, ::grid.nx - 1], slice(1, grid.nx - 1, max(grid.nx - 3, 1))
+    y, exposure, quarantine, treatment, near = Z[:6], Z[6], Z[7], Z[8], Z[9:]
+    S, I = y[_S], y[_I]
+    left, right, inner, edge, ends = _stencil(y, near)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
         for m in range(grid.nt):
-            y = out[m]
-            Z[:6] = y
-            np.add(flat[m, :-2], flat[m, 2:], out=near_flat[1:-1])
-            np.multiply(y[:, edge], 2.0, out=ends)
+            y[...] = out[m]
+            np.add(left, right, out=inner)
+            np.multiply(edge, 2.0, out=ends)
             np.dot(contact_dt, y, out=exposure)
-            exposure *= y[_S]
-            np.multiply(v[m], y[_S], out=quarantine)
-            np.multiply(u[m], y[_I], out=treatment)
+            exposure *= S
+            np.multiply(v[m], S, out=quarantine)
+            np.multiply(u[m], I, out=treatment)
             np.dot(K, Z, out=out[m + 1])
     _check_finite(out, range(1, grid.nt + 1), what)
     return out
@@ -326,10 +331,7 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     u, v, values = controls.u, controls.v, state.values
     out = np.zeros((grid.nt + 1, 6, grid.nx))
     out[grid.nt - 1] = 0.5 * rho_dt  # terminal cost sample: half trapezoid weight
-    # the neighbour sum and ends as in _integrate, read from the copy of p in Z
-    p_flat, edge = p.reshape(-1), slice(1, grid.nx - 1, max(grid.nx - 3, 1))
-    left, right, inner = p_flat[:-2], p_flat[2:], near.reshape(-1)[1:-1]
-    ends, p_edge = near[:, ::grid.nx - 1], p[:, edge]
+    left, right, inner, edge, ends = _stencil(p, near)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
         for hi in range(grid.nt, 1, -_BLOCK):  # levels lo..hi - 1, the last block down to 1
             lo = max(hi - _BLOCK, 1)
@@ -339,7 +341,7 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
             for m in range(hi - 1, lo - 1, -1):
                 p[...] = out[m]
                 np.add(left, right, out=inner)
-                np.multiply(p_edge, 2.0, out=ends)
+                np.multiply(edge, 2.0, out=ends)
                 np.dot(BT4, p, out=flows)
                 np.multiply(flows, w[m - lo], out=flows)
                 np.dot(K, Z, out=out[m - 1])

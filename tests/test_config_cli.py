@@ -261,8 +261,11 @@ class TestCli:
         # dx ** 2 in the CFL number would raise OverflowError, or divide by zero
         ("run", "grid.x_max = 1e250\n", "grid.dx = .* = 1e\\+248: its square must"),
         ("run", "grid.x_max = 1e-160\n", "grid.dx = .* = 1e-162: its square must"),
+        # 718 PiB per control field, beyond any 64-bit address space: fails at once
+        ("run", "grid.nt = 1000000000000000\n",
+         "does not fit in memory: Unable to allocate .* \\(1000000000000001, 101\\)"),
     ], ids=["negative_seed", "cfl_at_half", "x_max_inf", "x_min_inf", "dx_overflow",
-            "tau_inf", "dx_square_overflow", "dx_square_underflow"])
+            "tau_inf", "dx_square_overflow", "dx_square_underflow", "nt_beyond_memory"])
     def test_rejected_value_exit_one(self, tmp_path, capsys, command, extra, message):
         config = tmp_path / "scenario.conf"
         config.write_text(f"output.dir = {tmp_path / 'out'}\n" + extra)

@@ -2,9 +2,9 @@
 grids, against the per-equation reference forms neumann_laplacian,
 reaction_rhs and state_jacobian, of the positivity advisory, of the cost
 functional against its compartment-by-compartment form, of the discrete
-population balance, and of the box projection.  Grids keep the CFL bound and
-the positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1, except those of
-the divergence test, which keep only the CFL bound."""
+population balance, of the box projection and of the sweep.  Grids keep the
+CFL bound and the positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1,
+except those of the divergence test, which keep only the CFL bound."""
 
 import warnings
 from dataclasses import replace
@@ -68,15 +68,17 @@ def scenarios(draw, nt):
 
 
 @PROPERTY
-@given(scenarios(st.integers(1, 1)))
+@given(scenarios(st.integers(1, 12)))
 def test_forward_step_matches_reference(scenario):
+    # every level, each stepped from the level before it
     params, regions, grid, y, controls, _ = scenario
     traj = sq.forward_solve(y, controls, params, regions, grid)
     D = params.diffusion_array[:, None]
-    expected = y + grid.dt * (D * sq.neumann_laplacian(y, grid.dx) + sq.reaction_rhs(
-        y, controls.u[0], controls.v[0], params, regions.v_max))
-    np.testing.assert_allclose(traj.values[1], expected, rtol=0,
-                               atol=1e-12 * np.abs(y).max())
+    for m, y in enumerate(traj.values[:-1]):
+        expected = y + grid.dt * (D * sq.neumann_laplacian(y, grid.dx) + sq.reaction_rhs(
+            y, controls.u[m], controls.v[m], params, regions.v_max))
+        np.testing.assert_allclose(traj.values[m + 1], expected, rtol=0,
+                                   atol=1e-12 * np.abs(y).max())
 
 
 @PROPERTY
@@ -166,6 +168,34 @@ def test_projection_is_idempotent(scenario, weights):
     np.testing.assert_array_equal(np.clip(projected.u, 0.0, 1.0), projected.u)
     np.testing.assert_array_equal(
         np.clip(projected.v, 0.0, regions.v_max) * regions.mask(grid.x), projected.v)
+
+
+# fine updates of the sweep from random controls: at most 7 in 300 draws of
+# these scenarios, median 14 with the Anderson step left out
+SWEEP_UPDATES = 8
+
+
+@PROPERTY
+@given(scenarios(st.integers(1, 60)), weights_st)
+def test_sweep_converges_inside_the_box(scenario, weights):
+    # nt is a multiple of 3 or not, so the coarse start is taken in some draws
+    # and skipped in others
+    params, regions, grid, y, controls, _ = scenario
+    iterates, sweep = [], sq.SweepSettings()
+    _, _, returned, report = sq.fbsm_solve(
+        y, controls, params, weights, regions, grid, sweep, on_iterate=iterates.append)
+    assert report.converged and report.iterations <= SWEEP_UPDATES
+    state = sq.forward_solve(y, returned, params, regions, grid)
+    adjoint = sq.adjoint_solve(state, returned, weights, params, regions, grid)
+    projected = sq.project_controls(state, adjoint, weights, regions, grid)
+    assert max(np.abs(projected.u - returned.u).max(),
+               np.abs(projected.v - returned.v).max()) <= sweep.tolerance
+    off = ~regions.mask(grid.x)
+    for it in iterates:
+        assert it.u.min() >= 0.0 and it.u.max() <= 1.0
+        assert it.v.min() >= 0.0 and it.v.max() <= regions.v_max
+        assert np.all(it.v[:, off] == 0.0)
+    assert np.all(np.isfinite(report.cost_history))
 
 
 def reference_cost(state, controls, weights, regions, grid):

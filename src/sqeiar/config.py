@@ -213,20 +213,29 @@ def load_config(path) -> ScenarioConfig:
     return parse_config_text(text, base_dir=path.parent)
 
 
-def render_defaults() -> str:
-    """The fully-resolved default configuration in the accepted file format."""
-    cfg = ScenarioConfig()
-    lines = ["# fully-resolved default scenario"]
-    lines += [f"{key} = {getattr(getattr(cfg, attr), name)}"
-              for key, (attr, name, _) in _KEYS.items()]
-    lines.append(f"model.diffusion = {cfg.params.diffusion[0]}")
+def render_config(config: ScenarioConfig) -> str:
+    """``config`` in the accepted file format, one key per line, so that
+    parse_config_text gives it back.  The diffusion is one value when all six
+    coefficients agree and model.d1 ... model.d6 otherwise."""
+    lines = [f"{key} = {getattr(getattr(config, attr), name)}"
+             for key, (attr, name, _) in _KEYS.items()]
+    diffusion = config.params.diffusion
+    if len(set(diffusion)) == 1:
+        lines.append(f"model.diffusion = {diffusion[0]}")
+    else:
+        lines += [f"{key} = {diffusion[i]}" for key, i in _DIFFUSION_KEYS.items()]
     lines += [f"regions.{idx} = {a}, {b}"
-              for idx, (a, b) in enumerate(cfg.regions.regions, start=1)]
-    lines += [f"initial.{name} = {spec}" for name, spec in cfg.profiles.items()]
+              for idx, (a, b) in enumerate(config.regions.regions, start=1)]
+    lines += [f"initial.{name} = {spec}" for name, spec in config.profiles.items()]
     lines += [
-        f"output.mode = {cfg.mode}",
-        f"output.dir = {cfg.output_dir}",
-        f"output.stride = {cfg.stride}",
-        f"output.seed = {cfg.seed}",
+        f"output.mode = {config.mode}",
+        f"output.dir = {config.output_dir}",
+        f"output.stride = {config.stride}",
+        f"output.seed = {config.seed}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def render_defaults() -> str:
+    """The fully-resolved default configuration in the accepted file format."""
+    return "# fully-resolved default scenario\n" + render_config(ScenarioConfig())

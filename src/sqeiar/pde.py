@@ -310,6 +310,14 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     require_aligned(grid, regions, state, controls)
     if not np.all(np.isfinite(state.values)):
         raise ContractError("state trajectory contains non-finite values")
+    return _adjoint_solve(state, controls, weights, params, regions, grid)
+
+
+def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
+                   params: ModelParams, regions: QuarantineRegions,
+                   grid: Grid) -> Trajectory:
+    """adjoint_solve without its entry checks, for a state that forward_solve
+    returned for ``controls`` on ``grid``: its _check_finite certified it."""
     rho = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
 
     M, B, c, contact_dt = _step_operator(params, grid)

@@ -92,9 +92,10 @@ def positivity_check(traj: Trajectory) -> CheckReport:
     """Most negative compartment value, normalized by the initial population."""
     wx = traj.grid.space_weights()
     scale = max(float(traj.values[0].sum(axis=0) @ wx), 1.0)
-    most_negative = float(traj.values.min())
-    measured = max(0.0, -most_negative) / scale
+    # one scan; where min would return NaN, argmin points at the first NaN
     step, comp, node = np.unravel_index(traj.values.argmin(), traj.values.shape)
+    most_negative = float(traj.values[step, comp, node])
+    measured = max(0.0, -most_negative) / scale
     return CheckReport(
         name="positivity",
         passed=measured <= POSITIVITY_BOUND,

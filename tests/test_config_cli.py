@@ -9,6 +9,7 @@ import pytest
 import sqeiar as sq
 from sqeiar.cli import main
 from sqeiar.config import _KEYS, ConfigError, parse_config_text, render_defaults
+from sqeiar.runner import _CSV_VALUES, _write_csv
 
 
 def read_field_csv(path):
@@ -146,6 +147,22 @@ class TestOutputs:
         stored = summary.baseline.trajectory.s
         np.testing.assert_array_equal(values[0], stored[0])
         np.testing.assert_array_equal(values[-1], stored[-1])
+
+    @pytest.mark.parametrize("rows, columns", [(1, 1), (1, 7), (_CSV_VALUES // 8, 8),
+                                               (_CSV_VALUES // 4 + 5, 12), (9, _CSV_VALUES + 3)])
+    def test_csv_bytes_match_savetxt(self, tmp_path, rows, columns):
+        # zeros, signed zeros, negatives and magnitudes from 1e-300 to 1e300,
+        # in one row, in one full block, in more rows than one block, and in
+        # rows wider than a block
+        rng = np.random.default_rng(rows * columns)
+        table = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-300, 301,
+                                                                       (rows, columns))
+        table.flat[::5] = 0.0
+        table.flat[1::7] = -0.0
+        _write_csv(tmp_path / "block.csv", "t,x", table[:, 0], table[:, 1:])
+        np.savetxt(tmp_path / "rows.csv", table, fmt="%.17g", delimiter=",",
+                   header="t,x", comments="")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_aggregates_initial_population(self, tmp_path):
         from dataclasses import replace

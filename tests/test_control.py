@@ -226,6 +226,24 @@ class TestSweep:
             assert it.v.min() >= 0.0 and it.v.max() <= two.v_max
             assert np.all(it.v[:, off] == 0.0)
 
+    def test_coarse_start_stops_at_root_of_tolerance(self, small_config):
+        # the coarse start is the sweep on nt / 3 from every third level, run
+        # to sqrt(tolerance) only; 100 coarse steps are no multiple of 3, so
+        # the direct call below makes no coarse start of its own
+        grid = small_config.grid
+        initial = small_config.initial_array()
+        zero = sq.ControlPair.zeros(grid, WHOLE)
+        sweep = sq.SweepSettings()
+        _, _, _, report = sq.fbsm_solve(initial, zero, TABLE, sq.CostWeights(), WHOLE,
+                                        grid, sweep)
+        coarse = replace(grid, nt=grid.nt // COARSE_FACTOR)
+        start = sq.ControlPair(zero.u[::COARSE_FACTOR], zero.v[::COARSE_FACTOR], coarse,
+                               WHOLE)
+        _, _, _, direct = sq.fbsm_solve(initial, start, TABLE, sq.CostWeights(), WHOLE,
+                                        coarse, replace(sweep, tolerance=sweep.tolerance ** 0.5))
+        assert direct.coarse_iterations == 0 and direct.converged
+        assert report.converged and report.coarse_iterations == direct.iterations > 0
+
     @pytest.mark.parametrize("case", ["nt_not_multiple", "coarse_cfl", "coarse_advisory"])
     def test_coarse_start_skipped(self, small_config, case):
         params, grid = {

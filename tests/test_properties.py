@@ -2,9 +2,10 @@
 grids, against the per-equation reference forms neumann_laplacian,
 reaction_rhs and state_jacobian, of the positivity advisory, of the cost
 functional against its compartment-by-compartment form, of the discrete
-population balance, of the box projection and of the sweep.  Grids keep the
-CFL bound and the positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1,
-except those of the divergence test, which keep only the CFL bound."""
+population balance, of the box projection, of the sweep and of the config
+round trip.  Grids keep the CFL bound and the positivity advisory's bound
+2*D*dt/dx^2 + dt*rate < 1, except those of the divergence test, which keep
+only the CFL bound."""
 
 import warnings
 from dataclasses import replace
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqeiar as sq
+from sqeiar.config import MODES, PROFILE_NAMES, parse_config_text, render_config
 from sqeiar.model import rho_source
 from sqeiar.pde import _BLOCK, positivity_bound
 
@@ -290,3 +292,30 @@ def test_divergence_reported_where_it_first_happens(scenario):
             solve()
         assert (err.value.step, err.value.node) == expected
         assert str(err.value).startswith(f"non-finite {what} value")
+
+
+@st.composite
+def configs(draw):
+    """Random ScenarioConfig: six equal or six drawn diffusion coefficients,
+    regions inside a domain around [0, 1], and nt drawn above the CFL bound."""
+    diffusion = draw(st.one_of(st.floats(1e-4, 1e-2).map(lambda d: (d,) * 6),
+                               st.tuples(*[st.floats(1e-4, 1e-2)] * 6)))
+    params = replace(draw(params_st), diffusion=diffusion)
+    x_min, x_max = draw(st.floats(-1.0, 0.0)), draw(st.floats(1.0, 2.0))
+    nx, tau = draw(st.integers(3, 200)), draw(st.floats(0.1, 100.0))
+    dx = (x_max - x_min) / (nx - 1)
+    nt = draw(st.integers(1, 1000)) + int(2.0 * max(diffusion) * tau / dx ** 2)
+    sweep = sq.SweepSettings(draw(st.floats(1e-10, 1.0)), draw(st.integers(1, 1000)),
+                             draw(st.floats(0.0, 1.0, exclude_min=True)))
+    profiles = {name: draw(st.sampled_from(PROFILE_NAMES)) for name in "sqeair"}
+    return sq.ScenarioConfig(
+        params=params, weights=draw(weights_st), regions=draw(regions_st()),
+        grid=sq.Grid(x_min, x_max, nx, tau, nt), profiles=profiles, sweep=sweep,
+        mode=draw(st.sampled_from(MODES)), seed=draw(st.integers(0, 2 ** 63)),
+        stride=draw(st.integers(1, 10 ** 6)))
+
+
+@PROPERTY
+@given(configs())
+def test_rendered_config_parses_back(config):
+    assert parse_config_text(render_config(config)) == config

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import sqeiar as sq
-from sqeiar.model import ModelParams, QuarantineRegions
+from sqeiar.model import COMPARTMENTS, ModelParams, QuarantineRegions
+from sqeiar.verify import POSITIVITY_BOUND
 
 from helpers import time_to_threshold
 
@@ -89,6 +90,28 @@ class TestPositivity:
         report = sq.positivity_check(broken)
         assert not report.passed
         assert "I" in report.detail
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_report_matches_separate_min_and_argmin(self, seed):
+        # the report that separate min() and argmin() scans give; in the last
+        # two seeds a NaN, which min() returns and argmin() points at
+        rng = np.random.default_rng(seed)
+        grid = sq.Grid(nx=11, tau=1.0, nt=20)
+        values = rng.uniform(0.0, 1e4, (grid.nt + 1, 6, grid.nx))
+        values.flat[rng.integers(values.size, size=3)] = -rng.uniform(0.0, 10.0, 3)
+        if seed >= 3:
+            values.flat[rng.integers(values.size)] = np.nan
+        traj = sq.Trajectory(values, grid)
+        scale = max(float(values[0].sum(axis=0) @ grid.space_weights()), 1.0)
+        most_negative = float(values.min())
+        step, comp, node = np.unravel_index(values.argmin(), values.shape)
+        measured = max(0.0, -most_negative) / scale
+        assert sq.positivity_check(traj) == sq.CheckReport(
+            name="positivity", passed=measured <= POSITIVITY_BOUND, measured=measured,
+            bound=POSITIVITY_BOUND,
+            detail=(f"most negative value {most_negative:.6g} "
+                    f"({COMPARTMENTS[comp]} at step {step}, node {node}), "
+                    f"scale {scale:.6g}"))
 
 
 class TestGradientOracle:

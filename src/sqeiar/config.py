@@ -216,7 +216,8 @@ def load_config(path) -> ScenarioConfig:
 def render_config(config: ScenarioConfig) -> str:
     """``config`` in the accepted file format, one key per line, so that
     parse_config_text gives it back.  The diffusion is one value when all six
-    coefficients agree and model.d1 ... model.d6 otherwise."""
+    coefficients agree and model.d1 ... model.d6 otherwise.  A value that holds
+    '#', which starts a comment in that format, raises ConfigError naming its key."""
     lines = [f"{key} = {getattr(getattr(config, attr), name)}"
              for key, (attr, name, _) in _KEYS.items()]
     diffusion = config.params.diffusion
@@ -233,6 +234,11 @@ def render_config(config: ScenarioConfig) -> str:
         f"output.stride = {config.stride}",
         f"output.seed = {config.seed}",
     ]
+    for line in lines:
+        key, _, value = line.partition(" = ")
+        if "#" in value:
+            raise ConfigError(f"{key}: value '{value}' holds '#', which starts a comment "
+                              f"in the config format")
     return "\n".join(lines) + "\n"
 
 

@@ -7,11 +7,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ContractError, CostWeights, ModelParams, QuarantineRegions, check_controls,
-                    rho_source)
+from .model import ContractError, CostWeights, ModelParams, QuarantineRegions, rho_source
 from .pde import (
     Grid,
     Trajectory,
+    _check_controls,
     _check_initial,
     forward_solve,
     positivity_bound,
@@ -43,10 +43,7 @@ class ControlPair:
         shape = (self.grid.nt + 1, self.grid.nx)
         if self.u.shape != shape or self.v.shape != shape:
             raise ContractError(f"control fields must have shape {shape}")
-        check_controls(self.u, self.v, self.regions.v_max)
-        off = ~self.regions.mask(self.grid.x)  # column reductions keep NaN
-        if np.any(self.v.min(axis=0)[off] != 0) or np.any(self.v.max(axis=0)[off] != 0):
-            raise ContractError("quarantine control nonzero outside the regions")
+        _check_controls(self.u, self.v, self.regions, self.grid)
 
     @classmethod
     def zeros(cls, grid: Grid, regions: QuarantineRegions) -> "ControlPair":
@@ -185,7 +182,7 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
     ``grid`` is reported, not raised.  ``on_iterate`` (if given) receives
     each updated ControlPair on ``grid``.
     """
-    _check_initial(initial_state, initial_controls, params, regions, grid)
+    _check_initial(initial_state, params, regions, grid, initial_controls)
     coarse = _coarse_grid(initial_state, params, regions, grid)
     start, coarse_iterations = initial_controls, 0
     if coarse is not None:

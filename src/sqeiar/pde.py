@@ -12,8 +12,16 @@ _step_operator): the forward step is [M' | B | diag(c)] @ [y; F; N(y)], with
 M' = I + dt * L - 2 * diag(c) (L from model._reaction_split, which holds the
 linear exposure beta * S), the flows F = ((dt * contact) @ y * S, v * S, u * I)
 moved by the incidence matrix B, c = D*dt/dx^2 and N the reflected neighbour
-sum: 8 numpy calls per step.  The adjoint step is its exact transpose in the
-same form, 6 numpy calls per step: its flows are one product with B^T (row 0
+sum: 8 numpy calls per step.  The forward step carries a batch axis: B
+scenarios that share the initial profiles and differ in their controls step
+together, their rows side by side in one (15, B * nx) operand, so a step is
+still one product and 8 calls whatever B is, and each member is bitwise its
+own solve.  forward_solve and sensitivity_solve are the batch of one;
+_forward_batch, through which the check oracles make their bumped solves,
+takes B stacked control pairs.
+
+The adjoint step is the forward step's exact transpose in the same form, 6
+numpy calls per step: its flows are one product with B^T (row 0
 doubled) times the coefficient rows (Lambda_m, S_m, v_m, u_m), filled once per
 block of _BLOCK levels into a (_BLOCK, 4, nx) buffer, and the source dt * rho
 rides in the product as two constant operand rows.  Both steps read N from their
@@ -39,6 +47,7 @@ from .model import (
     ModelParams,
     QuarantineRegions,
     _reaction_split,
+    check_controls,
     rho_source,
 )
 
@@ -206,7 +215,8 @@ def neumann_laplacian(row: np.ndarray, dx: float) -> np.ndarray:
 
 def _check_finite(out: np.ndarray, rows: range, what: str) -> None:
     """Raise IntegrationError at the first non-finite row in computation order ``rows``,
-    at its first bad node.  The last row decides: each step is one product K @ Z in
+    at its first bad node; in a batch, the member-local node of the first bad entry in
+    (compartment, member, node) order.  The last row decides: each step is one product K @ Z in
     which every entry of the departure row reaches the next row through K's diagonal
     and, with the factor D*dt/dx^2 > 0, its stencil column; IEEE sums and products,
     0 * inf included, keep a non-finite operand non-finite."""
@@ -217,7 +227,8 @@ def _check_finite(out: np.ndarray, rows: range, what: str) -> None:
 
 def _stencil(rows: np.ndarray, near: np.ndarray):
     """Views by which np.add(left, right, out=inner), then np.multiply(edge, 2.0, out=ends) at the
-    row ends it mixed, write the reflected neighbour sum of contiguous ``rows`` into ``near``."""
+    row ends it mixed, write the reflected neighbour sum of contiguous ``rows`` into ``near``;
+    each row of length nx reflects on its own, so a batch's (6 * B, nx) view works as one."""
     flat, nx = rows.reshape(-1), rows.shape[-1]
     edge = rows[:, 1:nx - 1:max(nx - 3, 1)]
     return flat[:-2], flat[2:], near.reshape(-1)[1:-1], edge, near[:, ::nx - 1]
@@ -238,46 +249,68 @@ def _step_operator(params: ModelParams, grid: Grid):
     return np.eye(6) + dt * L - 2.0 * np.diag(c), B, c, dt * contact
 
 
-def _check_initial(initial, controls, params: ModelParams,
-                   regions: QuarantineRegions, grid: Grid) -> None:
-    """Entry checks of the forward map at (initial, controls)."""
+def _check_controls(u: np.ndarray, v: np.ndarray, regions: QuarantineRegions,
+                    grid: Grid) -> None:
+    """The admissible box of (u, v), and v zero off ``regions``, for fields of shape
+    (nt + 1, nx) or stacks of them of shape (nt + 1, B, nx)."""
+    check_controls(u, v, regions.v_max)
+    off = ~regions.mask(grid.x)
+    levels = tuple(range(v.ndim - 1))  # reductions over all but the nodes keep NaN
+    if np.any(v.min(axis=levels)[..., off] != 0) or np.any(v.max(axis=levels)[..., off] != 0):
+        raise ContractError("quarantine control nonzero outside the regions")
+
+
+def _check_initial(initial, params: ModelParams, regions: QuarantineRegions, grid: Grid,
+                   *controls) -> None:
+    """Entry checks of the forward map at ``initial``, on ``grid``, with ``controls``."""
     if np.shape(initial) != (6, grid.nx):
         raise ContractError(f"initial profiles must have shape (6, {grid.nx})")
     if not (np.min(initial) >= 0 and np.max(initial) < np.inf):  # NaN fails both
         raise ContractError("initial profiles must be finite and nonnegative")
     grid.check_cfl(params)
-    require_aligned(grid, regions, controls)
+    require_aligned(grid, regions, *controls)
 
 
 def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
                params: ModelParams, grid: Grid, what: str) -> np.ndarray:
-    """Explicit Euler steps from ``initial`` in the dtype of the controls,
-    read at each step's departure level; shape (nt + 1, 6, nx).
+    """Explicit Euler steps from ``initial`` of the B control pairs stacked in u and v,
+    shape (nt + 1, B, nx), in their dtype, read at each step's departure level;
+    shape (nt + 1, 6, B, nx).
 
     The step must stay analytic in (y, u, v): sums and products only, no abs,
     clip, maximum or comparison on state or controls, or the complex step of
     sensitivity_solve silently gives a wrong derivative.
     """
-    out = np.empty((grid.nt + 1, 6, grid.nx), dtype=np.result_type(float, u, v))
-    out[0] = initial
+    batch, nx = u.shape[1:]
+    out = np.empty((grid.nt + 1, 6, batch, nx), dtype=np.result_type(float, u, v))
+    out[0] = initial[:, None]
+    levels = out.reshape(grid.nt + 1, 6, batch * nx)  # level m: members side by side per row
+    u, v = u.reshape(grid.nt + 1, batch * nx), v.reshape(grid.nt + 1, batch * nx)
     M, B, c, contact_dt = _step_operator(params, grid)
     # one product per step: out[m + 1] = [M' | B | diag(c)] @ [y; flows; neighbour sum]
     K = np.hstack([M, B, np.diag(c)]).astype(out.dtype)
     contact_dt = contact_dt.astype(out.dtype)
-    Z = np.empty((15, grid.nx), dtype=out.dtype)
+    Z = np.empty((15, batch * nx), dtype=out.dtype)
     y, exposure, quarantine, treatment, near = Z[:6], Z[6], Z[7], Z[8], Z[9:]
     S, I = y[_S], y[_I]
-    left, right, inner, edge, ends = _stencil(y, near)
+    # a BLAS gemv may round the tail of its row by another path (OpenBLAS: the last
+    # length % 4 entries), so a batch makes contact_dt @ y one gemv per member
+    # (np.matmul over the member axis): each member is then bitwise its own solve
+    members, member_exposure = y.reshape(6, batch, nx).swapaxes(0, 1), exposure.reshape(batch, nx)
+    left, right, inner, edge, ends = _stencil(y.reshape(-1, nx), near.reshape(-1, nx))
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
         for m in range(grid.nt):
-            y[...] = out[m]
+            y[...] = levels[m]
             np.add(left, right, out=inner)
             np.multiply(edge, 2.0, out=ends)
-            np.dot(contact_dt, y, out=exposure)
+            if batch == 1:  # np.dot: the same gemv, with less call overhead
+                np.dot(contact_dt, y, out=exposure)
+            else:
+                np.matmul(contact_dt, members, out=member_exposure)
             exposure *= S
             np.multiply(v[m], S, out=quarantine)
             np.multiply(u[m], I, out=treatment)
-            np.dot(K, Z, out=out[m + 1])
+            np.dot(K, Z, out=levels[m + 1])
     _check_finite(out, range(1, grid.nt + 1), what)
     return out
 
@@ -290,8 +323,23 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
     are read at the time level from which each step departs, v as given:
     ControlPair keeps it zero off the regions.
     """
-    _check_initial(initial, controls, params, regions, grid)
-    return Trajectory(_integrate(initial, controls.u, controls.v, params, grid, "state"), grid)
+    _check_initial(initial, params, regions, grid, controls)
+    out = _integrate(initial, controls.u[:, None], controls.v[:, None], params, grid, "state")
+    return Trajectory(out[:, :, 0], grid)
+
+
+def _forward_batch(initial: np.ndarray, u: np.ndarray, v: np.ndarray, params: ModelParams,
+                   regions: QuarantineRegions, grid: Grid) -> np.ndarray:
+    """forward_solve of the B control pairs (u[:, b], v[:, b]) stacked in two arrays
+    of shape (nt + 1, B, nx), in one step loop: shape (nt + 1, 6, B, nx), member b
+    at [:, :, b].  The stack is checked once, as ControlPair checks one pair."""
+    _check_initial(initial, params, regions, grid)
+    if np.ndim(u) != 3 or np.shape(u)[::2] != (grid.nt + 1, grid.nx) \
+            or np.shape(u)[1] < 1 or np.shape(v) != np.shape(u):
+        raise ContractError(f"stacked controls must be two arrays of shape "
+                            f"({grid.nt + 1}, B, {grid.nx}) with B >= 1")
+    _check_controls(u, v, regions, grid)
+    return _integrate(initial, u, v, params, grid, "state")
 
 
 def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
@@ -367,7 +415,7 @@ def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
     Im F(u + i*h*h_u, v + i*h*h_v) / h, exact to roundoff: second-order
     terms are h^2 = 1e-60 below the real values.
     """
-    _check_initial(initial, controls, params, regions, grid)
+    _check_initial(initial, params, regions, grid, controls)
     shape = (grid.nt + 1, grid.nx)
     h_u = np.asarray(h_u, dtype=float)
     h_v = np.asarray(h_v, dtype=float)
@@ -378,5 +426,5 @@ def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
     h = 1e-30
     u = controls.u + 1j * h * h_u
     v = controls.v + 1j * h * (h_v * regions.mask(grid.x))
-    out = _integrate(initial, u, v, params, grid, "sensitivity")
-    return Trajectory(out.imag / h, grid)
+    out = _integrate(initial, u[:, None], v[:, None], params, grid, "sensitivity")
+    return Trajectory(out[:, :, 0].imag / h, grid)

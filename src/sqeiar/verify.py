@@ -10,7 +10,8 @@ import numpy as np
 
 from .control import ControlPair, cost_functional, cost_gradient, directional_derivative
 from .model import COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
-from .pde import Grid, Trajectory, adjoint_solve, forward_solve, sensitivity_solve
+from .pde import (Grid, Trajectory, _forward_batch, adjoint_solve, forward_solve,
+                  sensitivity_solve)
 
 DEFAULT_SEED = 42
 
@@ -89,13 +90,15 @@ def mass_balance_check(traj: Trajectory, params: ModelParams,
 
 
 def positivity_check(traj: Trajectory) -> CheckReport:
-    """Most negative compartment value, normalized by the initial population."""
+    """Most negative compartment value, normalized by the initial population;
+    a NaN anywhere fails the check, with measured NaN."""
     wx = traj.grid.space_weights()
     scale = max(float(traj.values[0].sum(axis=0) @ wx), 1.0)
     # one scan; where min would return NaN, argmin points at the first NaN
     step, comp, node = np.unravel_index(traj.values.argmin(), traj.values.shape)
     most_negative = float(traj.values[step, comp, node])
-    measured = max(0.0, -most_negative) / scale
+    # a NaN fails the check: max(0.0, -nan) would give 0.0
+    measured = np.nan if np.isnan(most_negative) else max(0.0, -most_negative) / scale
     return CheckReport(
         name="positivity",
         passed=measured <= POSITIVITY_BOUND,
@@ -108,24 +111,25 @@ def positivity_check(traj: Trajectory) -> CheckReport:
 
 
 def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
-                       rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Perturbation directions: uniform in the admissible box, mean-centered.
 
-    Returned as (h_u, h_v) array pairs of shape (nt + 1, nx), h_v zero off
-    the region mask; the entries are signed and are NOT admissible controls.
+    Returned stacked as two arrays h_u, h_v of shape (nt + 1, count, nx),
+    direction i at [:, i], h_v zero off the region mask; the entries are
+    signed and are NOT admissible controls.
     """
     shape = (grid.nt + 1, grid.nx)
     mask = regions.mask(grid.x).astype(float)
-    directions = []
-    for _ in range(count):
-        h_u = rng.uniform(0.0, 1.0, shape)
-        h_u -= h_u.mean()
-        h_v = rng.uniform(0.0, regions.v_max, shape) * mask
-        if mask.any():  # else h_v stays zero: no node lies in a region
-            h_v -= h_v[:, mask.astype(bool)].mean()
-            h_v *= mask
-        directions.append((h_u, h_v))
-    return directions
+    h_u, h_v = np.empty((2, grid.nt + 1, count, grid.nx))
+    for i in range(count):
+        du = rng.uniform(0.0, 1.0, shape)
+        du -= du.mean()
+        dv = rng.uniform(0.0, regions.v_max, shape) * mask
+        if mask.any():  # else dv stays zero: no node lies in a region
+            dv -= dv[:, mask.astype(bool)].mean()
+            dv *= mask
+        h_u[:, i], h_v[:, i] = du, dv
+    return h_u, h_v
 
 
 def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
@@ -135,23 +139,37 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
     the Richardson combination of one-sided divided differences at the two
     epsilons, and check first-order decay of the one-sided errors."""
     first, last = epsilons = GRADIENT_EPSILONS
-    rng = np.random.default_rng(seed)
-    directions = _random_directions(grid, regions, GRADIENT_DIRECTIONS, rng)
+    h_u, h_v = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
+                                  np.random.default_rng(seed))
 
     state = forward_solve(initial, base, params, regions, grid)
     adjoint = adjoint_solve(state, base, weights, params, regions, grid)
     grad_u, grad_v = cost_gradient(state, adjoint, base, weights, regions, grid)
     j_base = cost_functional(state, base, weights, regions, grid)
+    predicted = np.array([[directional_derivative(grad_u, grad_v, base, weights,
+                                                  h_u[:, i], h_v[:, i], grid)]
+                          for i in range(GRADIENT_DIRECTIONS)])
+    del state, adjoint, grad_u, grad_v, h_u, h_v  # room for the batched solves below
 
-    # fd[i]: divided differences along direction i per epsilon, then Richardson's
+    # fd[i]: divided differences along direction i per epsilon, then Richardson's;
+    # one batched solve per epsilon, member i along direction i.  The directions
+    # are drawn again from the seed and bumped in place, so that the batch's
+    # controls are the only stack alive.
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
-    predicted = np.zeros((GRADIENT_DIRECTIONS, 1))
-    for i, (h_u, h_v) in enumerate(directions):
-        predicted[i] = directional_derivative(grad_u, grad_v, base, weights, h_u, h_v, grid)
-        for k, eps in enumerate(epsilons):
-            plus = ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
-            bumped = forward_solve(initial, plus, params, regions, grid)
-            fd[i, k] = (cost_functional(bumped, plus, weights, regions, grid) - j_base) / eps
+    for k, eps in enumerate(epsilons):
+        u, v = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
+                                  np.random.default_rng(seed))
+        for stack, field in ((u, base.u), (v, base.v)):
+            stack *= eps
+            stack += field[:, None]
+        values = _forward_batch(initial, u, v, params, regions, grid)
+        # member i's controls and trajectory as views into the stacks
+        costs = [cost_functional(Trajectory(values[:, :, i], grid),
+                                 ControlPair(u[:, i], v[:, i], grid, regions),
+                                 weights, regions, grid)
+                 for i in range(GRADIENT_DIRECTIONS)]
+        fd[:, k] = (np.array(costs) - j_base) / eps
+        del u, v, values  # before the next batch is made
     fd[:, 2] = (first * fd[:, 1] - last * fd[:, 0]) / (first - last)
     errors = np.abs(fd - predicted) / np.maximum(np.abs(fd), 1e-300)
     worst = float(errors[:, 2].max())
@@ -176,10 +194,10 @@ def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelPara
     analytic; these black-box differences catch a step that is not."""
     epsilons = SENSITIVITY_EPSILONS
     rng = np.random.default_rng(seed)
-    h_u, h_v = _random_directions(grid, regions, 1, rng)[0]
+    h_u, h_v = _random_directions(grid, regions, 1, rng)
 
     state = forward_solve(initial, base, params, regions, grid)
-    lin = sensitivity_solve(initial, base, h_u, h_v, params, regions, grid)
+    lin = sensitivity_solve(initial, base, h_u[:, 0], h_v[:, 0], params, regions, grid)
 
     wx = grid.space_weights()
     wt = grid.time_weights()
@@ -188,12 +206,16 @@ def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelPara
         return float(np.sqrt(wt @ ((block ** 2).sum(axis=1) @ wx)))
 
     scale = max(l2(lin.values), 1e-300)
+    # one batched solve, member k along the direction at epsilons[k]
+    steps = np.array(epsilons)[:, None]
+    bumped = _forward_batch(initial, base.u[:, None] + steps * h_u,
+                            base.v[:, None] + steps * h_v, params, regions, grid)
     errs = []
-    for eps in epsilons:
-        shifted = ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
-        bumped = forward_solve(initial, shifted, params, regions, grid)
-        divided = (bumped.values - state.values) / eps
-        errs.append(l2(divided - lin.values) / scale)
+    for k, eps in enumerate(epsilons):  # in place: one temporary field per member
+        divided = np.subtract(bumped[:, :, k], state.values)
+        divided /= eps
+        divided -= lin.values
+        errs.append(l2(divided) / scale)
 
     lo, hi = DECAY_RATIO_RANGE
     ratio = errs[0] / max(errs[-1], 1e-300)

@@ -229,7 +229,8 @@ class TestAdjointSolve:
         wx, wt = grid.space_weights(), grid.time_weights()
         rho_wx = rho_source(grid.x, regions, weights) * wx
         rng = np.random.default_rng(3)
-        for h_u, h_v in _random_directions(grid, regions, 3, rng):
+        h_us, h_vs = _random_directions(grid, regions, 3, rng)
+        for h_u, h_v in zip(h_us.swapaxes(0, 1), h_vs.swapaxes(0, 1)):
             Y = sq.sensitivity_solve(initial, controls, h_u, h_v, TABLE, regions, grid)
             control_part = wt @ ((weights.sigma1 * controls.u * h_u) @ wx
                                  + (weights.sigma2 * controls.v * h_v) @ wx)

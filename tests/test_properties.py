@@ -2,13 +2,14 @@
 grids, against the per-equation reference forms neumann_laplacian,
 reaction_rhs and state_jacobian, of the positivity advisory, of the cost
 functional against its compartment-by-compartment form, of the discrete
-population balance, of the box projection, of the sweep and of the config
-round trip.  Grids keep the CFL bound and the positivity advisory's bound
-2*D*dt/dx^2 + dt*rate < 1, except those of the divergence test, which keep
-only the CFL bound."""
+population balance, of the box projection, of the sweep, of batched forward
+solves against single ones and of the config round trip.  Grids keep the CFL
+bound and the positivity advisory's bound 2*D*dt/dx^2 + dt*rate < 1, except
+those of the divergence tests, which keep only the CFL bound."""
 
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqeiar as sq
-from sqeiar.config import MODES, PROFILE_NAMES, parse_config_text, render_config
+from sqeiar.config import MODES, PROFILE_NAMES, ConfigError, parse_config_text, render_config
 from sqeiar.model import rho_source
-from sqeiar.pde import _BLOCK, positivity_bound
+from sqeiar.pde import _BLOCK, _forward_batch, positivity_bound
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -294,6 +295,66 @@ def test_divergence_reported_where_it_first_happens(scenario):
         assert str(err.value).startswith(f"non-finite {what} value")
 
 
+@PROPERTY
+@given(scenarios(st.integers(1, 12)), st.integers(1, 6))
+def test_batched_members_equal_single_solves(scenario, batch):
+    params, regions, grid, y, _, rng = scenario
+    shape = (grid.nt + 1, batch, grid.nx)
+    u = rng.uniform(0.0, 1.0, shape)
+    v = rng.uniform(0.0, regions.v_max, shape) * regions.mask(grid.x)
+    values = _forward_batch(y, u, v, params, regions, grid)
+    for b in range(batch):
+        single = sq.forward_solve(y, sq.ControlPair(u[:, b], v[:, b], grid, regions),
+                                  params, regions, grid)
+        np.testing.assert_allclose(values[:, :, b], single.values, rtol=0,
+                                   atol=1e-15 * np.abs(single.values).max())
+
+
+@st.composite
+def one_diverging_batch(draw):
+    """2 to 6 stacked control pairs over 1500 steps of dt in [4, 30], all but
+    member ``bad`` stable: the rates are scaled so that the positivity advisory's
+    sum 2 * D*dt/dx^2 + dt * rates stays below 0.9 at controls of at most 0.04 / dt
+    and profiles of at most 1, while member ``bad`` has u in [0.9, 1], whose
+    treatment outflow dt * u * I >= 3.6 makes its step unstable."""
+    nx, nt, batch = draw(st.integers(3, 15)), 1500, draw(st.integers(2, 6))
+    dt, dx = draw(st.floats(4.0, 30.0)), 1.0 / (nx - 1)
+    cfl = draw(st.floats(0.05, 0.2))
+    weights = draw(st.tuples(*[st.floats(0.1, 1.0)] * 6))
+    p, s = draw(params_st), draw(st.floats(0.005, 0.04)) / dt
+    params = replace(p, beta=s * p.beta, delta=s * p.delta, mu=s * p.mu, q=1.0 - s * (1.0 - p.q),
+                     xi=s * p.xi, k=s * p.k, eta=s * p.eta, f=s * p.f,
+                     diffusion=tuple(cfl * dx ** 2 / dt * w for w in weights))
+    regions, grid = draw(regions_st()), sq.Grid(nx=nx, tau=nt * dt, nt=nt)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    initial = rng.uniform(0.0, 1.0, (6, nx))
+    shape = (nt + 1, batch, nx)
+    u = rng.uniform(0.0, s, shape)
+    v = rng.uniform(0.0, min(s, regions.v_max), shape) * regions.mask(grid.x)
+    bad = draw(st.integers(0, batch - 1))
+    u[:, bad] = rng.uniform(0.9, 1.0, (nt + 1, nx))
+    return params, regions, grid, initial, u, v, bad
+
+
+def raised(solve):
+    """(step, node, message) of the IntegrationError that ``solve()`` raises."""
+    try:
+        solve()
+    except sq.IntegrationError as err:
+        return err.step, err.node, str(err)
+    pytest.fail("the solve did not diverge")
+
+
+@PROPERTY
+@given(one_diverging_batch())
+def test_batched_divergence_reported_as_in_its_member(scenario):
+    params, regions, grid, y, u, v, bad = scenario
+    _forward_batch(y, np.delete(u, bad, 1), np.delete(v, bad, 1), params, regions, grid)
+    alone = raised(lambda: sq.forward_solve(
+        y, sq.ControlPair(u[:, bad], v[:, bad], grid, regions), params, regions, grid))
+    assert raised(lambda: _forward_batch(y, u, v, params, regions, grid)) == alone
+
+
 @st.composite
 def configs(draw):
     """Random ScenarioConfig: six equal or six drawn diffusion coefficients,
@@ -308,14 +369,20 @@ def configs(draw):
     sweep = sq.SweepSettings(draw(st.floats(1e-10, 1.0)), draw(st.integers(1, 1000)),
                              draw(st.floats(0.0, 1.0, exclude_min=True)))
     profiles = {name: draw(st.sampled_from(PROFILE_NAMES)) for name in "sqeair"}
+    output_dir = Path(draw(st.text(st.sampled_from("ab1_-./#"), min_size=1, max_size=12)))
     return sq.ScenarioConfig(
         params=params, weights=draw(weights_st), regions=draw(regions_st()),
         grid=sq.Grid(x_min, x_max, nx, tau, nt), profiles=profiles, sweep=sweep,
         mode=draw(st.sampled_from(MODES)), seed=draw(st.integers(0, 2 ** 63)),
-        stride=draw(st.integers(1, 10 ** 6)))
+        output_dir=output_dir, stride=draw(st.integers(1, 10 ** 6)))
 
 
 @PROPERTY
 @given(configs())
 def test_rendered_config_parses_back(config):
-    assert parse_config_text(render_config(config)) == config
+    # '#' starts a comment, so a value that holds one cannot be written
+    if "#" in str(config.output_dir):
+        with pytest.raises(ConfigError, match="^output.dir: "):
+            render_config(config)
+    else:
+        assert parse_config_text(render_config(config)) == config

@@ -1,9 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sqeiar as sq
 from sqeiar.model import COMPARTMENTS, ModelParams, QuarantineRegions
-from sqeiar.verify import POSITIVITY_BOUND
+from sqeiar.verify import (
+    DECAY_RATIO_RANGE,
+    DEFAULT_SEED,
+    GRADIENT_DIRECTIONS,
+    GRADIENT_EPSILONS,
+    GRADIENT_REL_BOUND,
+    POSITIVITY_BOUND,
+    SENSITIVITY_EPSILONS,
+    _random_directions,
+)
 
 from helpers import time_to_threshold
 
@@ -93,8 +104,9 @@ class TestPositivity:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_report_matches_separate_min_and_argmin(self, seed):
-        # the report that separate min() and argmin() scans give; in the last
-        # two seeds a NaN, which min() returns and argmin() points at
+        # the report that separate min() and argmin() scans give; every seed
+        # holds negative values, and the last two a NaN, which min() returns,
+        # argmin() points at, and which fails the check with measured NaN
         rng = np.random.default_rng(seed)
         grid = sq.Grid(nx=11, tau=1.0, nt=20)
         values = rng.uniform(0.0, 1e4, (grid.nt + 1, 6, grid.nx))
@@ -105,10 +117,11 @@ class TestPositivity:
         scale = max(float(values[0].sum(axis=0) @ grid.space_weights()), 1.0)
         most_negative = float(values.min())
         step, comp, node = np.unravel_index(values.argmin(), values.shape)
-        measured = max(0.0, -most_negative) / scale
-        assert sq.positivity_check(traj) == sq.CheckReport(
-            name="positivity", passed=measured <= POSITIVITY_BOUND, measured=measured,
-            bound=POSITIVITY_BOUND,
+        measured = np.nan if seed >= 3 else max(0.0, -most_negative) / scale
+        report = sq.positivity_check(traj)
+        np.testing.assert_equal(report.measured, measured)
+        assert replace(report, measured=0.0) == sq.CheckReport(
+            name="positivity", passed=False, measured=0.0, bound=POSITIVITY_BOUND,
             detail=(f"most negative value {most_negative:.6g} "
                     f"({COMPARTMENTS[comp]} at step {step}, node {node}), "
                     f"scale {scale:.6g}"))
@@ -141,3 +154,74 @@ class TestSensitivityOracle:
         report = sq.sensitivity_oracle(small_config.initial_array(), base,
                                        TABLE, WHOLE, grid)
         assert report.passed, report.detail
+
+
+def loop_gradient_oracle(initial, base, params, weights, regions, grid, seed):
+    """gradient_oracle as one forward_solve per direction and epsilon."""
+    first, last = epsilons = GRADIENT_EPSILONS
+    h_u, h_v = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
+                                  np.random.default_rng(seed))
+    state = sq.forward_solve(initial, base, params, regions, grid)
+    adjoint = sq.adjoint_solve(state, base, weights, params, regions, grid)
+    grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights, regions, grid)
+    j_base = sq.cost_functional(state, base, weights, regions, grid)
+    fd = np.zeros((GRADIENT_DIRECTIONS, 3))
+    predicted = np.zeros((GRADIENT_DIRECTIONS, 1))
+    for i in range(GRADIENT_DIRECTIONS):
+        predicted[i] = sq.directional_derivative(grad_u, grad_v, base, weights,
+                                                 h_u[:, i], h_v[:, i], grid)
+        for k, eps in enumerate(epsilons):
+            plus = sq.ControlPair(base.u + eps * h_u[:, i], base.v + eps * h_v[:, i],
+                                  grid, regions)
+            bumped = sq.forward_solve(initial, plus, params, regions, grid)
+            fd[i, k] = (sq.cost_functional(bumped, plus, weights, regions, grid)
+                        - j_base) / eps
+    fd[:, 2] = (first * fd[:, 1] - last * fd[:, 0]) / (first - last)
+    errors = np.abs(fd - predicted) / np.maximum(np.abs(fd), 1e-300)
+    ratios = errors[:, 0] / np.maximum(errors[:, 1], 1e-300)
+    lo, hi = DECAY_RATIO_RANGE
+    worst = float(errors[:, 2].max())
+    return worst < GRADIENT_REL_BOUND and bool(np.all((ratios >= lo) & (ratios <= hi))), worst
+
+
+def loop_sensitivity_oracle(initial, base, params, regions, grid, seed):
+    """sensitivity_oracle as one forward_solve per epsilon."""
+    h_u, h_v = (h[:, 0] for h in _random_directions(grid, regions, 1,
+                                                     np.random.default_rng(seed)))
+    state = sq.forward_solve(initial, base, params, regions, grid)
+    lin = sq.sensitivity_solve(initial, base, h_u, h_v, params, regions, grid)
+    wx, wt = grid.space_weights(), grid.time_weights()
+
+    def l2(block):
+        return float(np.sqrt(wt @ ((block ** 2).sum(axis=1) @ wx)))
+
+    errs = []
+    for eps in SENSITIVITY_EPSILONS:
+        shifted = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
+        bumped = sq.forward_solve(initial, shifted, params, regions, grid)
+        errs.append(l2((bumped.values - state.values) / eps - lin.values)
+                    / max(l2(lin.values), 1e-300))
+    lo, hi = DECAY_RATIO_RANGE
+    return lo <= errs[0] / max(errs[-1], 1e-300) <= hi, errs[-1]
+
+
+PARTIAL = QuarantineRegions(((0.2, 0.45), (0.6, 0.8)))
+
+
+@pytest.mark.parametrize("seed, regions", [*((seed, WHOLE) for seed in range(5)),
+                                           (DEFAULT_SEED, PARTIAL)])
+def test_batched_oracles_match_per_direction_loops(small_config, seed, regions):
+    # the oracles' batched bumped solves against one solve per bump, on the
+    # grid and base controls of `sqeiar check`
+    grid = small_config.grid
+    initial = small_config.initial_array()
+    base = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
+    args = (initial, base, TABLE)
+    gradient = sq.gradient_oracle(*args, sq.CostWeights(), regions, grid, seed=seed)
+    passed, measured = loop_gradient_oracle(*args, sq.CostWeights(), regions, grid, seed)
+    assert gradient.passed == passed
+    assert abs(gradient.measured - measured) <= 1e-7
+    sensitivity = sq.sensitivity_oracle(*args, regions, grid, seed=seed)
+    passed, measured = loop_sensitivity_oracle(*args, regions, grid, seed)
+    assert sensitivity.passed == passed
+    assert sensitivity.measured == pytest.approx(measured, rel=1e-12, abs=0)

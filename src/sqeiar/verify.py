@@ -149,19 +149,13 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
     predicted = np.array([[directional_derivative(grad_u, grad_v, base, weights,
                                                   h_u[:, i], h_v[:, i], grid)]
                           for i in range(GRADIENT_DIRECTIONS)])
-    del state, adjoint, grad_u, grad_v, h_u, h_v  # room for the batched solves below
+    del state, adjoint, grad_u, grad_v  # room for the batched solves below
 
     # fd[i]: divided differences along direction i per epsilon, then Richardson's;
-    # one batched solve per epsilon, member i along direction i.  The directions
-    # are drawn again from the seed and bumped in place, so that the batch's
-    # controls are the only stack alive.
+    # one batched solve per epsilon, member i along direction i
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
     for k, eps in enumerate(epsilons):
-        u, v = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
-                                  np.random.default_rng(seed))
-        for stack, field in ((u, base.u), (v, base.v)):
-            stack *= eps
-            stack += field[:, None]
+        u, v = base.u[:, None] + eps * h_u, base.v[:, None] + eps * h_v
         values = _forward_batch(initial, u, v, params, regions, grid)
         # member i's controls and trajectory as views into the stacks
         costs = [cost_functional(Trajectory(values[:, :, i], grid),

@@ -118,9 +118,9 @@ def _cmd_check(args) -> int:
     reports = [
         mass_balance_check(traj, small.params, grid),
         positivity_check(traj),
-        gradient_oracle(initial, base, small.params, small.weights, small.regions,
+        gradient_oracle(traj, base, small.params, small.weights, small.regions,
                         grid, seed=small.seed),
-        sensitivity_oracle(initial, base, small.params, small.regions, grid,
+        sensitivity_oracle(traj, base, small.params, small.regions, grid,
                            seed=small.seed),
     ]
 

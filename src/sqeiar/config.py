@@ -216,8 +216,10 @@ def load_config(path) -> ScenarioConfig:
 def render_config(config: ScenarioConfig) -> str:
     """``config`` in the accepted file format, one key per line, so that
     parse_config_text gives it back.  The diffusion is one value when all six
-    coefficients agree and model.d1 ... model.d6 otherwise.  A value that holds
-    '#', which starts a comment in that format, raises ConfigError naming its key."""
+    coefficients agree and model.d1 ... model.d6 otherwise.  A value that the
+    format cannot hold raises ConfigError naming its key: one with '#', which
+    starts a comment, one with leading or trailing whitespace, which the parser
+    strips, and one with a line break (any that str.splitlines splits on)."""
     lines = [f"{key} = {getattr(getattr(config, attr), name)}"
              for key, (attr, name, _) in _KEYS.items()]
     diffusion = config.params.diffusion
@@ -239,6 +241,9 @@ def render_config(config: ScenarioConfig) -> str:
         if "#" in value:
             raise ConfigError(f"{key}: value '{value}' holds '#', which starts a comment "
                               f"in the config format")
+        if value != value.strip() or len(value.splitlines()) > 1:
+            raise ConfigError(f"{key}: value {value!r} has leading or trailing whitespace "
+                              f"or a line break, which the config format cannot hold")
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,11 @@ import numpy as np
 
 from .control import ControlPair, cost_functional, cost_gradient, directional_derivative
 from .model import COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
-from .pde import (Grid, Trajectory, _forward_batch, adjoint_solve, forward_solve,
+from .pde import (Grid, Trajectory, _forward_batch, adjoint_solve, require_aligned,
                   sensitivity_solve)
+# The oracles take the base state from their caller and solve no base of their
+# own.  The module keeps the name forward_solve, which benchmarks/tracing.py wraps.
+from .pde import forward_solve
 
 DEFAULT_SEED = 42
 
@@ -132,24 +135,28 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
     return h_u, h_v
 
 
-def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
+def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
                     weights: CostWeights, regions: QuarantineRegions, grid: Grid,
                     seed: int = DEFAULT_SEED) -> CheckReport:
     """Compare the adjoint cost gradient along seeded random directions with
     the Richardson combination of one-sided divided differences at the two
-    epsilons, and check first-order decay of the one-sided errors."""
+    epsilons, and check first-order decay of the one-sided errors.
+
+    ``state`` is forward_solve's trajectory at ``base``; the bumped solves start
+    from its initial profiles.  A state solved elsewhere fails the check."""
+    require_aligned(grid, regions, state, base)
     first, last = epsilons = GRADIENT_EPSILONS
+    initial = state.values[0]
     h_u, h_v = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
                                   np.random.default_rng(seed))
 
-    state = forward_solve(initial, base, params, regions, grid)
     adjoint = adjoint_solve(state, base, weights, params, regions, grid)
     grad_u, grad_v = cost_gradient(state, adjoint, base, weights, regions, grid)
     j_base = cost_functional(state, base, weights, regions, grid)
     predicted = np.array([[directional_derivative(grad_u, grad_v, base, weights,
                                                   h_u[:, i], h_v[:, i], grid)]
                           for i in range(GRADIENT_DIRECTIONS)])
-    del state, adjoint, grad_u, grad_v  # room for the batched solves below
+    del adjoint, grad_u, grad_v  # room for the batched solves below
 
     # fd[i]: divided differences along direction i per epsilon, then Richardson's;
     # one batched solve per epsilon, member i along direction i
@@ -178,19 +185,24 @@ def gradient_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
                        bound=GRADIENT_REL_BOUND, detail=detail)
 
 
-def sensitivity_oracle(initial: np.ndarray, base: ControlPair, params: ModelParams,
+def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
                        regions: QuarantineRegions, grid: Grid,
                        seed: int = DEFAULT_SEED) -> CheckReport:
     """Compare sensitivity_solve against divided differences of the
     nonlinear solve in the discrete L2 norm along one seeded random
     direction; the error must shrink proportionally to epsilon.  The complex
     step of sensitivity_solve is exact only while the forward step stays
-    analytic; these black-box differences catch a step that is not."""
+    analytic; these black-box differences catch a step that is not.
+
+    ``state`` is forward_solve's trajectory at ``base``; the linearized and
+    bumped solves start from its initial profiles.  A state solved elsewhere
+    fails the check."""
+    require_aligned(grid, regions, state, base)
     epsilons = SENSITIVITY_EPSILONS
+    initial = state.values[0]
     rng = np.random.default_rng(seed)
     h_u, h_v = _random_directions(grid, regions, 1, rng)
 
-    state = forward_solve(initial, base, params, regions, grid)
     lin = sensitivity_solve(initial, base, h_u[:, 0], h_v[:, 0], params, regions, grid)
 
     wx = grid.space_weights()

@@ -69,7 +69,8 @@ def test_03_gradient_oracle(small_config):
     cfg = small_config
     base = sq.ControlPair.constant(0.3, 0.3 * cfg.regions.v_max,
                                    cfg.grid, cfg.regions)
-    check = sq.gradient_oracle(cfg.initial_array(), base, cfg.params,
+    state = sq.forward_solve(cfg.initial_array(), base, cfg.params, cfg.regions, cfg.grid)
+    check = sq.gradient_oracle(state, base, cfg.params,
                                cfg.weights, cfg.regions, cfg.grid, seed=cfg.seed)
     report(3, "gradient oracle", check.passed, check.detail)
     assert check.passed
@@ -79,7 +80,8 @@ def test_04_sensitivity_oracle(small_config):
     cfg = small_config
     base = sq.ControlPair.constant(0.3, 0.3 * cfg.regions.v_max,
                                    cfg.grid, cfg.regions)
-    check = sq.sensitivity_oracle(cfg.initial_array(), base, cfg.params,
+    state = sq.forward_solve(cfg.initial_array(), base, cfg.params, cfg.regions, cfg.grid)
+    check = sq.sensitivity_oracle(state, base, cfg.params,
                                   cfg.regions, cfg.grid, seed=cfg.seed)
     report(4, "sensitivity oracle", check.passed, check.detail)
     assert check.passed

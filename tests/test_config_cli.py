@@ -220,6 +220,30 @@ class TestCli:
             assert name in out
         assert "FAIL" not in out
 
+    def test_check_solve_budget(self, tmp_path, monkeypatch, capsys):
+        # one base solve, shared by the checks and both oracles; one batched
+        # solve per gradient epsilon and one for the sensitivity epsilons
+        import sqeiar.pde
+        import sqeiar.verify
+
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        # the cli looks forward_solve up on sqeiar.pde; sqeiar.verify holds its own name
+        count(sqeiar.pde, "forward_solve")
+        for name in ("forward_solve", "_forward_batch", "adjoint_solve", "sensitivity_solve"):
+            count(sqeiar.verify, name)
+        assert main(["check", "--config", str(self.write_config(tmp_path))]) == 0
+        assert calls == {"forward_solve": 1, "_forward_batch": 3, "adjoint_solve": 1,
+                         "sensitivity_solve": 1}, capsys.readouterr().out
+
     def test_check_passes_for_seeds(self, tmp_path, capsys):
         failed = []
         for seed in range(20):

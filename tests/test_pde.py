@@ -283,10 +283,10 @@ class TestSensitivitySolve:
                                  direction["h_v"], TABLE, WHOLE, grid)
 
     def test_divided_difference_richardson(self, small_config):
-        report = sq.sensitivity_oracle(
-            small_config.initial_array(),
-            sq.ControlPair.constant(0.3, 0.3, small_config.grid, WHOLE),
-            TABLE, WHOLE, small_config.grid, seed=42)
+        grid = small_config.grid
+        base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
+        state = sq.forward_solve(small_config.initial_array(), base, TABLE, WHOLE, grid)
+        report = sq.sensitivity_oracle(state, base, TABLE, WHOLE, grid, seed=42)
         assert report.passed, report.detail
 
 

@@ -355,6 +355,10 @@ def test_batched_divergence_reported_as_in_its_member(scenario):
     assert raised(lambda: _forward_batch(y, u, v, params, regions, grid)) == alone
 
 
+# every character str.splitlines splits on; all are whitespace to str.strip
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @st.composite
 def configs(draw):
     """Random ScenarioConfig: six equal or six drawn diffusion coefficients,
@@ -369,7 +373,10 @@ def configs(draw):
     sweep = sq.SweepSettings(draw(st.floats(1e-10, 1.0)), draw(st.integers(1, 1000)),
                              draw(st.floats(0.0, 1.0, exclude_min=True)))
     profiles = {name: draw(st.sampled_from(PROFILE_NAMES)) for name in "sqeair"}
-    output_dir = Path(draw(st.text(st.sampled_from("ab1_-./#"), min_size=1, max_size=12)))
+    plain = st.sampled_from("ab1_-./ \t")
+    output_dir = Path(draw(st.text(plain, min_size=1, max_size=12)
+                           | st.text(plain | st.sampled_from("#" + LINE_BREAKS),
+                                     min_size=1, max_size=12)))
     return sq.ScenarioConfig(
         params=params, weights=draw(weights_st), regions=draw(regions_st()),
         grid=sq.Grid(x_min, x_max, nx, tau, nt), profiles=profiles, sweep=sweep,
@@ -380,8 +387,12 @@ def configs(draw):
 @PROPERTY
 @given(configs())
 def test_rendered_config_parses_back(config):
-    # '#' starts a comment, so a value that holds one cannot be written
-    if "#" in str(config.output_dir):
+    # '#' starts a comment, the parser strips each value and splits the text
+    # into lines, so a value with '#', a line break or whitespace at either end
+    # cannot be written
+    text = str(config.output_dir)
+    blank = " \t" + LINE_BREAKS
+    if any(c in "#" + LINE_BREAKS for c in text) or text[0] in blank or text[-1] in blank:
         with pytest.raises(ConfigError, match="^output.dir: "):
             render_config(config)
     else:

@@ -127,11 +127,16 @@ class TestPositivity:
                     f"scale {scale:.6g}"))
 
 
+def base_state(config, base, regions=WHOLE):
+    """The oracles' base state: forward_solve at ``base`` on the config's grid."""
+    return sq.forward_solve(config.initial_array(), base, TABLE, regions, config.grid)
+
+
 class TestGradientOracle:
     def test_passes_on_small_grid(self, small_config):
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        report = sq.gradient_oracle(small_config.initial_array(), base,
+        report = sq.gradient_oracle(base_state(small_config, base), base,
                                     TABLE, sq.CostWeights(), WHOLE, grid)
         assert report.passed, report.detail
         assert report.measured < 1e-2
@@ -139,7 +144,7 @@ class TestGradientOracle:
     def test_deterministic_for_fixed_seed(self, small_config):
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        args = (small_config.initial_array(), base, TABLE, sq.CostWeights(),
+        args = (base_state(small_config, base), base, TABLE, sq.CostWeights(),
                 WHOLE, grid)
         first = sq.gradient_oracle(*args, seed=123)
         second = sq.gradient_oracle(*args, seed=123)
@@ -151,9 +156,40 @@ class TestSensitivityOracle:
     def test_passes_on_small_grid(self, small_config):
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        report = sq.sensitivity_oracle(small_config.initial_array(), base,
+        report = sq.sensitivity_oracle(base_state(small_config, base), base,
                                        TABLE, WHOLE, grid)
         assert report.passed, report.detail
+
+
+ORACLES = {
+    "gradient": lambda state, base, grid: sq.gradient_oracle(
+        state, base, TABLE, sq.CostWeights(), WHOLE, grid),
+    "sensitivity": lambda state, base, grid: sq.sensitivity_oracle(
+        state, base, TABLE, WHOLE, grid),
+}
+
+
+class TestForeignBaseState:
+    """The oracles take the base state from their caller and check it."""
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_state_on_another_grid_rejected(self, small_config, oracle):
+        grid = small_config.grid
+        other = replace(small_config, grid=sq.Grid(nx=grid.nx, tau=grid.tau, nt=grid.nt + 1))
+        state = base_state(other, sq.ControlPair.constant(0.3, 0.3, other.grid, WHOLE))
+        base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
+        with pytest.raises(sq.ContractError, match="Trajectory defined on a different grid"):
+            ORACLES[oracle](state, base, grid)
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_state_at_other_controls_fails(self, small_config, oracle):
+        # an admissible state, solved at other controls than the base: the
+        # divided differences then measure the gap, not the derivative
+        grid = small_config.grid
+        state = base_state(small_config, sq.ControlPair.constant(0.5, 0.2, grid, WHOLE))
+        base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
+        report = ORACLES[oracle](state, base, grid)
+        assert not report.passed, report.detail
 
 
 def loop_gradient_oracle(initial, base, params, weights, regions, grid, seed):
@@ -216,12 +252,14 @@ def test_batched_oracles_match_per_direction_loops(small_config, seed, regions):
     grid = small_config.grid
     initial = small_config.initial_array()
     base = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
+    state = base_state(small_config, base, regions)
     args = (initial, base, TABLE)
-    gradient = sq.gradient_oracle(*args, sq.CostWeights(), regions, grid, seed=seed)
+    gradient = sq.gradient_oracle(state, base, TABLE, sq.CostWeights(), regions, grid,
+                                  seed=seed)
     passed, measured = loop_gradient_oracle(*args, sq.CostWeights(), regions, grid, seed)
     assert gradient.passed == passed
     assert abs(gradient.measured - measured) <= 1e-7
-    sensitivity = sq.sensitivity_oracle(*args, regions, grid, seed=seed)
+    sensitivity = sq.sensitivity_oracle(state, base, TABLE, regions, grid, seed=seed)
     passed, measured = loop_sensitivity_oracle(*args, regions, grid, seed)
     assert sensitivity.passed == passed
     assert sensitivity.measured == pytest.approx(measured, rel=1e-12, abs=0)

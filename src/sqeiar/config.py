@@ -163,7 +163,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
         elif key in _DIFFUSION_KEYS:
             diffusion[_DIFFUSION_KEYS[key]] = _parse_number(key, value)
         elif section == "regions":
-            if not name.isdigit():
+            if not (name.isascii() and name.isdigit()):  # int() would take '²' or '٣' too
                 raise ConfigError(f"unknown key '{key}' (use regions.<index> = a, b)")
             if int(name) in regions:  # regions.01 repeats regions.1
                 raise ConfigError(f"line {lineno}: region {int(name)} is set twice")
@@ -181,6 +181,8 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
         elif key == "output.mode":
             output["mode"] = value.lower()
         elif key == "output.dir":
+            if not value:  # Path('') is the config's own directory
+                raise ConfigError(f"{key}: expected a path, got ''")
             path = Path(value)
             output["output_dir"] = path if path.is_absolute() or base_dir is None \
                 else base_dir / path

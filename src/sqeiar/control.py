@@ -7,11 +7,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ContractError, CostWeights, ModelParams, QuarantineRegions, rho_source
+from .model import (ContractError, CostWeights, ModelParams, QuarantineRegions, check_controls,
+                    rho_source)
 from .pde import (
     Grid,
     Trajectory,
-    _check_controls,
     _check_initial,
     forward_solve,
     positivity_bound,
@@ -43,7 +43,11 @@ class ControlPair:
         shape = (self.grid.nt + 1, self.grid.nx)
         if self.u.shape != shape or self.v.shape != shape:
             raise ContractError(f"control fields must have shape {shape}")
-        _check_controls(self.u, self.v, self.regions, self.grid)
+        check_controls(self.u, self.v, self.regions.v_max)
+        off = ~self.regions.mask(self.grid.x)
+        # reductions over the levels, which keep NaN, then the nodes off the regions
+        if np.any(self.v.min(axis=0)[off] != 0) or np.any(self.v.max(axis=0)[off] != 0):
+            raise ContractError("quarantine control nonzero outside the regions")
 
     @classmethod
     def zeros(cls, grid: Grid, regions: QuarantineRegions) -> "ControlPair":

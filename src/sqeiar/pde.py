@@ -18,7 +18,8 @@ together, their rows side by side in one (15, B * nx) operand, so a step is
 still one product and 8 calls whatever B is, and each member is bitwise its
 own solve.  forward_solve and sensitivity_solve are the batch of one;
 _forward_batch, through which the check oracles make their bumped solves,
-takes B stacked control pairs.
+takes a list of B ControlPairs and returns B Trajectory views into its one
+output.
 
 The adjoint step is the forward step's exact transpose in the same form, 6
 numpy calls per step: its flows are one product with B^T (row 0
@@ -47,7 +48,6 @@ from .model import (
     ModelParams,
     QuarantineRegions,
     _reaction_split,
-    check_controls,
     rho_source,
 )
 
@@ -249,17 +249,6 @@ def _step_operator(params: ModelParams, grid: Grid):
     return np.eye(6) + dt * L - 2.0 * np.diag(c), B, c, dt * contact
 
 
-def _check_controls(u: np.ndarray, v: np.ndarray, regions: QuarantineRegions,
-                    grid: Grid) -> None:
-    """The admissible box of (u, v), and v zero off ``regions``, for fields of shape
-    (nt + 1, nx) or stacks of them of shape (nt + 1, B, nx)."""
-    check_controls(u, v, regions.v_max)
-    off = ~regions.mask(grid.x)
-    levels = tuple(range(v.ndim - 1))  # reductions over all but the nodes keep NaN
-    if np.any(v.min(axis=levels)[..., off] != 0) or np.any(v.max(axis=levels)[..., off] != 0):
-        raise ContractError("quarantine control nonzero outside the regions")
-
-
 def _check_initial(initial, params: ModelParams, regions: QuarantineRegions, grid: Grid,
                    *controls) -> None:
     """Entry checks of the forward map at ``initial``, on ``grid``, with ``controls``."""
@@ -328,18 +317,14 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
     return Trajectory(out[:, :, 0], grid)
 
 
-def _forward_batch(initial: np.ndarray, u: np.ndarray, v: np.ndarray, params: ModelParams,
-                   regions: QuarantineRegions, grid: Grid) -> np.ndarray:
-    """forward_solve of the B control pairs (u[:, b], v[:, b]) stacked in two arrays
-    of shape (nt + 1, B, nx), in one step loop: shape (nt + 1, 6, B, nx), member b
-    at [:, :, b].  The stack is checked once, as ControlPair checks one pair."""
-    _check_initial(initial, params, regions, grid)
-    if np.ndim(u) != 3 or np.shape(u)[::2] != (grid.nt + 1, grid.nx) \
-            or np.shape(u)[1] < 1 or np.shape(v) != np.shape(u):
-        raise ContractError(f"stacked controls must be two arrays of shape "
-                            f"({grid.nt + 1}, B, {grid.nx}) with B >= 1")
-    _check_controls(u, v, regions, grid)
-    return _integrate(initial, u, v, params, grid, "state")
+def _forward_batch(initial: np.ndarray, pairs, params: ModelParams,
+                   regions: QuarantineRegions, grid: Grid) -> list[Trajectory]:
+    """forward_solve of each ControlPair in ``pairs`` in one step loop: one Trajectory
+    per pair, in order, each a view into the one (nt + 1, 6, B, nx) output."""
+    _check_initial(initial, params, regions, grid, *pairs)
+    out = _integrate(initial, np.stack([pair.u for pair in pairs], axis=1),
+                     np.stack([pair.v for pair in pairs], axis=1), params, grid, "state")
+    return [Trajectory(out[:, :, b], grid) for b in range(len(pairs))]
 
 
 def adjoint_solve(state: Trajectory, controls, weights: CostWeights,

@@ -138,7 +138,7 @@ def _write_scenario(result: ScenarioResult, grid: Grid, stride: int,
     sample (every stride-th step and the last).  aggregates.csv: every step."""
     directory.mkdir(parents=True, exist_ok=True)
     header = "t," + ",".join(_format(x) for x in grid.x)
-    rows = np.unique(np.append(np.arange(0, grid.nt + 1, stride), grid.nt))
+    rows = sorted({*range(0, grid.nt + 1, stride), grid.nt})  # ints for any stride
     fields = dict(zip(COMPARTMENTS, np.moveaxis(result.trajectory.values, 1, 0)))
     fields.update(u=result.controls.u, v=result.controls.v)
     for name, values in fields.items():

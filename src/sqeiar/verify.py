@@ -114,25 +114,25 @@ def positivity_check(traj: Trajectory) -> CheckReport:
 
 
 def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
-                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                       rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
     """Perturbation directions: uniform in the admissible box, mean-centered.
 
-    Returned stacked as two arrays h_u, h_v of shape (nt + 1, count, nx),
-    direction i at [:, i], h_v zero off the region mask; the entries are
-    signed and are NOT admissible controls.
+    Returned as ``count`` pairs (h_u, h_v) of shape (nt + 1, nx), h_v zero
+    off the region mask; the entries are signed and are NOT admissible
+    controls.
     """
     shape = (grid.nt + 1, grid.nx)
     mask = regions.mask(grid.x).astype(float)
-    h_u, h_v = np.empty((2, grid.nt + 1, count, grid.nx))
-    for i in range(count):
+    directions = []
+    for _ in range(count):
         du = rng.uniform(0.0, 1.0, shape)
         du -= du.mean()
         dv = rng.uniform(0.0, regions.v_max, shape) * mask
         if mask.any():  # else dv stays zero: no node lies in a region
             dv -= dv[:, mask.astype(bool)].mean()
             dv *= mask
-        h_u[:, i], h_v[:, i] = du, dv
-    return h_u, h_v
+        directions.append((du, dv))
+    return directions
 
 
 def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
@@ -147,30 +147,28 @@ def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
     require_aligned(grid, regions, state, base)
     first, last = epsilons = GRADIENT_EPSILONS
     initial = state.values[0]
-    h_u, h_v = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
-                                  np.random.default_rng(seed))
+    directions = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
+                                    np.random.default_rng(seed))
 
     adjoint = adjoint_solve(state, base, weights, params, regions, grid)
     grad_u, grad_v = cost_gradient(state, adjoint, base, weights, regions, grid)
     j_base = cost_functional(state, base, weights, regions, grid)
     predicted = np.array([[directional_derivative(grad_u, grad_v, base, weights,
-                                                  h_u[:, i], h_v[:, i], grid)]
-                          for i in range(GRADIENT_DIRECTIONS)])
+                                                  h_u, h_v, grid)]
+                          for h_u, h_v in directions])
     del adjoint, grad_u, grad_v  # room for the batched solves below
 
     # fd[i]: divided differences along direction i per epsilon, then Richardson's;
     # one batched solve per epsilon, member i along direction i
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
     for k, eps in enumerate(epsilons):
-        u, v = base.u[:, None] + eps * h_u, base.v[:, None] + eps * h_v
-        values = _forward_batch(initial, u, v, params, regions, grid)
-        # member i's controls and trajectory as views into the stacks
-        costs = [cost_functional(Trajectory(values[:, :, i], grid),
-                                 ControlPair(u[:, i], v[:, i], grid, regions),
-                                 weights, regions, grid)
-                 for i in range(GRADIENT_DIRECTIONS)]
+        pairs = [ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
+                 for h_u, h_v in directions]
+        bumped = _forward_batch(initial, pairs, params, regions, grid)
+        costs = [cost_functional(member, pair, weights, regions, grid)
+                 for member, pair in zip(bumped, pairs)]
         fd[:, k] = (np.array(costs) - j_base) / eps
-        del u, v, values  # before the next batch is made
+        del pairs, bumped  # before the next batch is made
     fd[:, 2] = (first * fd[:, 1] - last * fd[:, 0]) / (first - last)
     errors = np.abs(fd - predicted) / np.maximum(np.abs(fd), 1e-300)
     worst = float(errors[:, 2].max())
@@ -201,9 +199,9 @@ def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams
     epsilons = SENSITIVITY_EPSILONS
     initial = state.values[0]
     rng = np.random.default_rng(seed)
-    h_u, h_v = _random_directions(grid, regions, 1, rng)
+    [(h_u, h_v)] = _random_directions(grid, regions, 1, rng)
 
-    lin = sensitivity_solve(initial, base, h_u[:, 0], h_v[:, 0], params, regions, grid)
+    lin = sensitivity_solve(initial, base, h_u, h_v, params, regions, grid)
 
     wx = grid.space_weights()
     wt = grid.time_weights()
@@ -213,12 +211,11 @@ def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams
 
     scale = max(l2(lin.values), 1e-300)
     # one batched solve, member k along the direction at epsilons[k]
-    steps = np.array(epsilons)[:, None]
-    bumped = _forward_batch(initial, base.u[:, None] + steps * h_u,
-                            base.v[:, None] + steps * h_v, params, regions, grid)
+    pairs = [ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
+             for eps in epsilons]
     errs = []
-    for k, eps in enumerate(epsilons):  # in place: one temporary field per member
-        divided = np.subtract(bumped[:, :, k], state.values)
+    for eps, bumped in zip(epsilons, _forward_batch(initial, pairs, params, regions, grid)):
+        divided = np.subtract(bumped.values, state.values)  # in place: one temporary field
         divided /= eps
         divided -= lin.values
         errs.append(l2(divided) / scale)

@@ -305,8 +305,12 @@ class TestCli:
         # 718 PiB per control field, beyond any 64-bit address space: fails at once
         ("run", "grid.nt = 1000000000000000\n",
          "does not fit in memory: Unable to allocate .* \\(1000000000000001, 101\\)"),
+        # a digit to str.isdigit, but no ASCII decimal index
+        ("run", "regions.\u00b2 = 0.1, 0.2\n",
+         "unknown key 'regions.\u00b2' \\(use regions.<index> = a, b\\)"),
     ], ids=["negative_seed", "cfl_at_half", "x_max_inf", "x_min_inf", "dx_overflow",
-            "tau_inf", "dx_square_overflow", "dx_square_underflow", "nt_beyond_memory"])
+            "tau_inf", "dx_square_overflow", "dx_square_underflow", "nt_beyond_memory",
+            "superscript_region_index"])
     def test_rejected_value_exit_one(self, tmp_path, capsys, command, extra, message):
         config = tmp_path / "scenario.conf"
         config.write_text(f"output.dir = {tmp_path / 'out'}\n" + extra)
@@ -314,6 +318,35 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and re.match(f"configuration error: .*{message}", err[0])
         assert not (tmp_path / "out").exists()
+
+    def test_empty_output_dir_exit_one_and_keeps_user_files(self, tmp_path, capsys):
+        # an empty value would name the config's own directory
+        config = tmp_path / "scenario.conf"
+        config.write_text("grid.nx = 21\ngrid.tau = 3\ngrid.nt = 300\noutput.dir =\n")
+        (tmp_path / "summary.txt").write_text("keep\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(["run", "--config", str(config), "--mode", "baseline"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: output.dir: expected a path, got ''"]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+        # an explicit '.' still names the config's directory
+        assert parse_config_text("output.dir = .", tmp_path).output_dir == tmp_path
+
+    def test_huge_stride_writes_first_and_last_rows(self, tmp_path):
+        # a stride past int64: np.arange would give float row indices
+        text = self.write_config(tmp_path).read_text()
+        written = {}
+        for stride in (300, 2 ** 63):
+            config = tmp_path / f"stride{stride}.conf"
+            config.write_text(text.replace("output.stride = 50", f"output.stride = {stride}"))
+            out = tmp_path / f"out{stride}"
+            assert main(["run", "--config", str(config), "--mode", "baseline",
+                         "--out", str(out)]) == 0
+            written[stride] = {path.relative_to(out): path.read_bytes()
+                               for path in sorted(out.rglob("*")) if path.is_file()}
+        assert written[2 ** 63] == written[300]
+        t, _, _ = read_field_csv(tmp_path / "out300" / "baseline" / "S.csv")
+        assert t.tolist() == [0.0, 3.0]
 
     def test_unconverged_sweep_exit_three(self, tmp_path, capsys):
         config = self.write_config(tmp_path, "sweep.max_iterations = 1\n")

@@ -5,7 +5,7 @@ import pytest
 
 import sqeiar as sq
 from sqeiar.model import ContractError, ModelParams, QuarantineRegions, rho_source
-from sqeiar.pde import neumann_laplacian
+from sqeiar.pde import _forward_batch, neumann_laplacian
 from sqeiar.verify import _random_directions
 
 from helpers import time_to_threshold
@@ -106,6 +106,16 @@ class TestForwardSolve:
                 initial[0, 3] = bad
                 with pytest.raises(ContractError):
                     solve(initial)
+
+    @pytest.mark.parametrize("other", ["grid", "regions"])
+    def test_batch_member_of_another_setup_rejected(self, other):
+        # same shapes, so only the alignment check can tell the pair apart
+        grid, initial = small_setup()
+        pair = {"grid": sq.ControlPair.zeros(sq.Grid(nx=21, tau=6.0, nt=300), WHOLE),
+                "regions": sq.ControlPair.zeros(grid, QuarantineRegions(((0.0, 0.5),)))}[other]
+        with pytest.raises(ContractError, match="different"):
+            _forward_batch(initial, [sq.ControlPair.zeros(grid, WHOLE), pair],
+                           TABLE, WHOLE, grid)
 
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
@@ -229,8 +239,7 @@ class TestAdjointSolve:
         wx, wt = grid.space_weights(), grid.time_weights()
         rho_wx = rho_source(grid.x, regions, weights) * wx
         rng = np.random.default_rng(3)
-        h_us, h_vs = _random_directions(grid, regions, 3, rng)
-        for h_u, h_v in zip(h_us.swapaxes(0, 1), h_vs.swapaxes(0, 1)):
+        for h_u, h_v in _random_directions(grid, regions, 3, rng):
             Y = sq.sensitivity_solve(initial, controls, h_u, h_v, TABLE, regions, grid)
             control_part = wt @ ((weights.sigma1 * controls.u * h_u) @ wx
                                  + (weights.sigma2 * controls.v * h_v) @ wx)

@@ -302,17 +302,18 @@ def test_batched_members_equal_single_solves(scenario, batch):
     shape = (grid.nt + 1, batch, grid.nx)
     u = rng.uniform(0.0, 1.0, shape)
     v = rng.uniform(0.0, regions.v_max, shape) * regions.mask(grid.x)
-    values = _forward_batch(y, u, v, params, regions, grid)
-    for b in range(batch):
-        single = sq.forward_solve(y, sq.ControlPair(u[:, b], v[:, b], grid, regions),
-                                  params, regions, grid)
-        np.testing.assert_allclose(values[:, :, b], single.values, rtol=0,
+    pairs = [sq.ControlPair(u[:, b], v[:, b], grid, regions) for b in range(batch)]
+    members = _forward_batch(y, pairs, params, regions, grid)
+    assert len(members) == batch
+    for member, pair in zip(members, pairs):
+        single = sq.forward_solve(y, pair, params, regions, grid)
+        np.testing.assert_allclose(member.values, single.values, rtol=0,
                                    atol=1e-15 * np.abs(single.values).max())
 
 
 @st.composite
 def one_diverging_batch(draw):
-    """2 to 6 stacked control pairs over 1500 steps of dt in [4, 30], all but
+    """2 to 6 control pairs over 1500 steps of dt in [4, 30], all but
     member ``bad`` stable: the rates are scaled so that the positivity advisory's
     sum 2 * D*dt/dx^2 + dt * rates stays below 0.9 at controls of at most 0.04 / dt
     and profiles of at most 1, while member ``bad`` has u in [0.9, 1], whose
@@ -333,7 +334,8 @@ def one_diverging_batch(draw):
     v = rng.uniform(0.0, min(s, regions.v_max), shape) * regions.mask(grid.x)
     bad = draw(st.integers(0, batch - 1))
     u[:, bad] = rng.uniform(0.9, 1.0, (nt + 1, nx))
-    return params, regions, grid, initial, u, v, bad
+    pairs = [sq.ControlPair(u[:, b], v[:, b], grid, regions) for b in range(batch)]
+    return params, regions, grid, initial, pairs, bad
 
 
 def raised(solve):
@@ -348,11 +350,10 @@ def raised(solve):
 @PROPERTY
 @given(one_diverging_batch())
 def test_batched_divergence_reported_as_in_its_member(scenario):
-    params, regions, grid, y, u, v, bad = scenario
-    _forward_batch(y, np.delete(u, bad, 1), np.delete(v, bad, 1), params, regions, grid)
-    alone = raised(lambda: sq.forward_solve(
-        y, sq.ControlPair(u[:, bad], v[:, bad], grid, regions), params, regions, grid))
-    assert raised(lambda: _forward_batch(y, u, v, params, regions, grid)) == alone
+    params, regions, grid, y, pairs, bad = scenario
+    _forward_batch(y, pairs[:bad] + pairs[bad + 1:], params, regions, grid)
+    alone = raised(lambda: sq.forward_solve(y, pairs[bad], params, regions, grid))
+    assert raised(lambda: _forward_batch(y, pairs, params, regions, grid)) == alone
 
 
 # every character str.splitlines splits on; all are whitespace to str.strip

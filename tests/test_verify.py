@@ -195,20 +195,19 @@ class TestForeignBaseState:
 def loop_gradient_oracle(initial, base, params, weights, regions, grid, seed):
     """gradient_oracle as one forward_solve per direction and epsilon."""
     first, last = epsilons = GRADIENT_EPSILONS
-    h_u, h_v = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
-                                  np.random.default_rng(seed))
+    directions = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
+                                    np.random.default_rng(seed))
     state = sq.forward_solve(initial, base, params, regions, grid)
     adjoint = sq.adjoint_solve(state, base, weights, params, regions, grid)
     grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights, regions, grid)
     j_base = sq.cost_functional(state, base, weights, regions, grid)
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
     predicted = np.zeros((GRADIENT_DIRECTIONS, 1))
-    for i in range(GRADIENT_DIRECTIONS):
+    for i, (h_u, h_v) in enumerate(directions):
         predicted[i] = sq.directional_derivative(grad_u, grad_v, base, weights,
-                                                 h_u[:, i], h_v[:, i], grid)
+                                                 h_u, h_v, grid)
         for k, eps in enumerate(epsilons):
-            plus = sq.ControlPair(base.u + eps * h_u[:, i], base.v + eps * h_v[:, i],
-                                  grid, regions)
+            plus = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
             bumped = sq.forward_solve(initial, plus, params, regions, grid)
             fd[i, k] = (sq.cost_functional(bumped, plus, weights, regions, grid)
                         - j_base) / eps
@@ -222,8 +221,7 @@ def loop_gradient_oracle(initial, base, params, weights, regions, grid, seed):
 
 def loop_sensitivity_oracle(initial, base, params, regions, grid, seed):
     """sensitivity_oracle as one forward_solve per epsilon."""
-    h_u, h_v = (h[:, 0] for h in _random_directions(grid, regions, 1,
-                                                     np.random.default_rng(seed)))
+    [(h_u, h_v)] = _random_directions(grid, regions, 1, np.random.default_rng(seed))
     state = sq.forward_solve(initial, base, params, regions, grid)
     lin = sq.sensitivity_solve(initial, base, h_u, h_v, params, regions, grid)
     wx, wt = grid.space_weights(), grid.time_weights()

@@ -52,7 +52,11 @@ def evaluate_profile(spec: str, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
     path = Path(spec[len("file:"):])
     try:
-        values = np.loadtxt(path, dtype=float, ndmin=1)
+        # an empty file is reported below as a ConfigError, not as numpy's warning
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            values = np.loadtxt(path, dtype=float, ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read initial profile file {path}: {exc}") from exc
     if values.ndim != 1 or values.size != x.size:

@@ -116,12 +116,15 @@ def project_controls(state: Trajectory, adjoint: Trajectory,
     mask = regions.mask(grid.x).astype(float)
     u = np.subtract(adjoint.i, adjoint.r)
     u *= state.i
-    u /= weights.sigma1
-    np.clip(u, 0.0, 1.0, out=u)
     v = np.subtract(adjoint.s, adjoint.q)
     v *= state.s
     v *= mask
-    v /= weights.sigma2
+    # a tiny sigma overflows a quotient to +-inf, which the clip maps onto the
+    # edge of the box: the exact projection
+    with np.errstate(over="ignore"):
+        u /= weights.sigma1
+        v /= weights.sigma2
+    np.clip(u, 0.0, 1.0, out=u)
     np.clip(v, 0.0, regions.v_max, out=v)
     return ControlPair(u, v, grid, regions)
 

@@ -26,11 +26,14 @@ _CSV_VALUES = 1024  # CSV values formatted per % operation (at least one row)
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One solved scenario: trajectory, controls, cost, metrics, checks."""
+    """One solved scenario as `run` writes it: the stored time levels, the
+    rows of S..R, u and v at those levels, cost, metrics and checks.  It
+    holds no trajectory; forward_solve and fbsm_solve return the full
+    fields."""
 
     name: str
-    trajectory: Trajectory
-    controls: ControlPair
+    levels: list[int]            # stored time levels: 0, stride, ... and nt
+    rows: dict[str, np.ndarray]  # S..R, u, v -> (len(levels), nx)
     cost: float
     metrics: RunMetrics
     checks: list[CheckReport]
@@ -46,11 +49,16 @@ class RunSummary:
 
 def _result(name: str, config: ScenarioConfig, traj: Trajectory,
             controls: ControlPair, sweep: SweepReport | None = None) -> ScenarioResult:
-    """Cost, trajectory checks and metrics of one solved scenario."""
+    """Cost, trajectory checks and metrics of one solved scenario, and
+    copies of the rows that `run` writes, so the result keeps neither
+    `traj` nor `controls` alive."""
     grid = config.grid
     cost = cost_functional(traj, controls, config.weights, config.regions, grid)
     checks = [mass_balance_check(traj, config.params, grid), positivity_check(traj)]
-    return ScenarioResult(name, traj, controls, cost, extract_metrics(traj, grid),
+    levels = sorted({*range(0, grid.nt + 1, config.stride), grid.nt})  # ints for any stride
+    rows = dict(zip(COMPARTMENTS, np.moveaxis(traj.values[levels], 1, 0)))
+    rows.update(u=controls.u[levels], v=controls.v[levels])
+    return ScenarioResult(name, levels, rows, cost, extract_metrics(traj, grid),
                           checks, sweep)
 
 
@@ -132,17 +140,14 @@ def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
             out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_scenario(result: ScenarioResult, grid: Grid, stride: int,
-                    directory: Path) -> None:
+def _write_scenario(result: ScenarioResult, grid: Grid, directory: Path) -> None:
     """Field CSVs: header `t,x_0,...,x_{nx-1}`, one row per stored time
-    sample (every stride-th step and the last).  aggregates.csv: every step."""
+    level (every stride-th step and the last).  aggregates.csv: every step."""
     directory.mkdir(parents=True, exist_ok=True)
     header = "t," + ",".join(_format(x) for x in grid.x)
-    rows = sorted({*range(0, grid.nt + 1, stride), grid.nt})  # ints for any stride
-    fields = dict(zip(COMPARTMENTS, np.moveaxis(result.trajectory.values, 1, 0)))
-    fields.update(u=result.controls.u, v=result.controls.v)
-    for name, values in fields.items():
-        _write_csv(directory / f"{name}.csv", header, grid.t[rows], values[rows])
+    times = grid.t[result.levels]
+    for name, values in result.rows.items():
+        _write_csv(directory / f"{name}.csv", header, times, values)
     aggregates = result.metrics.aggregates
     _write_csv(directory / "aggregates.csv", "t," + ",".join(COMPARTMENTS) + ",N",
                grid.t, *(aggregates[c] for c in COMPARTMENTS),
@@ -180,7 +185,7 @@ def write_outputs(summary: RunSummary, config: ScenarioConfig,
     for result in (summary.baseline, summary.optimal):
         if result is None:
             continue
-        _write_scenario(result, config.grid, config.stride, output_dir / result.name)
+        _write_scenario(result, config.grid, output_dir / result.name)
         lines.extend(_summary_lines(result))
         lines.append("")
     if summary.deaths_averted is not None:

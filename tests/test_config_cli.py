@@ -144,9 +144,65 @@ class TestOutputs:
         t, x, values = read_field_csv(tmp_path / "run" / "baseline" / "S.csv")
         assert x.size == config.grid.nx
         assert t[0] == 0.0 and t[-1] == pytest.approx(config.grid.tau)
-        stored = summary.baseline.trajectory.s
+        stored = summary.baseline.rows["S"]
         np.testing.assert_array_equal(values[0], stored[0])
         np.testing.assert_array_equal(values[-1], stored[-1])
+        grid = config.grid
+        np.testing.assert_array_equal(t, grid.t[summary.baseline.levels])
+        # the same zero-control baseline, solved apart from the run
+        solved = sq.forward_solve(config.initial_array(),
+                                  sq.ControlPair.zeros(grid, config.regions),
+                                  config.params, config.regions, grid).s
+        np.testing.assert_array_equal(values[0], solved[0])
+        np.testing.assert_array_equal(values[-1], solved[-1])
+
+    def test_results_hold_only_the_written_rows(self, tmp_path, small_config, monkeypatch):
+        # the baseline's trajectory and zero controls are gone before the sweep
+        # starts, and neither result holds a field at all 301 levels
+        import weakref
+
+        import sqeiar.runner
+
+        baseline = []
+
+        def forward_solve(initial, controls, *args):
+            traj = solve(initial, controls, *args)
+            baseline.extend(weakref.ref(a) for a in (traj.values, controls.u, controls.v))
+            return traj
+
+        def fbsm_solve(*args):
+            assert [ref() for ref in baseline] == [None] * 3
+            return sweep(*args)
+
+        solve, sweep = sqeiar.runner.forward_solve, sqeiar.runner.fbsm_solve
+        monkeypatch.setattr(sqeiar.runner, "forward_solve", forward_solve)
+        monkeypatch.setattr(sqeiar.runner, "fbsm_solve", fbsm_solve)
+        config = replace(small_config, output_dir=tmp_path / "run", mode="both")
+        summary = sq.run_scenario(config)
+        assert len(baseline) == 3
+        grid = config.grid
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays(item)
+            elif hasattr(value, "__dataclass_fields__"):
+                assert not isinstance(value, (sq.Trajectory, sq.ControlPair))
+                for name in value.__dataclass_fields__:
+                    yield from arrays(getattr(value, name))
+
+        for result in (summary.baseline, summary.optimal):
+            assert result.levels == [0, 100, 200, 300]
+            assert sorted(result.rows) == sorted(["S", "Q", "E", "A", "I", "R", "u", "v"])
+            # every field holds the 4 written levels; what holds all nt + 1
+            # levels is the aggregates, one number per level
+            assert all(a.shape == (4, grid.nx) for a in arrays(result) if a.ndim > 1)
+        np.testing.assert_array_equal(summary.baseline.rows["u"], 0.0)
 
     @pytest.mark.parametrize("rows, columns", [(1, 1), (1, 7), (_CSV_VALUES // 8, 8),
                                                (_CSV_VALUES // 4 + 5, 12), (9, _CSV_VALUES + 3)])
@@ -374,15 +430,18 @@ class TestCli:
         assert sorted(p.name for p in out.rglob("*")) == ["I.csv", "baseline", "notes.txt"]
 
     @pytest.mark.parametrize("case", ["config_dir", "not_utf8", "profile_abc",
-                                      "profile_dir", "profile_negative", "repeated_key"])
+                                      "profile_dir", "profile_empty", "profile_negative",
+                                      "repeated_key"])
     def test_unreadable_or_invalid_input_exit_one(self, tmp_path, capsys, case):
         (tmp_path / "abc.txt").write_text("abc\n")
+        (tmp_path / "empty.txt").write_text("")
         (tmp_path / "dir").mkdir()
         negative = np.full(21, 5.0)
         negative[3] = -1.0
         np.savetxt(tmp_path / "negative.txt", negative)
         extra = {"profile_abc": "initial.a = file:abc.txt\n",
                  "profile_dir": "initial.a = file:dir\n",
+                 "profile_empty": "initial.s = file:empty.txt\n",
                  "profile_negative": "initial.a = file:negative.txt\n",
                  "repeated_key": "grid.nx = 41\n"}.get(case, "")
         config = self.write_config(tmp_path, extra)
@@ -393,6 +452,22 @@ class TestCli:
         assert main(["run", "--config", str(config), "--mode", "baseline"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error")
+
+    def test_tiny_control_cost_no_warning(self, tmp_path, capsys, monkeypatch):
+        # v / sigma2 overflows to inf, and the clip puts it on the box's edge
+        import sqeiar.runner
+
+        sweep, iterates = sqeiar.runner.fbsm_solve, []
+        monkeypatch.setattr(sqeiar.runner, "fbsm_solve",
+                            lambda *args: sweep(*args, on_iterate=iterates.append))
+        config = self.write_config(tmp_path, "weights.sigma2 = 1e-320\n")
+        assert main(["run", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert iterates
+        for controls in iterates:
+            v_max = controls.regions.v_max
+            assert controls.u.min() >= 0.0 and controls.u.max() <= 1.0
+            assert controls.v.min() >= 0.0 and controls.v.max() <= v_max
 
     def test_positivity_advisory_one_warning_line(self, tmp_path, capsys):
         config = tmp_path / "scenario.conf"

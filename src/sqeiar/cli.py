@@ -116,7 +116,7 @@ def _cmd_check(args) -> int:
     base = ControlPair.constant(0.3, 0.3 * small.regions.v_max, grid, small.regions)
     traj = forward_solve(initial, base, small.params, small.regions, grid)
     reports = [
-        mass_balance_check(traj, small.params, grid),
+        mass_balance_check(traj, small.params),
         positivity_check(traj),
         gradient_oracle(traj, base, small.params, small.weights, small.regions,
                         grid, seed=small.seed),

@@ -144,14 +144,16 @@ def cost_gradient(state: Trajectory, adjoint: Trajectory,
 
 def directional_derivative(grad_u: np.ndarray, grad_v: np.ndarray,
                            controls: ControlPair, weights: CostWeights,
-                           h_u: np.ndarray, h_v: np.ndarray, grid: Grid) -> float:
-    """Pair the gradient fields with a perturbation direction.
+                           h_u: np.ndarray, h_v: np.ndarray) -> float:
+    """Pair the gradient fields with a perturbation direction, on the grid of
+    ``controls``.
 
     The control-cost part integrates with trapezoid weights (matching the
     cost functional); the adjoint part carries one rectangle weight per
     forward step, which is its exact discrete dual, so the result equals the
     divided difference of the cost up to Taylor error in the step size.
     """
+    grid = controls.grid
     wx = grid.space_weights()
     wt = grid.time_weights()
     dt = grid.dt
@@ -165,19 +167,18 @@ def directional_derivative(grad_u: np.ndarray, grad_v: np.ndarray,
     return control_part + adjoint_part
 
 
-def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
-               params: ModelParams, weights: CostWeights,
+def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeights,
                regions: QuarantineRegions, grid: Grid,
                sweep: SweepSettings = SweepSettings(), on_iterate=None
                ) -> tuple[Trajectory, Trajectory, ControlPair, SweepReport]:
-    """Forward-backward sweep to a fixed point u = P(S(u)) of the projected
-    controls.
+    """Forward-backward sweep from zero controls to a fixed point u = P(S(u))
+    of the projected controls.
 
     The Anderson-accelerated sweep (see _sweep) first runs on the grid with
-    nt / COARSE_FACTOR time steps, from every COARSE_FACTOR-th level of the
-    initial controls, and then on ``grid`` from the coarse controls
-    interpolated linearly in time.  The coarse stage is skipped when nt is
-    not a multiple of COARSE_FACTOR or when the coarse step fails the CFL
+    nt / COARSE_FACTOR time steps, from zero controls, and then on ``grid``
+    from the coarse controls interpolated linearly in time.  The coarse
+    stage is skipped, and the fine stage starts from zero controls, when nt
+    is not a multiple of COARSE_FACTOR or when the coarse step fails the CFL
     bound or the positivity advisory.  The fine stage stops when the
     residual max |P(u) - u| is at most ``sweep.tolerance``, the coarse stage
     when it is at most max(tol, sqrt(tol)) for tol = ``sweep.tolerance``;
@@ -189,13 +190,13 @@ def fbsm_solve(initial_state: np.ndarray, initial_controls: ControlPair,
     ``grid`` is reported, not raised.  ``on_iterate`` (if given) receives
     each updated ControlPair on ``grid``.
     """
-    _check_initial(initial_state, params, regions, grid, initial_controls)
+    _check_initial(initial_state, params, regions, grid)
     coarse = _coarse_grid(initial_state, params, regions, grid)
-    start, coarse_iterations = initial_controls, 0
+    start, coarse_iterations = None, 0
     if coarse is not None:
         start_sweep = replace(sweep, tolerance=max(sweep.tolerance, sweep.tolerance ** 0.5))
         _, _, start, coarse_iterations, _, _ = _sweep(
-            initial_state, start, params, weights, regions, coarse, start_sweep, None)
+            initial_state, None, params, weights, regions, coarse, start_sweep, None)
     state, adjoint, controls, iterations, history, residual = _sweep(
         initial_state, start, params, weights, regions, grid, sweep, on_iterate)
     report = SweepReport(iterations, coarse_iterations, history, residual,
@@ -217,13 +218,9 @@ def _coarse_grid(initial: np.ndarray, params: ModelParams,
 
 
 def _to_grid(controls: ControlPair, grid: Grid) -> ControlPair:
-    """``controls`` moved between the fine grid and its coarse grid: every
-    COARSE_FACTOR-th time level onto the coarse grid, linear interpolation
-    in time onto the fine grid (convex combinations, so the box and the
-    region mask hold)."""
+    """Controls on the coarse grid interpolated linearly in time onto
+    ``grid`` (convex combinations, so the box and the region mask hold)."""
     f = COARSE_FACTOR
-    if controls.grid.nt > grid.nt:
-        return ControlPair(controls.u[::f], controls.v[::f], grid, controls.regions)
     fields = []
     for coarse in (controls.u, controls.v):
         fine = np.empty((grid.nt + 1, grid.nx))
@@ -240,11 +237,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel(), dtype=float))
 
 
-def _sweep(initial_state: np.ndarray, controls: ControlPair, params: ModelParams,
+def _sweep(initial_state: np.ndarray, start: ControlPair | None, params: ModelParams,
            weights: CostWeights, regions: QuarantineRegions, grid: Grid,
            sweep: SweepSettings, on_iterate):
     """Anderson type-II iteration (Walker & Ni 2011) of x -> P(S(x)) on
-    ``grid``, from ``controls`` moved onto ``grid`` (see _to_grid).
+    ``grid``, from zero controls, or from the coarse controls ``start``
+    interpolated onto ``grid`` (see _to_grid).
 
     Each pass solves the state forward, the adjoint backward and projects
     the optimality formulas at the current controls x_k, giving the residual
@@ -260,8 +258,7 @@ def _sweep(initial_state: np.ndarray, controls: ControlPair, params: ModelParams
     the state, adjoint and controls of the last pass, the number of updates,
     the cost at each pass and the last residual.
     """
-    if controls.grid != grid:  # the moved copy is held only here
-        controls = _to_grid(controls, grid)
+    controls = ControlPair.zeros(grid, regions) if start is None else _to_grid(start, grid)
     shape = (ANDERSON_DEPTH, 2, grid.nt + 1, grid.nx)
     steps = np.empty(shape, dtype=np.float32)    # x_{j+1} - x_j
     changes = np.empty(shape, dtype=np.float32)  # f_{j+1} - f_j

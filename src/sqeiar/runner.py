@@ -54,12 +54,11 @@ def _result(name: str, config: ScenarioConfig, traj: Trajectory,
     `traj` nor `controls` alive."""
     grid = config.grid
     cost = cost_functional(traj, controls, config.weights, config.regions, grid)
-    checks = [mass_balance_check(traj, config.params, grid), positivity_check(traj)]
+    checks = [mass_balance_check(traj, config.params), positivity_check(traj)]
     levels = sorted({*range(0, grid.nt + 1, config.stride), grid.nt})  # ints for any stride
     rows = dict(zip(COMPARTMENTS, np.moveaxis(traj.values[levels], 1, 0)))
     rows.update(u=controls.u[levels], v=controls.v[levels])
-    return ScenarioResult(name, levels, rows, cost, extract_metrics(traj, grid),
-                          checks, sweep)
+    return ScenarioResult(name, levels, rows, cost, extract_metrics(traj), checks, sweep)
 
 
 def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
@@ -69,10 +68,8 @@ def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResu
 
 
 def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
-    start = ControlPair.zeros(config.grid, config.regions)
     state, _adjoint, controls, report = fbsm_solve(
-        initial, start, config.params, config.weights, config.regions, config.grid,
-        config.sweep)
+        initial, config.params, config.weights, config.regions, config.grid, config.sweep)
     return _result("optimal", config, state, controls, report)
 
 

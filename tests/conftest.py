@@ -44,8 +44,7 @@ def optimal_run(default_config):
     iterates = []
     start = time.perf_counter()
     state, adjoint, controls, report = sq.fbsm_solve(
-        cfg.initial_array(), sq.ControlPair.zeros(cfg.grid, cfg.regions),
-        cfg.params, cfg.weights, cfg.regions, cfg.grid, cfg.sweep,
+        cfg.initial_array(), cfg.params, cfg.weights, cfg.regions, cfg.grid, cfg.sweep,
         on_iterate=iterates.append)
     elapsed = time.perf_counter() - start
     return state, adjoint, controls, report, iterates, elapsed

@@ -24,13 +24,13 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def baseline_metrics(baseline_run, default_config):
     traj, _, _ = baseline_run
-    return sq.extract_metrics(traj, default_config.grid)
+    return sq.extract_metrics(traj)
 
 
 @pytest.fixture(scope="module")
 def optimal_metrics(optimal_run, default_config):
     state = optimal_run[0]
-    return sq.extract_metrics(state, default_config.grid)
+    return sq.extract_metrics(state)
 
 
 def window_max(metrics, times, name, t_lo, t_hi):
@@ -42,8 +42,8 @@ def test_01_mass_balance_and_runtime(baseline_run, optimal_run, default_config):
     traj, _, elapsed_base = baseline_run
     state = optimal_run[0]
     elapsed_opt = optimal_run[5]
-    base = sq.mass_balance_check(traj, default_config.params, default_config.grid)
-    opt = sq.mass_balance_check(state, default_config.params, default_config.grid)
+    base = sq.mass_balance_check(traj, default_config.params)
+    opt = sq.mass_balance_check(state, default_config.params)
     # sweep wall time covers the fine forward/backward iterations and the
     # coarse start before them; budget it at the stated per-mode limit times
     # the fine iteration count
@@ -168,7 +168,7 @@ def test_09_trivial_equilibria(small_grid):
     weights = sq.CostWeights()
     zero = sq.ControlPair.zeros(grid, WHOLE)
     state, _, controls, sweep = sq.fbsm_solve(
-        np.zeros((6, grid.nx)), zero, params, weights, WHOLE, grid)
+        np.zeros((6, grid.nx)), params, weights, WHOLE, grid)
     J = sq.cost_functional(state, controls, weights, WHOLE, grid)
     zero_ok = (sweep.converged and np.all(state.values == 0.0) and J == 0.0
                and np.all(controls.u == 0.0) and np.all(controls.v == 0.0))

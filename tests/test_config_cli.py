@@ -204,6 +204,37 @@ class TestOutputs:
             assert all(a.shape == (4, grid.nx) for a in arrays(result) if a.ndim > 1)
         np.testing.assert_array_equal(summary.baseline.rows["u"], 0.0)
 
+    def test_no_zero_controls_alive_in_the_fine_stage(self, tmp_path, small_config,
+                                                      monkeypatch):
+        # the sweep makes its zero start on the grid of its first stage, so no
+        # zero pair on the run's grid is held while the fine stage runs
+        import weakref
+
+        import sqeiar.control
+
+        made, alive = [], []
+
+        def zeros(cls, grid, regions):
+            pair = make_zeros(grid, regions)
+            made.append((grid, weakref.ref(pair.u), weakref.ref(pair.v)))
+            return pair
+
+        def sweep(*args):
+            grid = args[5]
+            if grid == config.grid:  # the fine stage starts
+                alive.append([g for g, *refs in made
+                              if g == grid and any(ref() is not None for ref in refs)])
+            return run_sweep(*args)
+
+        make_zeros, run_sweep = sq.ControlPair.zeros, sqeiar.control._sweep
+        monkeypatch.setattr(sq.ControlPair, "zeros", classmethod(zeros))
+        monkeypatch.setattr(sqeiar.control, "_sweep", sweep)
+        config = replace(small_config, output_dir=tmp_path / "run", mode="optimal")
+        summary = sq.run_scenario(config)
+        assert alive == [[]]
+        assert summary.optimal.sweep.coarse_iterations > 0
+        assert [grid.nt for grid, *_ in made] == [config.grid.nt // 3]  # the coarse start
+
     @pytest.mark.parametrize("rows, columns", [(1, 1), (1, 7), (_CSV_VALUES // 8, 8),
                                                (_CSV_VALUES // 4 + 5, 12), (9, _CSV_VALUES + 3)])
     def test_csv_bytes_match_savetxt(self, tmp_path, rows, columns):

@@ -140,8 +140,7 @@ class TestGradientConsistency:
         shape = base.u.shape
         h_u = rng.uniform(-0.1, 0.1, shape)
         h_v = rng.uniform(-0.1, 0.1, shape) * WHOLE.mask(grid.x)
-        predicted = sq.directional_derivative(grad_u, grad_v, base, weights,
-                                              h_u, h_v, grid)
+        predicted = sq.directional_derivative(grad_u, grad_v, base, weights, h_u, h_v)
         eps = 1e-5
         shifted = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v,
                                  grid, WHOLE)
@@ -156,10 +155,9 @@ class TestSweep:
         grid = small_config.grid
         initial = small_config.initial_array()
         weights = sq.CostWeights(sigma1=1e12, sigma2=1e12)
-        zero = sq.ControlPair.zeros(grid, WHOLE)
-        state, _, controls, report = sq.fbsm_solve(
-            initial, zero, TABLE, weights, WHOLE, grid)
+        state, _, controls, report = sq.fbsm_solve(initial, TABLE, weights, WHOLE, grid)
         assert report.converged
+        zero = sq.ControlPair.zeros(grid, WHOLE)
         uncontrolled = sq.forward_solve(initial, zero, TABLE, WHOLE, grid)
         J_unc = sq.cost_functional(uncontrolled, zero, weights, WHOLE, grid)
         assert report.cost_history[-1] == pytest.approx(J_unc, rel=1e-6)
@@ -170,20 +168,16 @@ class TestSweep:
         params = ModelParams(beta=0.0)
         initial = np.zeros((6, grid.nx))
         initial[0] = 8000.0
-        zero = sq.ControlPair.zeros(grid, WHOLE)
-        _, _, controls, report = sq.fbsm_solve(
-            initial, zero, params, sq.CostWeights(), WHOLE, grid)
+        _, _, controls, report = sq.fbsm_solve(initial, params, sq.CostWeights(), WHOLE, grid)
         assert report.converged
         assert np.all(controls.u == 0.0)
 
     def test_small_grid_convergence_and_descent(self, small_config):
         grid = small_config.grid
         initial = small_config.initial_array()
-        zero = sq.ControlPair.zeros(grid, WHOLE)
         iterates = []
         state, adjoint, controls, report = sq.fbsm_solve(
-            initial, zero, TABLE, sq.CostWeights(), WHOLE, grid,
-            on_iterate=iterates.append)
+            initial, TABLE, sq.CostWeights(), WHOLE, grid, on_iterate=iterates.append)
         assert report.converged
         assert report.residual <= 1e-4
         assert report.cost_history[-1] < report.cost_history[0]
@@ -196,11 +190,9 @@ class TestSweep:
         # the relaxed update r * |P(u) - u| falls below the tolerance before
         # the residual |P(u) - u| of the returned controls does
         grid = small_config.grid
-        zero = sq.ControlPair.zeros(grid, WHOLE)
         sweep = sq.SweepSettings(tolerance=1e-3, relaxation=0.3)
         state, adjoint, controls, report = sq.fbsm_solve(
-            small_config.initial_array(), zero, TABLE, sq.CostWeights(), WHOLE,
-            grid, sweep)
+            small_config.initial_array(), TABLE, sq.CostWeights(), WHOLE, grid, sweep)
         assert report.converged
         projected = sq.project_controls(state, adjoint, sq.CostWeights(), WHOLE, grid)
         residual = max(np.abs(projected.u - controls.u).max(),
@@ -215,8 +207,8 @@ class TestSweep:
         off = ~two.mask(grid.x)
         iterates = []
         _, _, controls, report = sq.fbsm_solve(
-            small_config.initial_array(), sq.ControlPair.zeros(grid, two), TABLE,
-            sq.CostWeights(), two, grid, on_iterate=iterates.append)
+            small_config.initial_array(), TABLE, sq.CostWeights(), two, grid,
+            on_iterate=iterates.append)
         assert report.converged and report.coarse_iterations > 0
         assert len(iterates) == report.iterations > 0
         assert iterates[-1] is controls
@@ -227,20 +219,16 @@ class TestSweep:
             assert np.all(it.v[:, off] == 0.0)
 
     def test_coarse_start_stops_at_root_of_tolerance(self, small_config):
-        # the coarse start is the sweep on nt / 3 from every third level, run
-        # to sqrt(tolerance) only; 100 coarse steps are no multiple of 3, so
-        # the direct call below makes no coarse start of its own
+        # the coarse start is the sweep on nt / 3 from zero controls, run to
+        # sqrt(tolerance) only; 100 coarse steps are no multiple of 3, so the
+        # direct call below makes no coarse start of its own
         grid = small_config.grid
         initial = small_config.initial_array()
-        zero = sq.ControlPair.zeros(grid, WHOLE)
         sweep = sq.SweepSettings()
-        _, _, _, report = sq.fbsm_solve(initial, zero, TABLE, sq.CostWeights(), WHOLE,
-                                        grid, sweep)
+        _, _, _, report = sq.fbsm_solve(initial, TABLE, sq.CostWeights(), WHOLE, grid, sweep)
         coarse = replace(grid, nt=grid.nt // COARSE_FACTOR)
-        start = sq.ControlPair(zero.u[::COARSE_FACTOR], zero.v[::COARSE_FACTOR], coarse,
-                               WHOLE)
-        _, _, _, direct = sq.fbsm_solve(initial, start, TABLE, sq.CostWeights(), WHOLE,
-                                        coarse, replace(sweep, tolerance=sweep.tolerance ** 0.5))
+        _, _, _, direct = sq.fbsm_solve(initial, TABLE, sq.CostWeights(), WHOLE, coarse,
+                                        replace(sweep, tolerance=sweep.tolerance ** 0.5))
         assert direct.coarse_iterations == 0 and direct.converged
         assert report.converged and report.coarse_iterations == direct.iterations > 0
 
@@ -259,18 +247,16 @@ class TestSweep:
             assert coarse.cfl_number(params) <= 0.5
             assert positivity_bound(initial, params, WHOLE, coarse) >= 1.0
         iterates = []
-        _, _, _, report = sq.fbsm_solve(
-            initial, sq.ControlPair.zeros(grid, WHOLE), params, sq.CostWeights(),
-            WHOLE, grid, on_iterate=iterates.append)
+        _, _, _, report = sq.fbsm_solve(initial, params, sq.CostWeights(), WHOLE, grid,
+                                        on_iterate=iterates.append)
         assert report.coarse_iterations == 0
         assert report.converged and report.residual <= 1e-4
         assert len(iterates) == report.iterations > 0
 
     def test_bad_sweep_arguments(self, small_config):
         grid = small_config.grid
-        zero = sq.ControlPair.zeros(grid, WHOLE)
         initial = small_config.initial_array()
         for bad in ({"tolerance": 0.0}, {"relaxation": 1.5}, {"max_iterations": 0}):
             with pytest.raises(ContractError):
-                sq.fbsm_solve(initial, zero, TABLE, sq.CostWeights(), WHOLE, grid,
+                sq.fbsm_solve(initial, TABLE, sq.CostWeights(), WHOLE, grid,
                               sq.SweepSettings(**bad))

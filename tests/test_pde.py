@@ -119,7 +119,7 @@ class TestForwardSolve:
 
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
-        metrics = sq.extract_metrics(traj, default_config.grid)
+        metrics = sq.extract_metrics(traj)
         crossing = time_to_threshold(metrics, default_config.grid.t, "S", 0.01 * metrics.aggregates["S"][0])
         assert crossing is not None and crossing <= 10.0
 
@@ -244,8 +244,7 @@ class TestAdjointSolve:
             control_part = wt @ ((weights.sigma1 * controls.u * h_u) @ wx
                                  + (weights.sigma2 * controls.v * h_v) @ wx)
             state_part = wt @ np.einsum("cx,mcx->m", rho_wx, Y.values)
-            paired = sq.directional_derivative(*gradient, controls, weights,
-                                               h_u, h_v, grid)
+            paired = sq.directional_derivative(*gradient, controls, weights, h_u, h_v)
             assert paired == pytest.approx(control_part + state_part, rel=1e-10)
 
     def test_transpose_consistency(self):
@@ -302,14 +301,13 @@ class TestSensitivitySolve:
 class TestDiscreteBalance:
     def test_mass_balance_default_run(self, baseline_run, default_config):
         traj, _, _ = baseline_run
-        report = sq.mass_balance_check(traj, default_config.params,
-                                       default_config.grid)
+        report = sq.mass_balance_check(traj, default_config.params)
         assert report.passed
         assert report.measured < 1e-8
 
     def test_total_population_monotone(self, baseline_run, default_config):
         traj, _, _ = baseline_run
-        metrics = sq.extract_metrics(traj, default_config.grid)
+        metrics = sq.extract_metrics(traj)
         increments = np.diff(metrics.total_population)
         assert increments.max() <= 1e-8 * metrics.total_population[0]
 
@@ -351,7 +349,7 @@ def test_solves_and_integrals_build_no_field(name):
         "adjoint_solve": lambda: sq.adjoint_solve(state, controls, weights, params,
                                                   regions, grid),
         "cost_functional": lambda: sq.cost_functional(state, controls, weights, regions, grid),
-        "mass_balance_check": lambda: sq.mass_balance_check(state, params, grid),
+        "mass_balance_check": lambda: sq.mass_balance_check(state, params),
         "ControlPair": lambda: sq.ControlPair(controls.u, controls.v, grid, regions),
     }[name]
     assert _extra_peak(call, grid) < (0.1 if name == "ControlPair" else 0.5)

@@ -1,3 +1,5 @@
+import ast
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,7 @@ def inject_fault(traj, step, compartment, node, magnitude):
 class TestMetrics:
     def test_initial_aggregates_match_profiles(self, default_config, baseline_run):
         traj, _, _ = baseline_run
-        metrics = sq.extract_metrics(traj, default_config.grid)
+        metrics = sq.extract_metrics(traj)
         # closed-form integrals of the initial profiles over [0, 1]
         assert metrics.aggregates["S"][0] == pytest.approx(8000.0, rel=1e-3)
         assert metrics.aggregates["A"][0] == pytest.approx(500.0, rel=1e-3)
@@ -46,14 +48,14 @@ class TestMetrics:
         traj = sq.forward_solve(np.zeros((6, grid.nx)),
                                 sq.ControlPair.zeros(grid, WHOLE),
                                 TABLE, WHOLE, grid)
-        metrics = sq.extract_metrics(traj, grid)
+        metrics = sq.extract_metrics(traj)
         assert metrics.deaths == 0.0
         assert metrics.final_total_population == 0.0
         assert all(v == 0.0 for v in metrics.peak_value.values())
 
     def test_threshold_directions(self, default_config, baseline_run):
         traj, _, _ = baseline_run
-        metrics = sq.extract_metrics(traj, default_config.grid)
+        metrics = sq.extract_metrics(traj)
         t_above = time_to_threshold(metrics, default_config.grid.t, "E", 1800.0, direction="above")
         assert t_above is not None and 0.0 < t_above < 30.0
         assert time_to_threshold(metrics, default_config.grid.t, "S", -1.0) is None
@@ -62,8 +64,7 @@ class TestMetrics:
 class TestMassBalance:
     def test_clean_run_passes(self, default_config, baseline_run):
         traj, _, _ = baseline_run
-        report = sq.mass_balance_check(traj, default_config.params,
-                                       default_config.grid)
+        report = sq.mass_balance_check(traj, default_config.params)
         assert report.passed and report.measured <= report.bound
 
     def test_fault_injection_detected(self, small_config):
@@ -72,7 +73,7 @@ class TestMassBalance:
         traj = sq.forward_solve(small_config.initial_array(), controls,
                                 TABLE, WHOLE, grid)
         broken = inject_fault(traj, grid.nt // 2, 0, grid.nx // 2, 50.0)
-        report = sq.mass_balance_check(broken, TABLE, grid)
+        report = sq.mass_balance_check(broken, TABLE)
         assert not report.passed
 
     def test_fault_magnitude_scales_residual(self, small_config):
@@ -83,7 +84,7 @@ class TestMassBalance:
         residuals = []
         for mag in (10.0, 100.0):
             broken = inject_fault(traj, grid.nt // 2, 0, grid.nx // 2, mag)
-            residuals.append(sq.mass_balance_check(broken, TABLE, grid).measured)
+            residuals.append(sq.mass_balance_check(broken, TABLE).measured)
         assert residuals[1] == pytest.approx(10 * residuals[0], rel=1e-6)
 
 
@@ -160,6 +161,20 @@ class TestSensitivityOracle:
                                        TABLE, WHOLE, grid)
         assert report.passed, report.detail
 
+    @pytest.mark.parametrize("at", [(0.3, 0.3), (0.5, 0.2)])
+    def test_measured_is_the_ratio_the_bound_limits(self, small_config, at):
+        # the pass test, measured and bound are about one quantity: the ratio
+        # of the errors at the two epsilons, which must lie in [5, 20]; a
+        # state solved at other controls than the base fails it
+        grid = small_config.grid
+        base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
+        state = base_state(small_config, sq.ControlPair.constant(*at, grid, WHOLE))
+        report = sq.sensitivity_oracle(state, base, TABLE, WHOLE, grid)
+        lo, hi = DECAY_RATIO_RANGE
+        assert report.bound == hi
+        assert report.passed == (lo <= report.measured <= hi)
+        assert report.passed == (at == (0.3, 0.3))
+
 
 ORACLES = {
     "gradient": lambda state, base, grid: sq.gradient_oracle(
@@ -204,8 +219,7 @@ def loop_gradient_oracle(initial, base, params, weights, regions, grid, seed):
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
     predicted = np.zeros((GRADIENT_DIRECTIONS, 1))
     for i, (h_u, h_v) in enumerate(directions):
-        predicted[i] = sq.directional_derivative(grad_u, grad_v, base, weights,
-                                                 h_u, h_v, grid)
+        predicted[i] = sq.directional_derivative(grad_u, grad_v, base, weights, h_u, h_v)
         for k, eps in enumerate(epsilons):
             plus = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
             bumped = sq.forward_solve(initial, plus, params, regions, grid)
@@ -236,7 +250,7 @@ def loop_sensitivity_oracle(initial, base, params, regions, grid, seed):
         errs.append(l2((bumped.values - state.values) / eps - lin.values)
                     / max(l2(lin.values), 1e-300))
     lo, hi = DECAY_RATIO_RANGE
-    return lo <= errs[0] / max(errs[-1], 1e-300) <= hi, errs[-1]
+    return lo <= errs[0] / max(errs[-1], 1e-300) <= hi, errs
 
 
 PARTIAL = QuarantineRegions(((0.2, 0.45), (0.6, 0.8)))
@@ -258,6 +272,8 @@ def test_batched_oracles_match_per_direction_loops(small_config, seed, regions):
     assert gradient.passed == passed
     assert abs(gradient.measured - measured) <= 1e-7
     sensitivity = sq.sensitivity_oracle(state, base, TABLE, regions, grid, seed=seed)
-    passed, measured = loop_sensitivity_oracle(*args, regions, grid, seed)
+    passed, errs = loop_sensitivity_oracle(*args, regions, grid, seed)
     assert sensitivity.passed == passed
-    assert sensitivity.measured == pytest.approx(measured, rel=1e-12, abs=0)
+    reported = ast.literal_eval(re.search(r"errors=(\[.*?\])", sensitivity.detail)[1])
+    assert reported == pytest.approx(errs, rel=1e-12, abs=0)
+    assert sensitivity.measured == pytest.approx(errs[0] / errs[-1], rel=1e-12, abs=0)

@@ -100,9 +100,28 @@ def cost_functional(state: Trajectory, controls: ControlPair,
     adjoint's source ``rho_source``, and v vanishes off the regions.
     """
     require_aligned(grid, regions, state, controls)
+    return _cost(_state_cost(state.values, _state_weights(weights, regions, grid)),
+                 controls, weights)
+
+
+def _state_weights(weights: CostWeights, regions: QuarantineRegions, grid: Grid) -> np.ndarray:
+    """The cost's weights of the state on ``grid``, shape (6, nx): rho_source times the
+    trapezoid weights in space."""
+    return rho_source(grid.x, regions, weights, grid.x_min, grid.x_max) * grid.space_weights()
+
+
+def _state_cost(levels: np.ndarray, state_weights: np.ndarray) -> np.ndarray:
+    """The state's integrand of the cost at each of ``levels``, shape (k, 6, nx): shape (k,).
+    Each level's sum is its own, so blocks of levels give the bits of all levels at once."""
+    return np.einsum("tcn,cn->t", levels, state_weights)
+
+
+def _cost(state_cost: np.ndarray, controls: ControlPair, weights: CostWeights) -> float:
+    """cost_functional from the state's integrand at every level (see _state_cost), on
+    the grid of ``controls``."""
+    grid = controls.grid
     wx = grid.space_weights()
-    rho_wx = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max) * wx
-    per_level = (np.einsum("tcn,cn->t", state.values, rho_wx)
+    per_level = (state_cost
                  + 0.5 * weights.sigma1 * np.einsum("tn,tn,n->t", controls.u, controls.u, wx)
                  + 0.5 * weights.sigma2 * np.einsum("tn,tn,n->t", controls.v, controls.v, wx))
     return float(grid.time_weights() @ per_level)
@@ -192,13 +211,8 @@ def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeig
     """
     _check_initial(initial_state, params, regions, grid)
     coarse = _coarse_grid(initial_state, params, regions, grid)
-    start, coarse_iterations = None, 0
-    if coarse is not None:
-        start_sweep = replace(sweep, tolerance=max(sweep.tolerance, sweep.tolerance ** 0.5))
-        _, _, start, coarse_iterations, _, _ = _sweep(
-            initial_state, None, params, weights, regions, coarse, start_sweep, None)
-    state, adjoint, controls, iterations, history, residual = _sweep(
-        initial_state, start, params, weights, regions, grid, sweep, on_iterate)
+    state, adjoint, controls, iterations, coarse_iterations, history, residual = _sweep(
+        initial_state, coarse, params, weights, regions, grid, sweep, on_iterate)
     report = SweepReport(iterations, coarse_iterations, history, residual,
                          residual <= sweep.tolerance)
     return state, adjoint, controls, report
@@ -237,12 +251,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel(), dtype=float))
 
 
-def _sweep(initial_state: np.ndarray, start: ControlPair | None, params: ModelParams,
+def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
            weights: CostWeights, regions: QuarantineRegions, grid: Grid,
            sweep: SweepSettings, on_iterate):
     """Anderson type-II iteration (Walker & Ni 2011) of x -> P(S(x)) on
-    ``grid``, from zero controls, or from the coarse controls ``start``
-    interpolated onto ``grid`` (see _to_grid).
+    ``grid``, from zero controls, or, given a ``coarse`` grid, from the
+    controls of this sweep on ``coarse`` from zero, stopped at a residual of
+    max(tol, sqrt(tol)), interpolated onto ``grid`` (see _to_grid).
 
     Each pass solves the state forward, the adjoint backward and projects
     the optimality formulas at the current controls x_k, giving the residual
@@ -256,9 +271,18 @@ def _sweep(initial_state: np.ndarray, start: ControlPair | None, params: ModelPa
     The differences are kept in float32 (only gamma depends on them); f_k
     waits in the slot of its difference until f_{k+1} is known.  Returns
     the state, adjoint and controls of the last pass, the number of updates,
-    the cost at each pass and the last residual.
+    the number of coarse updates (0 without a coarse stage), the cost at
+    each pass and the last residual.  The coarse controls are freed once
+    _to_grid has read them, and the start made from them at the first update.
     """
-    controls = ControlPair.zeros(grid, regions) if start is None else _to_grid(start, grid)
+    if coarse is None:
+        controls, coarse_iterations = ControlPair.zeros(grid, regions), 0
+    else:
+        start_sweep = replace(sweep, tolerance=max(sweep.tolerance, sweep.tolerance ** 0.5))
+        _, _, start, coarse_iterations, _, _, _ = _sweep(
+            initial_state, None, params, weights, regions, coarse, start_sweep, None)
+        controls = _to_grid(start, grid)
+        del start
     shape = (ANDERSON_DEPTH, 2, grid.nt + 1, grid.nx)
     steps = np.empty(shape, dtype=np.float32)    # x_{j+1} - x_j
     changes = np.empty(shape, dtype=np.float32)  # f_{j+1} - f_j
@@ -305,4 +329,4 @@ def _sweep(initial_state: np.ndarray, start: ControlPair | None, params: ModelPa
         controls = ControlPair(u, v, grid, regions)
         if on_iterate is not None:
             on_iterate(controls)
-    return state, adjoint, controls, iterations, history, residual
+    return state, adjoint, controls, iterations, coarse_iterations, history, residual

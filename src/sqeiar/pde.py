@@ -19,7 +19,12 @@ still one product and 8 calls whatever B is, and each member is bitwise its
 own solve.  forward_solve and sensitivity_solve are the batch of one;
 _forward_batch, through which the check oracles make their bumped solves,
 takes a list of B ControlPairs and returns B Trajectory views into its one
-output.
+output.  The step loop writes into a buffer of levels and checks each block
+of them before it reuses their slots.  A solve that returns a Trajectory
+holds all nt + 1 levels; _forward_stream, the baseline run's solve, holds a
+ring of _BLOCK + 1 and hands each block of levels to its consumer, which
+keeps the reductions and rows that `run` reports, so that run never holds
+its (nt + 1, 6, nx) trajectory.
 
 The adjoint step is the forward step's exact transpose in the same form, 6
 numpy calls per step: its flows are one product with B^T (row 0
@@ -52,7 +57,7 @@ from .model import (
 )
 
 CFL_LIMIT = 0.5
-_BLOCK = 64  # time levels per block of the adjoint's coefficient rows
+_BLOCK = 64  # time levels per block: the adjoint's coefficient rows, a streamed solve's levels
 
 
 class IntegrationError(RuntimeError):
@@ -213,16 +218,17 @@ def neumann_laplacian(row: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _check_finite(out: np.ndarray, rows: range, what: str) -> None:
+def _check_finite(out: np.ndarray, rows: range, what: str, first: int = 0) -> None:
     """Raise IntegrationError at the first non-finite row in computation order ``rows``,
     at its first bad node; in a batch, the member-local node of the first bad entry in
-    (compartment, member, node) order.  The last row decides: each step is one product K @ Z in
-    which every entry of the departure row reaches the next row through K's diagonal
-    and, with the factor D*dt/dx^2 > 0, its stencil column; IEEE sums and products,
-    0 * inf included, keep a non-finite operand non-finite."""
+    (compartment, member, node) order.  Row m of ``out`` is time step first + m.  The
+    last row decides: each step is one product K @ Z in which every entry of the departure
+    row reaches the next row through K's diagonal and, with the factor D*dt/dx^2 > 0, its
+    stencil column; IEEE sums and products, 0 * inf included, keep a non-finite operand
+    non-finite."""
     if not np.isfinite(out[rows[-1]]).all():
         m = next(m for m in rows if not np.isfinite(out[m]).all())
-        raise IntegrationError(m, int(np.argwhere(~np.isfinite(out[m]))[0][-1]), what)
+        raise IntegrationError(first + m, int(np.argwhere(~np.isfinite(out[m]))[0][-1]), what)
 
 
 def _stencil(rows: np.ndarray, near: np.ndarray):
@@ -260,20 +266,35 @@ def _check_initial(initial, params: ModelParams, regions: QuarantineRegions, gri
     require_aligned(grid, regions, *controls)
 
 
+def _blocks(nt: int, size: int = _BLOCK):
+    """The blocks of levels (lo, hi) in which a streamed solve hands over levels 0..nt:
+    levels lo..hi - 1 for lo = 0, size, 2 * size, ..., the last block through level nt."""
+    for lo in range(0, nt, size):
+        hi = min(lo + size, nt)
+        yield lo, hi + (hi == nt)
+
+
 def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
-               params: ModelParams, grid: Grid, what: str) -> np.ndarray:
+               params: ModelParams, grid: Grid, what: str, consume=None) -> np.ndarray:
     """Explicit Euler steps from ``initial`` of the B control pairs stacked in u and v,
-    shape (nt + 1, B, nx), in their dtype, read at each step's departure level;
-    shape (nt + 1, 6, B, nx).
+    shape (nt + 1, B, nx), in their dtype, read at each step's departure level.
+
+    The steps fill a buffer of levels, shape (size, 6, B, nx), one block of size - 1 steps
+    at a time, and _check_finite certifies each block before its slots are reused.
+    Without ``consume`` the buffer holds all nt + 1 levels, filled as one block, and is
+    returned.  With it, the buffer is a ring of _BLOCK + 1 levels, and consume(lo, levels)
+    receives the levels lo..hi - 1 of each of _blocks(nt) in order, as a view that the
+    next block overwrites.
 
     The step must stay analytic in (y, u, v): sums and products only, no abs,
     clip, maximum or comparison on state or controls, or the complex step of
     sensitivity_solve silently gives a wrong derivative.
     """
     batch, nx = u.shape[1:]
-    out = np.empty((grid.nt + 1, 6, batch, nx), dtype=np.result_type(float, u, v))
+    size = grid.nt + 1 if consume is None else min(grid.nt, _BLOCK) + 1
+    out = np.empty((size, 6, batch, nx), dtype=np.result_type(float, u, v))
     out[0] = initial[:, None]
-    levels = out.reshape(grid.nt + 1, 6, batch * nx)  # level m: members side by side per row
+    levels = out.reshape(size, 6, batch * nx)  # level m: members side by side per row
     u, v = u.reshape(grid.nt + 1, batch * nx), v.reshape(grid.nt + 1, batch * nx)
     M, B, c, contact_dt = _step_operator(params, grid)
     # one product per step: out[m + 1] = [M' | B | diag(c)] @ [y; flows; neighbour sum]
@@ -288,19 +309,26 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
     members, member_exposure = y.reshape(6, batch, nx).swapaxes(0, 1), exposure.reshape(batch, nx)
     left, right, inner, edge, ends = _stencil(y.reshape(-1, nx), near.reshape(-1, nx))
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
-        for m in range(grid.nt):
-            y[...] = levels[m]
-            np.add(left, right, out=inner)
-            np.multiply(edge, 2.0, out=ends)
-            if batch == 1:  # np.dot: the same gemv, about 1 us less per call than matmul
-                np.dot(contact_dt, y, out=exposure)
-            else:
-                np.matmul(contact_dt, members, out=member_exposure)
-            exposure *= S
-            np.multiply(v[m], S, out=quarantine)
-            np.multiply(u[m], I, out=treatment)
-            np.dot(K, Z, out=levels[m + 1])
-    _check_finite(out, range(1, grid.nt + 1), what)
+        for lo, hi in _blocks(grid.nt, size - 1):
+            if lo:  # a ring: the last level of the previous block departs this one
+                levels[0] = levels[size - 1]
+            steps = min(size - 1, grid.nt - lo)  # they fill slots 1..steps
+            u_block, v_block = u[lo:lo + steps], v[lo:lo + steps]
+            for m in range(steps):
+                y[...] = levels[m]
+                np.add(left, right, out=inner)
+                np.multiply(edge, 2.0, out=ends)
+                if batch == 1:  # np.dot: the same gemv, about 1 us less per call than matmul
+                    np.dot(contact_dt, y, out=exposure)
+                else:
+                    np.matmul(contact_dt, members, out=member_exposure)
+                exposure *= S
+                np.multiply(v_block[m], S, out=quarantine)
+                np.multiply(u_block[m], I, out=treatment)
+                np.dot(K, Z, out=levels[m + 1])
+            _check_finite(out, range(1, steps + 1), what, lo)
+            if consume is not None:
+                consume(lo, out[:hi - lo])
     return out
 
 
@@ -315,6 +343,17 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
     _check_initial(initial, params, regions, grid, controls)
     out = _integrate(initial, controls.u[:, None], controls.v[:, None], params, grid, "state")
     return Trajectory(out[:, :, 0], grid)
+
+
+def _forward_stream(initial: np.ndarray, controls, params: ModelParams,
+                    regions: QuarantineRegions, grid: Grid, consume) -> None:
+    """forward_solve without its trajectory: the steps keep a ring of _BLOCK + 1 levels and
+    hand consume(lo, levels) the levels lo..hi - 1 of each of _blocks(nt), in order, once
+    _check_finite has certified them, shape (hi - lo, 6, nx).  ``levels`` is a view that
+    the next block overwrites."""
+    _check_initial(initial, params, regions, grid, controls)
+    _integrate(initial, controls.u[:, None], controls.v[:, None], params, grid, "state",
+               lambda lo, levels: consume(lo, levels[:, :, 0]))
 
 
 def _forward_batch(initial: np.ndarray, pairs, params: ModelParams,

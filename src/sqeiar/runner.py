@@ -4,22 +4,27 @@ controlled runs, verification checks, CSV trajectories, and a run summary."""
 from __future__ import annotations
 
 import contextlib
+import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig
-from .control import ControlPair, SweepReport, cost_functional, fbsm_solve
+from .control import ControlPair, SweepReport, _state_cost, _state_weights, fbsm_solve
 from .model import COMPARTMENTS, QuarantineRegions
-from .pde import Grid, Trajectory, forward_solve
-from .verify import (
-    CheckReport,
-    RunMetrics,
-    extract_metrics,
-    mass_balance_check,
-    positivity_check,
-)
+from .pde import Grid, _blocks
+from .verify import CheckReport, RunMetrics, _integrals, _lowest, _population
+
+# The baseline streams its levels into _Levels instead of holding its trajectory, and
+# both results are reduced from what _Levels kept, so the runner calls the cores that
+# take those reductions.  It keeps the public names, which benchmarks/tracing.py wraps.
+from .control import _cost as cost_functional
+from .pde import _forward_stream as forward_solve
+from .verify import _balance as mass_balance_check
+from .verify import _metrics as extract_metrics
+from .verify import _positivity as positivity_check
 
 _CSV_VALUES = 1024  # CSV values formatted per % operation (at least one row)
 
@@ -47,34 +52,87 @@ class RunSummary:
     deaths_averted: float | None
 
 
-def _result(name: str, config: ScenarioConfig, traj: Trajectory,
-            controls: ControlPair, sweep: SweepReport | None = None) -> ScenarioResult:
-    """Cost, trajectory checks and metrics of one solved scenario, and
-    copies of the rows that `run` writes, so the result keeps neither
-    `traj` nor `controls` alive."""
+class _Levels:
+    """What a result keeps of its solve's levels, handed over in the blocks of
+    pde._blocks, in order: the rows `run` writes, each level's compartment
+    integrals and state cost, the least value and the initial population."""
+
+    def __init__(self, config: ScenarioConfig):
+        grid = config.grid
+        self.integrals = np.empty((len(COMPARTMENTS), grid.nt + 1))
+        self.state_cost = np.empty(grid.nt + 1)
+        # the stored levels, Python ints for any stride
+        self.levels = sorted({*range(0, grid.nt + 1, config.stride), grid.nt})
+        self.rows = np.empty((len(self.levels), len(COMPARTMENTS), grid.nx))
+        self.lowest = (np.inf, 0, 0, 0)
+        self.population = 1.0
+        self._grid, self._wx = grid, grid.space_weights()
+        self._state_weights = _state_weights(config.weights, config.regions, grid)
+
+    def __call__(self, lo: int, block: np.ndarray) -> None:
+        """Take levels lo, lo + 1, ... of a solve, shape (k, 6, nx), all finite."""
+        hi = lo + len(block)
+        if lo == 0:
+            self.population = _population(block[0], self._grid)
+        self.integrals[:, lo:hi] = _integrals(block, self._wx)
+        self.state_cost[lo:hi] = _state_cost(block, self._state_weights)
+        lowest = _lowest(block, lo)
+        if lowest[0] < self.lowest[0]:  # the first of equal minima stays
+            self.lowest = lowest
+        i, j = bisect_left(self.levels, lo), bisect_left(self.levels, hi)
+        self.rows[i:j] = block[[m - lo for m in self.levels[i:j]]]
+
+
+def _result(name: str, config: ScenarioConfig, seen: _Levels, controls: ControlPair,
+            sweep: SweepReport | None = None) -> ScenarioResult:
+    """Cost, trajectory checks and metrics of one solved scenario from what
+    ``seen`` kept of its levels, and copies of the rows of ``controls`` that
+    `run` writes, so the result keeps neither ``seen`` nor ``controls``
+    alive."""
     grid = config.grid
-    cost = cost_functional(traj, controls, config.weights, config.regions, grid)
-    checks = [mass_balance_check(traj, config.params), positivity_check(traj)]
-    levels = sorted({*range(0, grid.nt + 1, config.stride), grid.nt})  # ints for any stride
-    rows = dict(zip(COMPARTMENTS, np.moveaxis(traj.values[levels], 1, 0)))
-    rows.update(u=controls.u[levels], v=controls.v[levels])
-    return ScenarioResult(name, levels, rows, cost, extract_metrics(traj), checks, sweep)
+    aggregates = dict(zip(COMPARTMENTS, seen.integrals))
+    cost = cost_functional(seen.state_cost, controls, config.weights)
+    checks = [mass_balance_check(aggregates, config.params, grid),
+              positivity_check(seen.lowest, seen.population)]
+    rows = dict(zip(COMPARTMENTS, np.moveaxis(seen.rows, 1, 0)))
+    rows.update(u=controls.u[seen.levels], v=controls.v[seen.levels])
+    return ScenarioResult(name, seen.levels, rows, cost, extract_metrics(aggregates, grid),
+                          checks, sweep)
 
 
 def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
+    # zeroed by the allocator and only read, so on a large grid no memory backs them
     controls = ControlPair.zeros(config.grid, config.regions)
-    traj = forward_solve(initial, controls, config.params, config.regions, config.grid)
-    return _result("baseline", config, traj, controls)
+    seen = _Levels(config)
+    forward_solve(initial, controls, config.params, config.regions, config.grid, seen)
+    return _result("baseline", config, seen, controls)
 
 
 def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
     state, _adjoint, controls, report = fbsm_solve(
         initial, config.params, config.weights, config.regions, config.grid, config.sweep)
-    return _result("optimal", config, state, controls, report)
+    seen = _Levels(config)
+    for lo, hi in _blocks(config.grid.nt):  # the blocks a streamed solve hands over
+        seen(lo, state.values[lo:hi])
+    return _result("optimal", config, seen, controls, report)
 
 
-def _tree(root: Path) -> set[Path]:
-    return {root, *root.rglob("*")} if root.exists() else set()
+def _outputs(root: Path, out_dir: Path, summary: RunSummary) -> list[Path]:
+    """Every path write_outputs can create when ``root`` is the highest missing
+    directory: the directories from ``root`` down to ``out_dir``, summary.txt,
+    and each result's directory with its CSVs."""
+    chain = [out_dir, *out_dir.parents]
+    paths = chain[:chain.index(root) + 1] + [out_dir / "summary.txt"]
+    for result in (summary.baseline, summary.optimal):
+        if result is not None:
+            directory = out_dir / result.name
+            paths += [directory, *(directory / f"{name}.csv"
+                                   for name in (*result.rows, "aggregates"))]
+    return paths
+
+
+def _existing(paths: list[Path]) -> set[Path]:
+    return {path for path in paths if os.path.lexists(path)}
 
 
 def run_scenario(config: ScenarioConfig) -> RunSummary:
@@ -101,13 +159,14 @@ def run_scenario(config: ScenarioConfig) -> RunSummary:
     root = out_dir  # the highest directory this call may create
     while not root.parent.exists():
         root = root.parent
-    before = _tree(root)
+    outputs = _outputs(root, out_dir, summary)
+    before = _existing(outputs)
     try:
         write_outputs(summary, config, out_dir)
     except Exception:
         # a path sorts after its parent, so reverse order empties
         # directories before removing them
-        for path in sorted(_tree(root) - before, reverse=True):
+        for path in sorted(_existing(outputs) - before, reverse=True):
             with contextlib.suppress(OSError):
                 if path.is_dir() and not path.is_symlink():
                     path.rmdir()

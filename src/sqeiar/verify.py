@@ -10,7 +10,7 @@ import numpy as np
 
 from .control import ControlPair, cost_functional, cost_gradient, directional_derivative
 from .model import COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
-from .pde import (Grid, Trajectory, _forward_batch, adjoint_solve, require_aligned,
+from .pde import (Grid, Trajectory, _blocks, _forward_batch, adjoint_solve, require_aligned,
                   sensitivity_solve)
 # The oracles take the base state from their caller and solve no base of their
 # own.  The module keeps the name forward_solve, which benchmarks/tracing.py wraps.
@@ -48,17 +48,33 @@ class RunMetrics:
     deaths: float                      # N(0) - N(tau), integrated
 
 
+def _integrals(levels: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """Trapezoid integral over space of each compartment at each of ``levels``, shape
+    (k, 6, nx): shape (6, k).  A gemv may round a level by its place in the block
+    (OpenBLAS: by its group of 4 levels, and the last levels by another path), so each
+    caller passes the blocks of pde._blocks, and the levels get the same bits however
+    they were solved."""
+    return np.stack([levels[:, c, :] @ wx for c in range(len(COMPARTMENTS))])
+
+
 def _aggregates(traj: Trajectory) -> dict[str, np.ndarray]:
-    """Trapezoid integral over space of each compartment, per time level."""
+    """Trapezoid integral over space of each compartment, per time level, from the
+    blocks of levels that a streamed solve hands over (see pde._forward_stream)."""
     wx = traj.grid.space_weights()
-    return {name: traj.values[:, c, :] @ wx for c, name in enumerate(COMPARTMENTS)}
+    series = np.hstack([_integrals(traj.values[lo:hi], wx)
+                        for lo, hi in _blocks(traj.grid.nt)])
+    return dict(zip(COMPARTMENTS, series))
 
 
 def extract_metrics(traj: Trajectory) -> RunMetrics:
     """Trapezoid aggregates per compartment plus peak/death statistics."""
-    aggregates = _aggregates(traj)
+    return _metrics(_aggregates(traj), traj.grid)
+
+
+def _metrics(aggregates: dict[str, np.ndarray], grid: Grid) -> RunMetrics:
+    """extract_metrics from the aggregates at the levels of ``grid``."""
     total = sum(aggregates.values())
-    times = traj.grid.t
+    times = grid.t
     peak_value = {name: float(series.max()) for name, series in aggregates.items()}
     peak_time = {name: float(times[int(series.argmax())])
                  for name, series in aggregates.items()}
@@ -76,9 +92,14 @@ def mass_balance_check(traj: Trajectory, params: ModelParams) -> CheckReport:
     """Discrete total-population balance: per step, the change of the
     integrated population equals dt * (alpha - 1) * f * integrated I,
     up to roundoff (the reflected stencil has zero weighted sum)."""
-    aggregates = _aggregates(traj)
+    return _balance(_aggregates(traj), params, traj.grid)
+
+
+def _balance(aggregates: dict[str, np.ndarray], params: ModelParams,
+             grid: Grid) -> CheckReport:
+    """mass_balance_check from the aggregates at the levels of ``grid``."""
     total = sum(aggregates.values())
-    expected = traj.grid.dt * (params.alpha - 1.0) * params.f * aggregates["I"][:-1]
+    expected = grid.dt * (params.alpha - 1.0) * params.f * aggregates["I"][:-1]
     residual = np.abs(np.diff(total) - expected)
     scale = max(total[0], 1.0)
     measured = float(residual.max() / scale) if residual.size else 0.0
@@ -94,11 +115,25 @@ def mass_balance_check(traj: Trajectory, params: ModelParams) -> CheckReport:
 def positivity_check(traj: Trajectory) -> CheckReport:
     """Most negative compartment value, normalized by the initial population;
     a NaN anywhere fails the check, with measured NaN."""
-    wx = traj.grid.space_weights()
-    scale = max(float(traj.values[0].sum(axis=0) @ wx), 1.0)
+    return _positivity(_lowest(traj.values), _population(traj.values[0], traj.grid))
+
+
+def _lowest(levels: np.ndarray, first: int = 0) -> tuple[float, int, int, int]:
+    """The least value of ``levels``, shape (k, 6, nx), whose row m is level first + m,
+    and its (level, compartment, node): the first minimum, or the first NaN."""
     # one scan; where min would return NaN, argmin points at the first NaN
-    step, comp, node = np.unravel_index(traj.values.argmin(), traj.values.shape)
-    most_negative = float(traj.values[step, comp, node])
+    m, comp, node = np.unravel_index(levels.argmin(), levels.shape)
+    return float(levels[m, comp, node]), first + int(m), int(comp), int(node)
+
+
+def _population(level: np.ndarray, grid: Grid) -> float:
+    """The positivity check's scale: the total population of one level, at least 1."""
+    return max(float(level.sum(axis=0) @ grid.space_weights()), 1.0)
+
+
+def _positivity(lowest: tuple[float, int, int, int], scale: float) -> CheckReport:
+    """positivity_check from the least value with its place (see _lowest) and the scale."""
+    most_negative, step, comp, node = lowest
     # a NaN fails the check: max(0.0, -nan) would give 0.0
     measured = np.nan if np.isnan(most_negative) else max(0.0, -most_negative) / scale
     return CheckReport(

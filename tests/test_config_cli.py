@@ -157,8 +157,8 @@ class TestOutputs:
         np.testing.assert_array_equal(values[-1], solved[-1])
 
     def test_results_hold_only_the_written_rows(self, tmp_path, small_config, monkeypatch):
-        # the baseline's trajectory and zero controls are gone before the sweep
-        # starts, and neither result holds a field at all 301 levels
+        # the baseline's buffer of levels and zero controls are gone before the
+        # sweep starts, and neither result holds a field at all 301 levels
         import weakref
 
         import sqeiar.runner
@@ -166,9 +166,14 @@ class TestOutputs:
         baseline = []
 
         def forward_solve(initial, controls, *args):
-            traj = solve(initial, controls, *args)
-            baseline.extend(weakref.ref(a) for a in (traj.values, controls.u, controls.v))
-            return traj
+            *args, consume = args
+
+            def keep(lo, levels):
+                if lo == 0:  # the streamed solve's ring of levels
+                    baseline.append(weakref.ref(levels.base))
+                consume(lo, levels)
+            solve(initial, controls, *args, keep)
+            baseline.extend(weakref.ref(a) for a in (controls.u, controls.v))
 
         def fbsm_solve(*args):
             assert [ref() for ref in baseline] == [None] * 3
@@ -273,6 +278,103 @@ class TestOutputs:
         assert "deaths averted" in text
         for name in ("S", "Q", "E", "A", "I", "R", "u", "v"):
             assert (tmp_path / "run" / "optimal" / f"{name}.csv").exists()
+
+    def test_output_snapshot_lists_no_unrelated_tree(self, tmp_path, small_config,
+                                                     monkeypatch):
+        # the failure cleanup looks only at the paths a run can write, so what
+        # else the output directory holds costs nothing to snapshot
+        import os
+
+        out = tmp_path / "out"
+        unrelated = out / "unrelated"
+        (unrelated / "deep").mkdir(parents=True)
+        (unrelated / "deep" / "notes.txt").write_text("keep\n")
+        scanned, scandir = [], os.scandir
+        monkeypatch.setattr(os, "scandir",
+                            lambda path=".": scanned.append(Path(path)) or scandir(path))
+        sq.run_scenario(replace(small_config, output_dir=out, mode="baseline"))
+        assert [p for p in scanned if p == unrelated or unrelated in p.parents] == []
+        assert (unrelated / "deep" / "notes.txt").read_text() == "keep\n"
+
+
+class TestStreamedBaseline:
+    """A baseline run streams blocks of 64 levels through its reductions
+    instead of holding its trajectory; each reduction matches the one made
+    on the trajectory that forward_solve returns."""
+
+    @pytest.mark.parametrize("stride", [7, 2 ** 63])
+    @pytest.mark.parametrize("nt", [63, 64, 65, 128, 129])
+    def test_matches_the_full_trajectory(self, tmp_path, small_config, nt, stride):
+        from sqeiar.model import COMPARTMENTS
+
+        grid = sq.Grid(nx=21, tau=0.01 * nt, nt=nt)  # the dt, and CFL number, of 21 x 300
+        config = replace(small_config, grid=grid, stride=stride, mode="baseline",
+                         output_dir=tmp_path / "run")
+        result = sq.run_scenario(config).baseline
+        zero = sq.ControlPair.zeros(grid, config.regions)
+        traj = sq.forward_solve(config.initial_array(), zero, config.params, config.regions,
+                                grid)
+
+        levels = sorted({*range(0, nt + 1, stride), nt})
+        assert result.levels == levels
+        for c, name in enumerate(COMPARTMENTS):
+            np.testing.assert_array_equal(result.rows[name], traj.values[levels, c])
+        for name in ("u", "v"):
+            np.testing.assert_array_equal(result.rows[name], np.zeros((len(levels), grid.nx)))
+
+        metrics = sq.extract_metrics(traj)
+        wx = grid.space_weights()
+        for c, name in enumerate(COMPARTMENTS):
+            np.testing.assert_array_equal(result.metrics.aggregates[name],
+                                          metrics.aggregates[name])
+            # one product over all levels, which may sum in another order
+            np.testing.assert_allclose(result.metrics.aggregates[name],
+                                       traj.values[:, c] @ wx, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(result.metrics.total_population, metrics.total_population)
+        assert (result.metrics.peak_value, result.metrics.peak_time) == \
+            (metrics.peak_value, metrics.peak_time)
+        assert (result.metrics.final_total_population, result.metrics.deaths) == \
+            (metrics.final_total_population, metrics.deaths)
+        assert result.cost == sq.cost_functional(traj, zero, config.weights, config.regions,
+                                                 grid)
+        assert result.checks == [sq.mass_balance_check(traj, config.params),
+                                 sq.positivity_check(traj)]
+
+    # first non-finite level: 64, the last level of the first block, checked
+    # before the ring reuses its slot; 65 and 129, the first level a block
+    # computes; 150, inside the third block
+    @pytest.mark.parametrize("k, step", [(220.68, 64), (220.14, 65), (208.46, 129),
+                                         (207.08, 150)])
+    def test_divergence_names_the_same_step_and_node(self, tmp_path, k, step):
+        default = sq.ScenarioConfig()
+        config = replace(default, params=replace(default.params, k=k),
+                         grid=sq.Grid(nx=11, tau=10.0, nt=1000), mode="baseline",
+                         output_dir=tmp_path / "out")
+        zero = sq.ControlPair.zeros(config.grid, config.regions)
+        with pytest.raises(sq.IntegrationError) as full:
+            sq.forward_solve(config.initial_array(), zero, config.params, config.regions,
+                             config.grid)
+        assert full.value.step == step
+        with pytest.warns(UserWarning, match="compartments may go negative"), \
+                pytest.raises(sq.IntegrationError) as streamed:
+            sq.run_scenario(config)
+        assert (streamed.value.step, streamed.value.node) == (full.value.step, full.value.node)
+        assert str(streamed.value) == str(full.value)
+        assert not (tmp_path / "out").exists()
+
+    def test_peak_memory_below_half_a_trajectory(self, tmp_path):
+        import tracemalloc
+
+        config = replace(sq.ScenarioConfig(), mode="baseline", output_dir=tmp_path / "run")
+        grid = config.grid  # 101 x 3000: one trajectory is 14.5 MB
+        trajectory = (grid.nt + 1) * 6 * grid.nx * 8
+        tracemalloc.start()
+        try:
+            sq.run_scenario(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < trajectory / 2
 
 
 class TestCli:

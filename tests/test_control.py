@@ -232,6 +232,36 @@ class TestSweep:
         assert direct.coarse_iterations == 0 and direct.converged
         assert report.converged and report.coarse_iterations == direct.iterations > 0
 
+    def test_coarse_controls_freed_in_the_fine_stage(self, small_config, monkeypatch):
+        # only _to_grid reads the coarse controls: they are gone when the fine
+        # stage's first solve starts, and the start made from them when its
+        # second one does
+        import weakref
+
+        import sqeiar.control
+
+        grid = small_config.grid
+        refs, alive = [], []
+
+        def to_grid(controls, fine):
+            start = interpolate(controls, fine)
+            refs.extend(weakref.ref(a) for a in (controls.u, controls.v, start.u, start.v))
+            return start
+
+        def forward_solve(initial, controls, params, regions, on):
+            if on == grid:
+                alive.append([ref() is not None for ref in refs])
+            return solve(initial, controls, params, regions, on)
+
+        interpolate, solve = sqeiar.control._to_grid, sqeiar.control.forward_solve
+        monkeypatch.setattr(sqeiar.control, "_to_grid", to_grid)
+        monkeypatch.setattr(sqeiar.control, "forward_solve", forward_solve)
+        _, _, _, report = sq.fbsm_solve(small_config.initial_array(), TABLE, sq.CostWeights(),
+                                        WHOLE, grid)
+        assert report.coarse_iterations > 0 and report.iterations >= 2
+        assert alive[0] == [False, False, True, True]
+        assert alive[1:] == [[False] * 4] * report.iterations
+
     @pytest.mark.parametrize("case", ["nt_not_multiple", "coarse_cfl", "coarse_advisory"])
     def test_coarse_start_skipped(self, small_config, case):
         params, grid = {

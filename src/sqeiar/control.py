@@ -124,7 +124,9 @@ def _cost(state_cost: np.ndarray, controls: ControlPair, weights: CostWeights) -
     per_level = (state_cost
                  + 0.5 * weights.sigma1 * np.einsum("tn,tn,n->t", controls.u, controls.u, wx)
                  + 0.5 * weights.sigma2 * np.einsum("tn,tn,n->t", controls.v, controls.v, wx))
-    return float(grid.time_weights() @ per_level)
+    # einsum, not BLAS: past 10,000 levels OpenBLAS runs a ddot on two threads, and the
+    # idle worker then spins for about 0.13 s of CPU
+    return _dot(grid.time_weights(), per_level)
 
 
 def project_controls(state: Trajectory, adjoint: Trajectory,

@@ -12,28 +12,31 @@ _step_operator): the forward step is [M' | B | diag(c)] @ [y; F; N(y)], with
 M' = I + dt * L - 2 * diag(c) (L from model._reaction_split, which holds the
 linear exposure beta * S), the flows F = ((dt * contact) @ y * S, v * S, u * I)
 moved by the incidence matrix B, c = D*dt/dx^2 and N the reflected neighbour
-sum: 8 numpy calls per step.  The forward step carries a batch axis: B
-scenarios that share the initial profiles and differ in their controls step
-together, their rows side by side in one (15, B * nx) operand, so a step is
-still one product and 8 calls whatever B is, and each member is bitwise its
-own solve.  forward_solve and sensitivity_solve are the batch of one;
-_forward_batch, through which the check oracles make their bumped solves,
-takes a list of B ControlPairs and returns B Trajectory views into its one
-output.  The step loop writes into a buffer of levels and checks each block
-of them before it reuses their slots.  A solve that returns a Trajectory
-holds all nt + 1 levels; _forward_stream, the baseline run's solve, holds a
-ring of _BLOCK + 1 and hands each block of levels to its consumer, which
-keeps the reductions and rows that `run` reports, so that run never holds
-its (nt + 1, 6, nx) trajectory.
+sum: 8 numpy calls per step.  Each is a direct call of numpy's C code, a ufunc
+or ndarray.dot with out passed positionally, bound to a local before the loop;
+np.dot would run its Python-level __array_function__ dispatcher on every call.
+The forward step carries a batch axis: B scenarios that share the initial
+profiles and differ in their controls step together, their rows side by side
+in one (15, B * nx) operand, so a step is still one product and 8 calls
+whatever B is, and each member is bitwise its own solve.  forward_solve and
+sensitivity_solve are the batch of one; _forward_batch, through which the
+check oracles make their bumped solves, takes a list of B ControlPairs and
+returns B Trajectory views into its one output.  The step loop writes into a
+buffer of levels and checks each block of them before it reuses their slots.
+A solve that returns a Trajectory holds all nt + 1 levels; _forward_stream,
+the baseline run's solve, holds a ring of _BLOCK + 1 and hands each block of
+levels to its consumer, which keeps the reductions and rows that `run`
+reports, so that run never holds its (nt + 1, 6, nx) trajectory.
 
 The adjoint step is the forward step's exact transpose in the same form, 6
-numpy calls per step: its flows are one product with B^T (row 0
-doubled) times the coefficient rows (Lambda_m, S_m, v_m, u_m), filled once per
-block of _BLOCK levels into a (_BLOCK, 4, nx) buffer, and the source dt * rho
-rides in the product as two constant operand rows.  Both steps read N from their
-operand's copy of y or p (see _stencil).  The sensitivity solve runs the forward
-step itself on complex values (complex step).  neumann_laplacian, reaction_rhs
-and state_jacobian are the per-equation forms the steps are tested against.
+numpy calls per step, made the same way: its flows are one product with B^T
+(row 0 doubled) times the coefficient rows (Lambda_m, S_m, v_m, u_m), filled
+once per block of _BLOCK levels into a (_BLOCK, 4, nx) buffer, and the source
+dt * rho rides in the product as two constant operand rows.  Both steps read
+N from their operand's copy of y or p (see _stencil).  The sensitivity solve
+runs the forward step itself on complex values (complex step).
+neumann_laplacian, reaction_rhs and state_jacobian are the per-equation forms
+the steps are tested against.
 """
 
 from __future__ import annotations
@@ -232,8 +235,8 @@ def _check_finite(out: np.ndarray, rows: range, what: str, first: int = 0) -> No
 
 
 def _stencil(rows: np.ndarray, near: np.ndarray):
-    """Views by which np.add(left, right, out=inner), then np.multiply(edge, 2.0, out=ends) at the
-    row ends it mixed, write the reflected neighbour sum of contiguous ``rows`` into ``near``;
+    """Views by which np.add(left, right, inner), then np.add(edge, edge, ends) (2 * edge, exactly)
+    at the row ends it mixed, write the reflected neighbour sum of contiguous ``rows`` into ``near``;
     each row of length nx reflects on its own, so a batch's (6 * B, nx) view works as one."""
     flat, nx = rows.reshape(-1), rows.shape[-1]
     edge = rows[:, 1:nx - 1:max(nx - 3, 1)]
@@ -308,24 +311,27 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
     # (np.matmul over the member axis): each member is then bitwise its own solve
     members, member_exposure = y.reshape(6, batch, nx).swapaxes(0, 1), exposure.reshape(batch, nx)
     left, right, inner, edge, ends = _stencil(y.reshape(-1, nx), near.reshape(-1, nx))
+    # numpy's C entry points, bound once: ufuncs and ndarray.dot take out positionally
+    # and run no Python-level dispatcher, as np.dot does on every call
+    add, multiply, matmul, step, gemv = np.add, np.multiply, np.matmul, K.dot, contact_dt.dot
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
         for lo, hi in _blocks(grid.nt, size - 1):
             if lo:  # a ring: the last level of the previous block departs this one
                 levels[0] = levels[size - 1]
             steps = min(size - 1, grid.nt - lo)  # they fill slots 1..steps
-            u_block, v_block = u[lo:lo + steps], v[lo:lo + steps]
-            for m in range(steps):
-                y[...] = levels[m]
-                np.add(left, right, out=inner)
-                np.multiply(edge, 2.0, out=ends)
-                if batch == 1:  # np.dot: the same gemv, about 1 us less per call than matmul
-                    np.dot(contact_dt, y, out=exposure)
+            for departure, arrival, u_m, v_m in zip(levels[:steps], levels[1:steps + 1],
+                                                    u[lo:lo + steps], v[lo:lo + steps]):
+                y[...] = departure
+                add(left, right, inner)
+                add(edge, edge, ends)  # 2 * edge, exactly
+                if batch == 1:  # ndarray.dot: the same gemv, cheaper per call than matmul
+                    gemv(y, exposure)
                 else:
-                    np.matmul(contact_dt, members, out=member_exposure)
-                exposure *= S
-                np.multiply(v_block[m], S, out=quarantine)
-                np.multiply(u_block[m], I, out=treatment)
-                np.dot(K, Z, out=levels[m + 1])
+                    matmul(contact_dt, members, member_exposure)
+                multiply(exposure, S, exposure)
+                multiply(v_m, S, quarantine)
+                multiply(u_m, I, treatment)
+                step(Z, arrival)
             _check_finite(out, range(1, steps + 1), what, lo)
             if consume is not None:
                 consume(lo, out[:hi - lo])
@@ -412,19 +418,22 @@ def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     out = np.zeros((grid.nt + 1, 6, grid.nx))
     out[grid.nt - 1] = 0.5 * rho_dt  # terminal cost sample: half trapezoid weight
     left, right, inner, edge, ends = _stencil(p, near)
+    add, multiply, step, flow = np.add, np.multiply, K.dot, BT4.dot
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
         for hi in range(grid.nt, 1, -_BLOCK):  # levels lo..hi - 1, the last block down to 1
             lo = max(hi - _BLOCK, 1)
             w = W[:hi - lo]
             np.matmul(lam_s, values[lo:hi], out=w[:, :2])
             w[:, 2], w[:, 3] = v[lo:hi], u[lo:hi]
-            for m in range(hi - 1, lo - 1, -1):
-                p[...] = out[m]
-                np.add(left, right, out=inner)
-                np.multiply(edge, 2.0, out=ends)
-                np.dot(BT4, p, out=flows)
-                np.multiply(flows, w[m - lo], out=flows)
-                np.dot(K, Z, out=out[m - 1])
+            # levels m = hi - 1 down to lo: departure out[m], arrival out[m - 1], rows w[m - lo]
+            for departure, arrival, w_m in zip(out[lo:hi][::-1], out[lo - 1:hi - 1][::-1],
+                                               w[::-1]):
+                p[...] = departure
+                add(left, right, inner)
+                add(edge, edge, ends)
+                flow(p, flows)
+                multiply(flows, w_m, flows)
+                step(Z, arrival)
     _check_finite(out, range(grid.nt - 1, -1, -1), "adjoint")
     return Trajectory(out, grid)
 

@@ -1,0 +1,215 @@
+"""The step loops, pinned bit for bit and call for call.
+
+Reference loops here make each step with numpy's plain calls (np.dot with
+out=, a multiply by 2.0 at the stencil ends) on top of the solver's own
+_step_operator and _stencil; every solve path must give their bits, so a
+change of the step that changes rounding fails here.  A second group counts
+the Python-level frames a solve opens: none per step.
+"""
+
+import os
+import sys
+import time
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import sqeiar as sq
+from sqeiar.control import ControlPair, cost_functional
+from sqeiar.model import _I, _S, QuarantineRegions, rho_source
+from sqeiar.pde import (_BLOCK, _blocks, _forward_batch, _forward_stream, _stencil,
+                        _step_operator, adjoint_solve, forward_solve, sensitivity_solve)
+from sqeiar.verify import _random_directions
+
+# nodes -> (tau, nt): D*dt/dx^2 stays at most 0.16 on each grid
+GRIDS = {21: (3.0, 300), 33: (3.0, 300), 101: (3.0, 300), 401: (0.3, 300)}
+
+
+def reference_forward(initial, u, v, params, grid):
+    """Explicit Euler steps of the B control pairs stacked in u and v, shape
+    (nt + 1, B, nx), with the plain calls: shape (nt + 1, 6, B, nx)."""
+    batch, nx = u.shape[1:]
+    out = np.empty((grid.nt + 1, 6, batch, nx), dtype=np.result_type(float, u, v))
+    out[0] = initial[:, None]
+    levels = out.reshape(grid.nt + 1, 6, batch * nx)
+    u, v = u.reshape(grid.nt + 1, batch * nx), v.reshape(grid.nt + 1, batch * nx)
+    M, B, c, contact_dt = _step_operator(params, grid)
+    K = np.hstack([M, B, np.diag(c)]).astype(out.dtype)
+    contact_dt = contact_dt.astype(out.dtype)
+    Z = np.empty((15, batch * nx), dtype=out.dtype)
+    y, exposure, quarantine, treatment, near = Z[:6], Z[6], Z[7], Z[8], Z[9:]
+    members, member_exposure = y.reshape(6, batch, nx).swapaxes(0, 1), exposure.reshape(batch, nx)
+    left, right, inner, edge, ends = _stencil(y.reshape(-1, nx), near.reshape(-1, nx))
+    for m in range(grid.nt):
+        y[...] = levels[m]
+        np.add(left, right, out=inner)
+        np.multiply(edge, 2.0, out=ends)
+        if batch == 1:
+            np.dot(contact_dt, y, out=exposure)
+        else:
+            np.matmul(contact_dt, members, out=member_exposure)
+        exposure *= y[_S]
+        np.multiply(v[m], y[_S], out=quarantine)
+        np.multiply(u[m], y[_I], out=treatment)
+        np.dot(K, Z, out=levels[m + 1])
+    return out
+
+
+def reference_adjoint(state, controls, weights, params, regions, grid):
+    """The adjoint recursion of pde._adjoint_solve with the plain calls."""
+    rho_dt = grid.dt * rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
+    M, B, c, contact_dt = _step_operator(params, grid)
+    e = np.eye(6)
+    R = np.column_stack([e[_S], rho_dt[:, 0]])
+    R[_S, 1] = 0.0
+    K = np.hstack([M.T, np.column_stack([e[_S], contact_dt, e[_S], e[_I]]), np.diag(c), R])
+    BT4, lam_s = B.T[[0, 0, 1, 2]], np.vstack([contact_dt, e[_S]])
+    W = np.empty((grid.nt + 1, 4, grid.nx))
+    np.matmul(lam_s, state.values, out=W[:, :2])
+    W[:, 2], W[:, 3] = controls.v, controls.u
+    Z = np.empty((18, grid.nx))
+    p, flows, near = Z[:6], Z[6:10], Z[10:16]
+    Z[16], Z[17] = rho_dt[_S], 1.0
+    out = np.zeros((grid.nt + 1, 6, grid.nx))
+    out[grid.nt - 1] = 0.5 * rho_dt
+    left, right, inner, edge, ends = _stencil(p, near)
+    for m in range(grid.nt - 1, 0, -1):
+        p[...] = out[m]
+        np.add(left, right, out=inner)
+        np.multiply(edge, 2.0, out=ends)
+        np.dot(BT4, p, out=flows)
+        np.multiply(flows, W[m], out=flows)
+        np.dot(K, Z, out=out[m - 1])
+    return out
+
+
+def scenario(nx, nt=None):
+    tau, steps = GRIDS[nx]
+    if nt is not None:
+        tau, steps = tau * nt / steps, nt
+    grid = sq.Grid(nx=nx, tau=tau, nt=steps)
+    cfg = replace(sq.ScenarioConfig(), grid=grid)
+    return grid, cfg, cfg.initial_array()
+
+
+def random_pair(rng, grid, regions):
+    shape = (grid.nt + 1, grid.nx)
+    return ControlPair(rng.uniform(0.0, 1.0, shape),
+                       rng.uniform(0.0, regions.v_max, shape) * regions.mask(grid.x),
+                       grid, regions)
+
+
+@pytest.mark.parametrize("nx", sorted(GRIDS))
+class TestStepsArePinned:
+    def test_forward_solve(self, nx):
+        grid, cfg, initial = scenario(nx)
+        pair = random_pair(np.random.default_rng(nx), grid, cfg.regions)
+        state = forward_solve(initial, pair, cfg.params, cfg.regions, grid)
+        expected = reference_forward(initial, pair.u[:, None], pair.v[:, None], cfg.params, grid)
+        assert np.array_equal(state.values, expected[:, :, 0])
+
+    def test_batch_members(self, nx):
+        grid, cfg, initial = scenario(nx)
+        rng = np.random.default_rng(nx + 1)
+        pairs = [random_pair(rng, grid, cfg.regions) for _ in range(3)]
+        members = _forward_batch(initial, pairs, cfg.params, cfg.regions, grid)
+        expected = reference_forward(initial, np.stack([pair.u for pair in pairs], axis=1),
+                                     np.stack([pair.v for pair in pairs], axis=1),
+                                     cfg.params, grid)
+        for b, member in enumerate(members):
+            assert np.array_equal(member.values, expected[:, :, b])
+
+    @pytest.mark.parametrize("nt", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_stream_blocks(self, nx, nt):
+        grid, cfg, initial = scenario(nx, nt)
+        pair = random_pair(np.random.default_rng(nt), grid, cfg.regions)
+        expected = reference_forward(initial, pair.u[:, None], pair.v[:, None],
+                                     cfg.params, grid)[:, :, 0]
+        seen = []
+        _forward_stream(initial, pair, cfg.params, cfg.regions, grid,
+                        lambda lo, levels: seen.append((lo, levels.copy())))
+        assert [(lo, lo + len(levels)) for lo, levels in seen] == list(_blocks(nt))
+        for lo, levels in seen:
+            assert np.array_equal(levels, expected[lo:lo + len(levels)])
+
+    def test_sensitivity_solve(self, nx):
+        grid, cfg, initial = scenario(nx)
+        rng = np.random.default_rng(nx + 2)
+        pair = random_pair(rng, grid, cfg.regions)
+        [(h_u, h_v)] = _random_directions(grid, cfg.regions, 1, rng)
+        lin = sensitivity_solve(initial, pair, h_u, h_v, cfg.params, cfg.regions, grid)
+        h = 1e-30
+        u = pair.u + 1j * h * h_u
+        v = pair.v + 1j * h * (h_v * cfg.regions.mask(grid.x))
+        expected = reference_forward(initial, u[:, None], v[:, None], cfg.params, grid)
+        assert np.array_equal(lin.values, expected[:, :, 0].imag / h)
+
+    def test_adjoint_solve(self, nx):
+        grid, cfg, initial = scenario(nx)
+        pair = random_pair(np.random.default_rng(nx + 3), grid, cfg.regions)
+        state = forward_solve(initial, pair, cfg.params, cfg.regions, grid)
+        adjoint = adjoint_solve(state, pair, cfg.weights, cfg.params, cfg.regions, grid)
+        expected = reference_adjoint(state, pair, cfg.weights, cfg.params, cfg.regions, grid)
+        assert np.array_equal(adjoint.values, expected)
+
+
+def python_calls(solve) -> int:
+    """The Python-level frames that ``solve()`` opens: sys.setprofile's "call" events."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        solve()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestNoPythonFramePerStep:
+    """Each step calls numpy's C entry points directly: a solve's Python-level calls do
+    not grow with nt (a streamed solve's grow by a few per block, not per step)."""
+
+    @staticmethod
+    def solves(nt):
+        grid, cfg, initial = scenario(21, nt)
+        rng = np.random.default_rng(0)
+        pair = random_pair(rng, grid, cfg.regions)
+        [(h_u, h_v)] = _random_directions(grid, cfg.regions, 1, rng)
+        state = forward_solve(initial, pair, cfg.params, cfg.regions, grid)
+        args = cfg.params, cfg.regions, grid
+        return {
+            "forward": lambda: forward_solve(initial, pair, *args),
+            "adjoint": lambda: adjoint_solve(state, pair, cfg.weights, *args),
+            "sensitivity": lambda: sensitivity_solve(initial, pair, h_u, h_v, *args),
+            "stream": lambda: _forward_stream(initial, pair, *args, lambda lo, levels: None),
+        }
+
+    def test_calls_do_not_grow_with_steps(self):
+        short, long = self.solves(300), self.solves(600)
+        for name in ("forward", "adjoint", "sensitivity"):
+            assert python_calls(short[name]) == python_calls(long[name]), name
+        extra_blocks = len(list(_blocks(600))) - len(list(_blocks(300)))
+        extra_calls = python_calls(long["stream"]) - python_calls(short["stream"])
+        assert 0 <= extra_calls <= 8 * extra_blocks
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="one CPU: no BLAS worker thread to spin")
+def test_cost_leaves_no_blas_thread_spinning():
+    # past 10,000 entries OpenBLAS runs a ddot on two threads, and its idle worker
+    # then spins for a tenth of a second of CPU; the cost's time quadrature avoids BLAS
+    grid = sq.Grid(nx=3, tau=30.0, nt=12000)
+    regions = QuarantineRegions(((0.0, 1.0),))
+    state = sq.Trajectory(np.ones((grid.nt + 1, 6, grid.nx)), grid)
+    cost_functional(state, ControlPair.zeros(grid, regions), sq.CostWeights(), regions, grid)
+    process, thread = time.process_time(), time.thread_time()
+    end = time.perf_counter() + 0.2
+    while time.perf_counter() < end:
+        pass
+    other_threads = (time.process_time() - process) - (time.thread_time() - thread)
+    assert other_threads < 0.02

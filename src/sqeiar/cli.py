@@ -114,14 +114,12 @@ def _cmd_check(args) -> int:
     initial = _check_profiles(config, grid)
     small.positivity_step_warning(initial)
     base = ControlPair.constant(0.3, 0.3 * small.regions.v_max, grid, small.regions)
-    traj = forward_solve(initial, base, small.params, small.regions, grid)
+    traj = forward_solve(initial, base, small.params, grid)
     reports = [
         mass_balance_check(traj, small.params),
         positivity_check(traj),
-        gradient_oracle(traj, base, small.params, small.weights, small.regions,
-                        grid, seed=small.seed),
-        sensitivity_oracle(traj, base, small.params, small.regions, grid,
-                           seed=small.seed),
+        gradient_oracle(traj, base, small.params, small.weights, seed=small.seed),
+        sensitivity_oracle(traj, base, small.params, seed=small.seed),
     ]
 
     failed = False

@@ -92,15 +92,16 @@ class SweepReport:
 
 
 def cost_functional(state: Trajectory, controls: ControlPair,
-                    weights: CostWeights, regions: QuarantineRegions,
-                    grid: Grid) -> float:
+                    weights: CostWeights) -> float:
     """Objective value: weighted epidemic burden plus quadratic control cost.
 
-    Trapezoid quadrature in space and time.  The state pairs with the
-    adjoint's source ``rho_source``, and v vanishes off the regions.
+    Trapezoid quadrature in space and time on the grid of ``controls``, which
+    ``state`` must share.  The state pairs with the adjoint's source
+    ``rho_source`` of the regions of ``controls``, and v vanishes off them.
     """
-    require_aligned(grid, regions, state, controls)
-    return _cost(_state_cost(state.values, _state_weights(weights, regions, grid)),
+    grid = controls.grid
+    require_aligned(grid, state)
+    return _cost(_state_cost(state.values, _state_weights(weights, controls.regions, grid)),
                  controls, weights)
 
 
@@ -130,10 +131,11 @@ def _cost(state_cost: np.ndarray, controls: ControlPair, weights: CostWeights) -
 
 
 def project_controls(state: Trajectory, adjoint: Trajectory,
-                     weights: CostWeights, regions: QuarantineRegions,
-                     grid: Grid) -> ControlPair:
-    """Pointwise optimality formulas clamped onto the admissible box."""
-    require_aligned(grid, regions, state, adjoint)
+                     weights: CostWeights, regions: QuarantineRegions) -> ControlPair:
+    """Pointwise optimality formulas clamped onto the admissible box of
+    ``regions``, on the grid of ``state``, which ``adjoint`` must share."""
+    grid = state.grid
+    require_aligned(grid, adjoint)
     mask = regions.mask(grid.x).astype(float)
     u = np.subtract(adjoint.i, adjoint.r)
     u *= state.i
@@ -151,13 +153,14 @@ def project_controls(state: Trajectory, adjoint: Trajectory,
 
 
 def cost_gradient(state: Trajectory, adjoint: Trajectory,
-                  controls: ControlPair, weights: CostWeights,
-                  regions: QuarantineRegions, grid: Grid
+                  controls: ControlPair, weights: CostWeights
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Integrands of the directional cost derivative w.r.t. (u, v), each of
-    shape (nt + 1, nx)."""
-    require_aligned(grid, regions, state, adjoint, controls)
-    mask = regions.mask(grid.x).astype(float)
+    shape (nt + 1, nx), on the grid of ``controls``, which ``state`` and
+    ``adjoint`` must share."""
+    grid = controls.grid
+    require_aligned(grid, state, adjoint)
+    mask = controls.regions.mask(grid.x).astype(float)
     grad_u = weights.sigma1 * controls.u - state.i * (adjoint.i - adjoint.r)
     grad_v = weights.sigma2 * controls.v - mask * state.s * (adjoint.s - adjoint.q)
     return grad_u, grad_v
@@ -180,7 +183,7 @@ def directional_derivative(grad_u: np.ndarray, grad_v: np.ndarray,
     dt = grid.dt
     ctrl_u = weights.sigma1 * controls.u
     ctrl_v = weights.sigma2 * controls.v
-    control_part = float(wt @ ((ctrl_u * h_u) @ wx + (ctrl_v * h_v) @ wx))
+    control_part = _dot(wt, (ctrl_u * h_u) @ wx + (ctrl_v * h_v) @ wx)  # not BLAS: see _cost
     adj_u = grad_u - ctrl_u
     adj_v = grad_v - ctrl_v
     adjoint_part = dt * float(((adj_u * h_u)[:-1] @ wx).sum()
@@ -211,7 +214,7 @@ def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeig
     ``grid`` is reported, not raised.  ``on_iterate`` (if given) receives
     each updated ControlPair on ``grid``.
     """
-    _check_initial(initial_state, params, regions, grid)
+    _check_initial(initial_state, params, grid)
     coarse = _coarse_grid(initial_state, params, regions, grid)
     state, adjoint, controls, iterations, coarse_iterations, history, residual = _sweep(
         initial_state, coarse, params, weights, regions, grid, sweep, on_iterate)
@@ -233,10 +236,12 @@ def _coarse_grid(initial: np.ndarray, params: ModelParams,
     return coarse
 
 
-def _to_grid(controls: ControlPair, grid: Grid) -> ControlPair:
-    """Controls on the coarse grid interpolated linearly in time onto
-    ``grid`` (convex combinations, so the box and the region mask hold)."""
+def _to_grid(controls: ControlPair) -> ControlPair:
+    """Controls on the coarse grid interpolated linearly in time onto the
+    grid with COARSE_FACTOR times its steps (convex combinations, so the box
+    and the region mask hold)."""
     f = COARSE_FACTOR
+    grid = replace(controls.grid, nt=controls.grid.nt * f)
     fields = []
     for coarse in (controls.u, controls.v):
         fine = np.empty((grid.nt + 1, grid.nx))
@@ -283,7 +288,7 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
         start_sweep = replace(sweep, tolerance=max(sweep.tolerance, sweep.tolerance ** 0.5))
         _, _, start, coarse_iterations, _, _, _ = _sweep(
             initial_state, None, params, weights, regions, coarse, start_sweep, None)
-        controls = _to_grid(start, grid)
+        controls = _to_grid(start)
         del start
     shape = (ANDERSON_DEPTH, 2, grid.nt + 1, grid.nx)
     steps = np.empty(shape, dtype=np.float32)    # x_{j+1} - x_j
@@ -293,10 +298,10 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
     r = sweep.relaxation
     history = []
     for iterations in range(sweep.max_iterations + 1):
-        state = forward_solve(initial_state, controls, params, regions, grid)
-        history.append(cost_functional(state, controls, weights, regions, grid))
-        adjoint = adjoint_solve(state, controls, weights, params, regions, grid)
-        projected = project_controls(state, adjoint, weights, regions, grid)
+        state = forward_solve(initial_state, controls, params, grid)
+        history.append(cost_functional(state, controls, weights))
+        adjoint = adjoint_solve(state, controls, weights, params, grid)
+        projected = project_controls(state, adjoint, weights, regions)
         f = (np.subtract(projected.u, controls.u, out=projected.u),
              np.subtract(projected.v, controls.v, out=projected.v))
         residual = float(max(f[0].max(), -f[0].min(), f[1].max(), -f[1].min()))

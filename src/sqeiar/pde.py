@@ -194,14 +194,11 @@ def positivity_bound(initial: np.ndarray, params: ModelParams,
     return 2.0 * grid.cfl_number(p) + grid.dt * rate
 
 
-def require_aligned(grid: Grid, regions: QuarantineRegions, *inputs) -> None:
-    """Reject trajectories or controls defined on a grid other than ``grid``,
-    and controls defined for quarantine regions other than ``regions``."""
+def require_aligned(grid: Grid, *inputs) -> None:
+    """Reject trajectories or controls defined on a grid other than ``grid``."""
     for obj in inputs:
         if obj.grid != grid:
             raise ContractError(f"{type(obj).__name__} defined on a different grid")
-        if getattr(obj, "regions", regions) != regions:
-            raise ContractError("controls defined for different quarantine regions")
 
 
 def neumann_laplacian(row: np.ndarray, dx: float) -> np.ndarray:
@@ -258,15 +255,14 @@ def _step_operator(params: ModelParams, grid: Grid):
     return np.eye(6) + dt * L - 2.0 * np.diag(c), B, c, dt * contact
 
 
-def _check_initial(initial, params: ModelParams, regions: QuarantineRegions, grid: Grid,
-                   *controls) -> None:
+def _check_initial(initial, params: ModelParams, grid: Grid, *controls) -> None:
     """Entry checks of the forward map at ``initial``, on ``grid``, with ``controls``."""
     if np.shape(initial) != (6, grid.nx):
         raise ContractError(f"initial profiles must have shape (6, {grid.nx})")
     if not (np.min(initial) >= 0 and np.max(initial) < np.inf):  # NaN fails both
         raise ContractError("initial profiles must be finite and nonnegative")
     grid.check_cfl(params)
-    require_aligned(grid, regions, *controls)
+    require_aligned(grid, *controls)
 
 
 def _blocks(nt: int, size: int = _BLOCK):
@@ -338,44 +334,50 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
     return out
 
 
+# The solves take ``grid`` beside the ControlPair that carries it, and check that the
+# two agree: benchmarks/tracing.py counts a solve's time steps (its *.us_per_step
+# metrics) from the Grid among the arguments of the call.
 def forward_solve(initial: np.ndarray, controls, params: ModelParams,
-                  regions: QuarantineRegions, grid: Grid) -> Trajectory:
-    """Integrate the nonlinear state system from the given initial profiles.
+                  grid: Grid) -> Trajectory:
+    """Integrate the nonlinear state system on ``grid`` from the given initial
+    profiles.
 
     ``initial`` holds six finite, nonnegative rows of length nx.  Controls
     are read at the time level from which each step departs, v as given:
-    ControlPair keeps it zero off the regions.
+    ControlPair keeps it zero off its regions.  ``controls`` must lie on
+    ``grid``.
     """
-    _check_initial(initial, params, regions, grid, controls)
+    _check_initial(initial, params, grid, controls)
     out = _integrate(initial, controls.u[:, None], controls.v[:, None], params, grid, "state")
     return Trajectory(out[:, :, 0], grid)
 
 
-def _forward_stream(initial: np.ndarray, controls, params: ModelParams,
-                    regions: QuarantineRegions, grid: Grid, consume) -> None:
+def _forward_stream(initial: np.ndarray, controls, params: ModelParams, grid: Grid,
+                    consume) -> None:
     """forward_solve without its trajectory: the steps keep a ring of _BLOCK + 1 levels and
     hand consume(lo, levels) the levels lo..hi - 1 of each of _blocks(nt), in order, once
     _check_finite has certified them, shape (hi - lo, 6, nx).  ``levels`` is a view that
     the next block overwrites."""
-    _check_initial(initial, params, regions, grid, controls)
+    _check_initial(initial, params, grid, controls)
     _integrate(initial, controls.u[:, None], controls.v[:, None], params, grid, "state",
                lambda lo, levels: consume(lo, levels[:, :, 0]))
 
 
 def _forward_batch(initial: np.ndarray, pairs, params: ModelParams,
-                   regions: QuarantineRegions, grid: Grid) -> list[Trajectory]:
+                   grid: Grid) -> list[Trajectory]:
     """forward_solve of each ControlPair in ``pairs`` in one step loop: one Trajectory
-    per pair, in order, each a view into the one (nt + 1, 6, B, nx) output."""
-    _check_initial(initial, params, regions, grid, *pairs)
+    per pair, in order, each a view into the one (nt + 1, 6, B, nx) output.  The pairs
+    share ``grid``; their regions may differ."""
+    _check_initial(initial, params, grid, *pairs)
     out = _integrate(initial, np.stack([pair.u for pair in pairs], axis=1),
                      np.stack([pair.v for pair in pairs], axis=1), params, grid, "state")
     return [Trajectory(out[:, :, b], grid) for b in range(len(pairs))]
 
 
 def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
-                  params: ModelParams, regions: QuarantineRegions,
-                  grid: Grid) -> Trajectory:
-    """Integrate the adjoint system backward from a zero terminal condition.
+                  params: ModelParams, grid: Grid) -> Trajectory:
+    """Integrate the adjoint system backward from a zero terminal condition, on
+    ``grid``, with the source rho_source of the regions of ``controls``.
 
     Each backward step applies the transpose of the linearized forward step
     at the same state, with the same Neumann stencil and step size.  Row m
@@ -385,18 +387,17 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     transpose of the linearized discrete dynamics paired with the
     trapezoid-in-time cost.  The stored terminal row is identically zero.
     """
-    require_aligned(grid, regions, state, controls)
+    require_aligned(grid, state, controls)
     if not np.all(np.isfinite(state.values)):
         raise ContractError("state trajectory contains non-finite values")
-    return _adjoint_solve(state, controls, weights, params, regions, grid)
+    return _adjoint_solve(state, controls, weights, params, grid)
 
 
 def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
-                   params: ModelParams, regions: QuarantineRegions,
-                   grid: Grid) -> Trajectory:
+                   params: ModelParams, grid: Grid) -> Trajectory:
     """adjoint_solve without its entry checks, for a state that forward_solve
     returned for ``controls`` on ``grid``: its _check_finite certified it."""
-    rho = rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
+    rho = rho_source(grid.x, controls.regions, weights, grid.x_min, grid.x_max)
 
     M, B, c, contact_dt = _step_operator(params, grid)
     # one product per step, the transpose of the forward step linearized at y_m:
@@ -439,16 +440,16 @@ def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
 
 
 def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
-                      h_v: np.ndarray, params: ModelParams,
-                      regions: QuarantineRegions, grid: Grid) -> Trajectory:
-    """Derivative of ``forward_solve(initial, .)`` at ``controls`` along the
-    finite (nt + 1, nx) arrays (h_u, h_v), h_v masked to the regions.
+                      h_v: np.ndarray, params: ModelParams, grid: Grid) -> Trajectory:
+    """Derivative of ``forward_solve(initial, .)`` on ``grid`` at ``controls`` along
+    the finite (nt + 1, nx) arrays (h_u, h_v), h_v masked to the regions of
+    ``controls``.
 
     The forward step is analytic, so this is the complex step
     Im F(u + i*h*h_u, v + i*h*h_v) / h, exact to roundoff: second-order
     terms are h^2 = 1e-60 below the real values.
     """
-    _check_initial(initial, params, regions, grid, controls)
+    _check_initial(initial, params, grid, controls)
     shape = (grid.nt + 1, grid.nx)
     h_u = np.asarray(h_u, dtype=float)
     h_v = np.asarray(h_v, dtype=float)
@@ -458,6 +459,6 @@ def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
         raise ContractError("perturbation direction contains non-finite values")
     h = 1e-30
     u = controls.u + 1j * h * h_u
-    v = controls.v + 1j * h * (h_v * regions.mask(grid.x))
+    v = controls.v + 1j * h * (h_v * controls.regions.mask(grid.x))
     out = _integrate(initial, u[:, None], v[:, None], params, grid, "sensitivity")
     return Trajectory(out[:, :, 0].imag / h, grid)

@@ -104,7 +104,7 @@ def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResu
     # zeroed by the allocator and only read, so on a large grid no memory backs them
     controls = ControlPair.zeros(config.grid, config.regions)
     seen = _Levels(config)
-    forward_solve(initial, controls, config.params, config.regions, config.grid, seen)
+    forward_solve(initial, controls, config.params, config.grid, seen)
     return _result("baseline", config, seen, controls)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlPair, cost_functional, cost_gradient, directional_derivative
+from .control import ControlPair, _dot, cost_functional, cost_gradient, directional_derivative
 from .model import COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
 from .pde import (Grid, Trajectory, _blocks, _forward_batch, adjoint_solve, require_aligned,
                   sensitivity_solve)
@@ -170,23 +170,24 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
 
 
 def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
-                    weights: CostWeights, regions: QuarantineRegions, grid: Grid,
-                    seed: int = DEFAULT_SEED) -> CheckReport:
+                    weights: CostWeights, seed: int = DEFAULT_SEED) -> CheckReport:
     """Compare the adjoint cost gradient along seeded random directions with
     the Richardson combination of one-sided divided differences at the two
     epsilons, and check first-order decay of the one-sided errors.
 
-    ``state`` is forward_solve's trajectory at ``base``; the bumped solves start
-    from its initial profiles.  A state solved elsewhere fails the check."""
-    require_aligned(grid, regions, state, base)
+    ``state`` is forward_solve's trajectory at ``base``, on its grid; the bumped
+    solves start from its initial profiles.  A state solved elsewhere fails the
+    check."""
+    grid, regions = base.grid, base.regions
+    require_aligned(grid, state)
     first, last = epsilons = GRADIENT_EPSILONS
     initial = state.values[0]
     directions = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
                                     np.random.default_rng(seed))
 
-    adjoint = adjoint_solve(state, base, weights, params, regions, grid)
-    grad_u, grad_v = cost_gradient(state, adjoint, base, weights, regions, grid)
-    j_base = cost_functional(state, base, weights, regions, grid)
+    adjoint = adjoint_solve(state, base, weights, params, grid)
+    grad_u, grad_v = cost_gradient(state, adjoint, base, weights)
+    j_base = cost_functional(state, base, weights)
     predicted = np.array([[directional_derivative(grad_u, grad_v, base, weights, h_u, h_v)]
                           for h_u, h_v in directions])
     del adjoint, grad_u, grad_v  # room for the batched solves below
@@ -197,8 +198,8 @@ def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
     for k, eps in enumerate(epsilons):
         pairs = [ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
                  for h_u, h_v in directions]
-        bumped = _forward_batch(initial, pairs, params, regions, grid)
-        costs = [cost_functional(member, pair, weights, regions, grid)
+        bumped = _forward_batch(initial, pairs, params, grid)
+        costs = [cost_functional(member, pair, weights)
                  for member, pair in zip(bumped, pairs)]
         fd[:, k] = (np.array(costs) - j_base) / eps
         del pairs, bumped  # before the next batch is made
@@ -217,7 +218,6 @@ def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
 
 
 def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
-                       regions: QuarantineRegions, grid: Grid,
                        seed: int = DEFAULT_SEED) -> CheckReport:
     """Compare sensitivity_solve against divided differences of the
     nonlinear solve in the discrete L2 norm along one seeded random
@@ -225,29 +225,30 @@ def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams
     step of sensitivity_solve is exact only while the forward step stays
     analytic; these black-box differences catch a step that is not.
 
-    ``state`` is forward_solve's trajectory at ``base``; the linearized and
-    bumped solves start from its initial profiles.  A state solved elsewhere
-    fails the check."""
-    require_aligned(grid, regions, state, base)
+    ``state`` is forward_solve's trajectory at ``base``, on its grid; the
+    linearized and bumped solves start from its initial profiles.  A state
+    solved elsewhere fails the check."""
+    grid, regions = base.grid, base.regions
+    require_aligned(grid, state)
     epsilons = SENSITIVITY_EPSILONS
     initial = state.values[0]
     rng = np.random.default_rng(seed)
     [(h_u, h_v)] = _random_directions(grid, regions, 1, rng)
 
-    lin = sensitivity_solve(initial, base, h_u, h_v, params, regions, grid)
+    lin = sensitivity_solve(initial, base, h_u, h_v, params, grid)
 
     wx = grid.space_weights()
     wt = grid.time_weights()
 
     def l2(block):
-        return float(np.sqrt(wt @ ((block ** 2).sum(axis=1) @ wx)))
+        return float(np.sqrt(_dot(wt, (block ** 2).sum(axis=1) @ wx)))
 
     scale = max(l2(lin.values), 1e-300)
     # one batched solve, member k along the direction at epsilons[k]
     pairs = [ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
              for eps in epsilons]
     errs = []
-    for eps, bumped in zip(epsilons, _forward_batch(initial, pairs, params, regions, grid)):
+    for eps, bumped in zip(epsilons, _forward_batch(initial, pairs, params, grid)):
         divided = np.subtract(bumped.values, state.values)  # in place: one temporary field
         divided /= eps
         divided -= lin.values

@@ -29,8 +29,7 @@ def baseline_run(default_config):
     cfg = default_config
     controls = sq.ControlPair.zeros(cfg.grid, cfg.regions)
     start = time.perf_counter()
-    traj = sq.forward_solve(cfg.initial_array(), controls, cfg.params,
-                            cfg.regions, cfg.grid)
+    traj = sq.forward_solve(cfg.initial_array(), controls, cfg.params, cfg.grid)
     elapsed = time.perf_counter() - start
     return traj, controls, elapsed
 

@@ -69,9 +69,8 @@ def test_03_gradient_oracle(small_config):
     cfg = small_config
     base = sq.ControlPair.constant(0.3, 0.3 * cfg.regions.v_max,
                                    cfg.grid, cfg.regions)
-    state = sq.forward_solve(cfg.initial_array(), base, cfg.params, cfg.regions, cfg.grid)
-    check = sq.gradient_oracle(state, base, cfg.params,
-                               cfg.weights, cfg.regions, cfg.grid, seed=cfg.seed)
+    state = sq.forward_solve(cfg.initial_array(), base, cfg.params, cfg.grid)
+    check = sq.gradient_oracle(state, base, cfg.params, cfg.weights, seed=cfg.seed)
     report(3, "gradient oracle", check.passed, check.detail)
     assert check.passed
 
@@ -80,9 +79,8 @@ def test_04_sensitivity_oracle(small_config):
     cfg = small_config
     base = sq.ControlPair.constant(0.3, 0.3 * cfg.regions.v_max,
                                    cfg.grid, cfg.regions)
-    state = sq.forward_solve(cfg.initial_array(), base, cfg.params, cfg.regions, cfg.grid)
-    check = sq.sensitivity_oracle(state, base, cfg.params,
-                                  cfg.regions, cfg.grid, seed=cfg.seed)
+    state = sq.forward_solve(cfg.initial_array(), base, cfg.params, cfg.grid)
+    check = sq.sensitivity_oracle(state, base, cfg.params, seed=cfg.seed)
     report(4, "sensitivity oracle", check.passed, check.detail)
     assert check.passed
 
@@ -130,15 +128,13 @@ def test_06_controlled_reproduction(optimal_metrics, baseline_metrics,
 def test_07_optimality_residual(optimal_run, default_config):
     cfg = default_config
     state, adjoint, controls, sweep = optimal_run[:4]
-    projected = sq.project_controls(state, adjoint, cfg.weights,
-                                    cfg.regions, cfg.grid)
+    projected = sq.project_controls(state, adjoint, cfg.weights, cfg.regions)
     residual = max(np.abs(controls.u - projected.u).max(),
                    np.abs(controls.v - projected.v).max())
     zero = sq.ControlPair.zeros(cfg.grid, cfg.regions)
-    uncontrolled = sq.forward_solve(cfg.initial_array(), zero, cfg.params,
-                                    cfg.regions, cfg.grid)
-    J0 = sq.cost_functional(uncontrolled, zero, cfg.weights, cfg.regions, cfg.grid)
-    J = sq.cost_functional(state, controls, cfg.weights, cfg.regions, cfg.grid)
+    uncontrolled = sq.forward_solve(cfg.initial_array(), zero, cfg.params, cfg.grid)
+    J0 = sq.cost_functional(uncontrolled, zero, cfg.weights)
+    J = sq.cost_functional(state, controls, cfg.weights)
     passed = sweep.converged and residual <= 1e-4 and J < J0
     report(7, "optimality residual", passed,
            f"residual {residual:.2e} vs 1e-4, J {J:.5g} < J0 {J0:.5g}")
@@ -169,14 +165,14 @@ def test_09_trivial_equilibria(small_grid):
     zero = sq.ControlPair.zeros(grid, WHOLE)
     state, _, controls, sweep = sq.fbsm_solve(
         np.zeros((6, grid.nx)), params, weights, WHOLE, grid)
-    J = sq.cost_functional(state, controls, weights, WHOLE, grid)
+    J = sq.cost_functional(state, controls, weights)
     zero_ok = (sweep.converged and np.all(state.values == 0.0) and J == 0.0
                and np.all(controls.u == 0.0) and np.all(controls.v == 0.0))
 
     frozen = ModelParams(beta=0.0, delta=0.0, mu=0.0, q=1.0, xi=0.0)
     initial = np.zeros((6, grid.nx))
     initial[0] = 8000.0
-    traj = sq.forward_solve(initial, zero, frozen, WHOLE, grid)
+    traj = sq.forward_solve(initial, zero, frozen, grid)
     drift = np.abs(traj.s - 8000.0).max()
     uniform_ok = drift == 0.0
 

@@ -152,7 +152,7 @@ class TestOutputs:
         # the same zero-control baseline, solved apart from the run
         solved = sq.forward_solve(config.initial_array(),
                                   sq.ControlPair.zeros(grid, config.regions),
-                                  config.params, config.regions, grid).s
+                                  config.params, grid).s
         np.testing.assert_array_equal(values[0], solved[0])
         np.testing.assert_array_equal(values[-1], solved[-1])
 
@@ -312,8 +312,7 @@ class TestStreamedBaseline:
                          output_dir=tmp_path / "run")
         result = sq.run_scenario(config).baseline
         zero = sq.ControlPair.zeros(grid, config.regions)
-        traj = sq.forward_solve(config.initial_array(), zero, config.params, config.regions,
-                                grid)
+        traj = sq.forward_solve(config.initial_array(), zero, config.params, grid)
 
         levels = sorted({*range(0, nt + 1, stride), nt})
         assert result.levels == levels
@@ -335,8 +334,7 @@ class TestStreamedBaseline:
             (metrics.peak_value, metrics.peak_time)
         assert (result.metrics.final_total_population, result.metrics.deaths) == \
             (metrics.final_total_population, metrics.deaths)
-        assert result.cost == sq.cost_functional(traj, zero, config.weights, config.regions,
-                                                 grid)
+        assert result.cost == sq.cost_functional(traj, zero, config.weights)
         assert result.checks == [sq.mass_balance_check(traj, config.params),
                                  sq.positivity_check(traj)]
 
@@ -352,8 +350,7 @@ class TestStreamedBaseline:
                          output_dir=tmp_path / "out")
         zero = sq.ControlPair.zeros(config.grid, config.regions)
         with pytest.raises(sq.IntegrationError) as full:
-            sq.forward_solve(config.initial_array(), zero, config.params, config.regions,
-                             config.grid)
+            sq.forward_solve(config.initial_array(), zero, config.params, config.grid)
         assert full.value.step == step
         with pytest.warns(UserWarning, match="compartments may go negative"), \
                 pytest.raises(sq.IntegrationError) as streamed:

@@ -13,7 +13,7 @@ TABLE = ModelParams()
 
 def zero_state(grid):
     controls = sq.ControlPair.zeros(grid, WHOLE)
-    return sq.forward_solve(np.zeros((6, grid.nx)), controls, TABLE, WHOLE, grid), controls
+    return sq.forward_solve(np.zeros((6, grid.nx)), controls, TABLE, grid), controls
 
 
 class TestControlPair:
@@ -52,7 +52,7 @@ class TestCostFunctional:
     def test_zero_everything_zero_cost(self):
         grid = sq.Grid(nx=21, tau=1.0, nt=100)
         state, controls = zero_state(grid)
-        J = sq.cost_functional(state, controls, sq.CostWeights(), WHOLE, grid)
+        J = sq.cost_functional(state, controls, sq.CostWeights())
         assert J == 0.0
 
     def test_pure_treatment_effort(self):
@@ -62,7 +62,7 @@ class TestCostFunctional:
         controls = sq.ControlPair.constant(1.0, 0.0, grid, WHOLE)
         weights = sq.CostWeights(rho1=1e-12, rho3=1e-12, rho4=1e-12, rho5=1e-12,
                                  sigma1=2.0, sigma2=1.0)
-        J = sq.cost_functional(state, controls, weights, WHOLE, grid)
+        J = sq.cost_functional(state, controls, weights)
         assert J == pytest.approx(1.0, rel=1e-12)
 
     def test_uniform_exposed_burden(self):
@@ -73,10 +73,10 @@ class TestCostFunctional:
         initial = np.zeros((6, grid.nx))
         initial[2] = c
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        state = sq.forward_solve(initial, controls, params, WHOLE, grid)
+        state = sq.forward_solve(initial, controls, params, grid)
         weights = sq.CostWeights(rho1=1e-12, rho3=1.0, rho4=1e-12, rho5=1e-12,
                                  sigma1=1.0, sigma2=1.0)
-        J = sq.cost_functional(state, controls, weights, WHOLE, grid)
+        J = sq.cost_functional(state, controls, weights)
         assert J == pytest.approx(2 * c, rel=1e-12)
 
 
@@ -85,30 +85,29 @@ class TestProjection:
         grid = sq.Grid(nx=21, tau=3.0, nt=300)
         cfg = replace(sq.ScenarioConfig(), grid=grid)
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        state = sq.forward_solve(cfg.initial_array(), controls, TABLE, WHOLE, grid)
-        adjoint = sq.adjoint_solve(state, controls, sq.CostWeights(),
-                                   TABLE, WHOLE, grid)
+        state = sq.forward_solve(cfg.initial_array(), controls, TABLE, grid)
+        adjoint = sq.adjoint_solve(state, controls, sq.CostWeights(), TABLE, grid)
         return grid, state, adjoint
 
     def test_projection_respects_box(self):
         grid, state, adjoint = self.setup_small()
         cramped = sq.CostWeights(sigma1=1e-6, sigma2=1e-6)
-        proj = sq.project_controls(state, adjoint, cramped, WHOLE, grid)
+        proj = sq.project_controls(state, adjoint, cramped, WHOLE)
         assert proj.u.max() == 1.0 and proj.u.min() == 0.0
         assert proj.v.max() == WHOLE.v_max
 
     def test_projection_formula_unclamped(self):
         grid, state, adjoint = self.setup_small()
         loose = sq.CostWeights(sigma1=1e12, sigma2=1e12)
-        proj = sq.project_controls(state, adjoint, loose, WHOLE, grid)
+        proj = sq.project_controls(state, adjoint, loose, WHOLE)
         expected_u = state.i * (adjoint.i - adjoint.r) / 1e12
         np.testing.assert_allclose(proj.u, np.clip(expected_u, 0, None))
 
     def test_projection_idempotent(self):
         grid, state, adjoint = self.setup_small()
         weights = sq.CostWeights()
-        once = sq.project_controls(state, adjoint, weights, WHOLE, grid)
-        twice = sq.project_controls(state, adjoint, weights, WHOLE, grid)
+        once = sq.project_controls(state, adjoint, weights, WHOLE)
+        twice = sq.project_controls(state, adjoint, weights, WHOLE)
         np.testing.assert_array_equal(once.u, twice.u)
         np.testing.assert_array_equal(once.v, twice.v)
 
@@ -117,9 +116,8 @@ class TestProjection:
         # gradient field must vanish there
         grid, state, adjoint = self.setup_small()
         weights = sq.CostWeights()
-        proj = sq.project_controls(state, adjoint, weights, WHOLE, grid)
-        grad_u, grad_v = sq.cost_gradient(state, adjoint, proj, weights,
-                                          WHOLE, grid)
+        proj = sq.project_controls(state, adjoint, weights, WHOLE)
+        grad_u, grad_v = sq.cost_gradient(state, adjoint, proj, weights)
         interior_u = (proj.u > 0) & (proj.u < 1)
         interior_v = (proj.v > 0) & (proj.v < WHOLE.v_max)
         assert np.abs(grad_u[interior_u]).max(initial=0.0) < 1e-9
@@ -132,10 +130,9 @@ class TestGradientConsistency:
         initial = small_config.initial_array()
         weights = sq.CostWeights()
         base = sq.ControlPair.constant(0.4, 0.4, grid, WHOLE)
-        state = sq.forward_solve(initial, base, TABLE, WHOLE, grid)
-        adjoint = sq.adjoint_solve(state, base, weights, TABLE, WHOLE, grid)
-        grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights,
-                                          WHOLE, grid)
+        state = sq.forward_solve(initial, base, TABLE, grid)
+        adjoint = sq.adjoint_solve(state, base, weights, TABLE, grid)
+        grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights)
         rng = np.random.default_rng(7)
         shape = base.u.shape
         h_u = rng.uniform(-0.1, 0.1, shape)
@@ -144,9 +141,9 @@ class TestGradientConsistency:
         eps = 1e-5
         shifted = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v,
                                  grid, WHOLE)
-        state_eps = sq.forward_solve(initial, shifted, TABLE, WHOLE, grid)
-        J0 = sq.cost_functional(state, base, weights, WHOLE, grid)
-        J1 = sq.cost_functional(state_eps, shifted, weights, WHOLE, grid)
+        state_eps = sq.forward_solve(initial, shifted, TABLE, grid)
+        J0 = sq.cost_functional(state, base, weights)
+        J1 = sq.cost_functional(state_eps, shifted, weights)
         assert predicted == pytest.approx((J1 - J0) / eps, rel=1e-3)
 
 
@@ -158,8 +155,8 @@ class TestSweep:
         state, _, controls, report = sq.fbsm_solve(initial, TABLE, weights, WHOLE, grid)
         assert report.converged
         zero = sq.ControlPair.zeros(grid, WHOLE)
-        uncontrolled = sq.forward_solve(initial, zero, TABLE, WHOLE, grid)
-        J_unc = sq.cost_functional(uncontrolled, zero, weights, WHOLE, grid)
+        uncontrolled = sq.forward_solve(initial, zero, TABLE, grid)
+        J_unc = sq.cost_functional(uncontrolled, zero, weights)
         assert report.cost_history[-1] == pytest.approx(J_unc, rel=1e-6)
 
     def test_no_transmission_no_treatment(self, small_config):
@@ -194,7 +191,7 @@ class TestSweep:
         state, adjoint, controls, report = sq.fbsm_solve(
             small_config.initial_array(), TABLE, sq.CostWeights(), WHOLE, grid, sweep)
         assert report.converged
-        projected = sq.project_controls(state, adjoint, sq.CostWeights(), WHOLE, grid)
+        projected = sq.project_controls(state, adjoint, sq.CostWeights(), WHOLE)
         residual = max(np.abs(projected.u - controls.u).max(),
                        np.abs(projected.v - controls.v).max())
         assert residual <= sweep.tolerance
@@ -243,15 +240,15 @@ class TestSweep:
         grid = small_config.grid
         refs, alive = [], []
 
-        def to_grid(controls, fine):
-            start = interpolate(controls, fine)
+        def to_grid(controls):
+            start = interpolate(controls)
             refs.extend(weakref.ref(a) for a in (controls.u, controls.v, start.u, start.v))
             return start
 
-        def forward_solve(initial, controls, params, regions, on):
+        def forward_solve(initial, controls, params, on):
             if on == grid:
                 alive.append([ref() is not None for ref in refs])
-            return solve(initial, controls, params, regions, on)
+            return solve(initial, controls, params, on)
 
         interpolate, solve = sqeiar.control._to_grid, sqeiar.control.forward_solve
         monkeypatch.setattr(sqeiar.control, "_to_grid", to_grid)

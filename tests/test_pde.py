@@ -79,7 +79,7 @@ class TestForwardSolve:
     def test_zero_initial_zero_everything(self):
         grid = sq.Grid(nx=11, tau=1.0, nt=50)
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        traj = sq.forward_solve(np.zeros((6, grid.nx)), controls, TABLE, WHOLE, grid)
+        traj = sq.forward_solve(np.zeros((6, grid.nx)), controls, TABLE, grid)
         assert np.all(traj.values == 0.0)
 
     def test_transmission_free_uniform_s_constant(self):
@@ -88,7 +88,7 @@ class TestForwardSolve:
         initial = np.zeros((6, grid.nx))
         initial[0] = 123.25
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        traj = sq.forward_solve(initial, controls, params, WHOLE, grid)
+        traj = sq.forward_solve(initial, controls, params, grid)
         assert np.all(traj.s == 123.25)
 
     def test_negative_initial_rejected(self):
@@ -97,9 +97,9 @@ class TestForwardSolve:
         controls = sq.ControlPair.zeros(grid, WHOLE)
         direction = np.ones((grid.nt + 1, grid.nx))
         solves = (
-            lambda initial: sq.forward_solve(initial, controls, TABLE, WHOLE, grid),
-            lambda initial: sq.sensitivity_solve(initial, controls, direction, direction,
-                                                 TABLE, WHOLE, grid))
+            lambda initial: sq.forward_solve(initial, controls, TABLE, grid),
+            lambda initial: sq.sensitivity_solve(initial, controls, direction, direction, TABLE,
+                                                 grid))
         for solve in solves:
             for bad in (-1.0, np.nan, np.inf):
                 initial = np.zeros((6, grid.nx))
@@ -107,15 +107,25 @@ class TestForwardSolve:
                 with pytest.raises(ContractError):
                     solve(initial)
 
-    @pytest.mark.parametrize("other", ["grid", "regions"])
+    @pytest.mark.parametrize("other", ["grid"])
     def test_batch_member_of_another_setup_rejected(self, other):
         # same shapes, so only the alignment check can tell the pair apart
         grid, initial = small_setup()
-        pair = {"grid": sq.ControlPair.zeros(sq.Grid(nx=21, tau=6.0, nt=300), WHOLE),
-                "regions": sq.ControlPair.zeros(grid, QuarantineRegions(((0.0, 0.5),)))}[other]
+        pair = sq.ControlPair.zeros(sq.Grid(nx=21, tau=6.0, nt=300), WHOLE)
         with pytest.raises(ContractError, match="different"):
-            _forward_batch(initial, [sq.ControlPair.zeros(grid, WHOLE), pair],
-                           TABLE, WHOLE, grid)
+            _forward_batch(initial, [sq.ControlPair.zeros(grid, WHOLE), pair], TABLE, grid)
+
+    def test_batch_members_of_other_regions_are_their_own_solves(self):
+        # each pair carries its regions: a batch may mix them, and each member
+        # is still bitwise the forward_solve of its pair
+        grid, initial = small_setup()
+        pairs = [sq.ControlPair.constant(0.2, 0.2 * regions.v_max, grid, regions)
+                 for regions in (WHOLE, QuarantineRegions(((0.0, 0.5),)),
+                                 QuarantineRegions(((0.2, 0.45), (0.6, 0.8))))]
+        assert len({pair.v.tobytes() for pair in pairs}) == 3
+        for member, pair in zip(_forward_batch(initial, pairs, TABLE, grid), pairs):
+            single = sq.forward_solve(initial, pair, TABLE, grid)
+            assert np.array_equal(member.values, single.values)
 
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
@@ -132,8 +142,7 @@ class TestForwardSolve:
         initial[2] = 1e300
         # no errstate here: a RuntimeWarning from the solve fails the test
         with pytest.raises(sq.IntegrationError) as err:
-            sq.forward_solve(initial, sq.ControlPair.zeros(grid, WHOLE),
-                             params, WHOLE, grid)
+            sq.forward_solve(initial, sq.ControlPair.zeros(grid, WHOLE), params, grid)
         assert str(err.value) == "non-finite state value at time step 1, node 0"
         assert (err.value.step, err.value.node) == (1, 0)
 
@@ -147,9 +156,9 @@ class TestForwardSolve:
         initial[2, 7] = 1e3
         ones = np.ones((grid.nt + 1, grid.nx))
         solves = {
-            "state": lambda: sq.forward_solve(initial, controls, params, regions, grid),
-            "sensitivity": lambda: sq.sensitivity_solve(initial, controls, ones, ones,
-                                                        params, regions, grid),
+            "state": lambda: sq.forward_solve(initial, controls, params, grid),
+            "sensitivity": lambda: sq.sensitivity_solve(initial, controls, ones, ones, params,
+                                                        grid),
         }
         for what, solve in solves.items():
             with pytest.raises(sq.IntegrationError) as err:
@@ -165,7 +174,7 @@ class TestForwardSolve:
         initial[2] = 300 * np.sin(np.pi * x)
         initial[4] = 400 + 100 * np.cos(2 * np.pi * x)
         controls = sq.ControlPair.constant(0.25, 0.25, grid, WHOLE)
-        traj = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
+        traj = sq.forward_solve(initial, controls, TABLE, grid)
         np.testing.assert_allclose(traj.values, traj.values[:, :, ::-1],
                                    atol=1e-9 * np.abs(traj.values).max())
 
@@ -174,8 +183,8 @@ class TestAdjointSolve:
     def run(self, weights, tau=6.0, nt=600, nx=21):
         grid, initial = small_setup(tau=tau, nt=nt, nx=nx)
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
-        return grid, sq.adjoint_solve(state, controls, weights, TABLE, WHOLE, grid)
+        state = sq.forward_solve(initial, controls, TABLE, grid)
+        return grid, sq.adjoint_solve(state, controls, weights, TABLE, grid)
 
     def test_zero_weights_zero_adjoint(self):
         # a zero source cannot be configured through CostWeights (strictly
@@ -192,7 +201,7 @@ class TestAdjointSolve:
         values[:, 2, 4] = 1e150
         with pytest.raises(sq.IntegrationError) as err:
             sq.adjoint_solve(sq.Trajectory(values, grid), sq.ControlPair.zeros(grid, WHOLE),
-                             sq.CostWeights(), TABLE, WHOLE, grid)
+                             sq.CostWeights(), TABLE, grid)
         assert str(err.value) == "non-finite adjoint value at time step 495, node 4"
         assert (err.value.step, err.value.node) == (495, 4)
 
@@ -210,19 +219,19 @@ class TestAdjointSolve:
         grid, initial = small_setup()
         other = sq.Grid(nx=21, tau=3.0, nt=600)
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
+        state = sq.forward_solve(initial, controls, TABLE, grid)
         with pytest.raises(ContractError):
-            sq.adjoint_solve(state, controls, sq.CostWeights(), TABLE, WHOLE, other)
+            sq.adjoint_solve(state, controls, sq.CostWeights(), TABLE, other)
 
     def test_non_finite_state_rejected(self):
         grid, initial = small_setup()
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        state = sq.forward_solve(initial, controls, TABLE, WHOLE, grid)
+        state = sq.forward_solve(initial, controls, TABLE, grid)
         values = state.values.copy()
         values[grid.nt // 2, 2, 3] = np.nan
         broken = sq.Trajectory(values, grid)
         with pytest.raises(ContractError):
-            sq.adjoint_solve(broken, controls, sq.CostWeights(), TABLE, WHOLE, grid)
+            sq.adjoint_solve(broken, controls, sq.CostWeights(), TABLE, grid)
 
     @pytest.mark.parametrize("regions", [
         WHOLE, QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))])
@@ -233,14 +242,14 @@ class TestAdjointSolve:
         weights = sq.CostWeights(rho1=2.0, rho3=0.5, rho4=3.0, rho5=1.5,
                                  sigma1=40.0, sigma2=70.0)
         controls = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
-        state = sq.forward_solve(initial, controls, TABLE, regions, grid)
-        adjoint = sq.adjoint_solve(state, controls, weights, TABLE, regions, grid)
-        gradient = sq.cost_gradient(state, adjoint, controls, weights, regions, grid)
+        state = sq.forward_solve(initial, controls, TABLE, grid)
+        adjoint = sq.adjoint_solve(state, controls, weights, TABLE, grid)
+        gradient = sq.cost_gradient(state, adjoint, controls, weights)
         wx, wt = grid.space_weights(), grid.time_weights()
         rho_wx = rho_source(grid.x, regions, weights) * wx
         rng = np.random.default_rng(3)
         for h_u, h_v in _random_directions(grid, regions, 3, rng):
-            Y = sq.sensitivity_solve(initial, controls, h_u, h_v, TABLE, regions, grid)
+            Y = sq.sensitivity_solve(initial, controls, h_u, h_v, TABLE, grid)
             control_part = wt @ ((weights.sigma1 * controls.u * h_u) @ wx
                                  + (weights.sigma2 * controls.v * h_v) @ wx)
             state_part = wt @ np.einsum("cx,mcx->m", rho_wx, Y.values)
@@ -265,7 +274,7 @@ class TestSensitivitySolve:
         controls = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
         shape = (grid.nt + 1, grid.nx)
         Y = sq.sensitivity_solve(initial, controls, np.zeros(shape), np.zeros(shape),
-                                 TABLE, WHOLE, grid)
+                                 TABLE, grid)
         assert np.all(Y.values == 0.0)
 
     def test_treatment_direction_leaves_quarantine_untouched(self):
@@ -273,7 +282,7 @@ class TestSensitivitySolve:
         controls = sq.ControlPair.zeros(grid, WHOLE)  # v == 0
         shape = (grid.nt + 1, grid.nx)
         Y = sq.sensitivity_solve(initial, controls, np.full(shape, 0.5), np.zeros(shape),
-                                 TABLE, WHOLE, grid)
+                                 TABLE, grid)
         assert np.all(Y.q == 0.0)
         assert np.abs(Y.i).max() > 0.0
 
@@ -288,13 +297,13 @@ class TestSensitivitySolve:
                      "h_v": np.ones((grid.nt + 1, grid.nx)), which: wrong}
         with pytest.raises(ContractError, match="shape"):
             sq.sensitivity_solve(np.ones((6, grid.nx)), controls, direction["h_u"],
-                                 direction["h_v"], TABLE, WHOLE, grid)
+                                 direction["h_v"], TABLE, grid)
 
     def test_divided_difference_richardson(self, small_config):
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        state = sq.forward_solve(small_config.initial_array(), base, TABLE, WHOLE, grid)
-        report = sq.sensitivity_oracle(state, base, TABLE, WHOLE, grid, seed=42)
+        state = sq.forward_solve(small_config.initial_array(), base, TABLE, grid)
+        report = sq.sensitivity_oracle(state, base, TABLE, seed=42)
         assert report.passed, report.detail
 
 
@@ -343,12 +352,11 @@ def test_solves_and_integrals_build_no_field(name):
     params, weights = config.params, config.weights
     initial = config.initial_array()
     controls = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
-    state = sq.forward_solve(initial, controls, params, regions, grid)
+    state = sq.forward_solve(initial, controls, params, grid)
     call = {
-        "forward_solve": lambda: sq.forward_solve(initial, controls, params, regions, grid),
-        "adjoint_solve": lambda: sq.adjoint_solve(state, controls, weights, params,
-                                                  regions, grid),
-        "cost_functional": lambda: sq.cost_functional(state, controls, weights, regions, grid),
+        "forward_solve": lambda: sq.forward_solve(initial, controls, params, grid),
+        "adjoint_solve": lambda: sq.adjoint_solve(state, controls, weights, params, grid),
+        "cost_functional": lambda: sq.cost_functional(state, controls, weights),
         "mass_balance_check": lambda: sq.mass_balance_check(state, params),
         "ControlPair": lambda: sq.ControlPair(controls.u, controls.v, grid, regions),
     }[name]

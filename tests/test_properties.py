@@ -75,7 +75,7 @@ def scenarios(draw, nt):
 def test_forward_step_matches_reference(scenario):
     # every level, each stepped from the level before it
     params, regions, grid, y, controls, _ = scenario
-    traj = sq.forward_solve(y, controls, params, regions, grid)
+    traj = sq.forward_solve(y, controls, params, grid)
     D = params.diffusion_array[:, None]
     for m, y in enumerate(traj.values[:-1]):
         expected = y + grid.dt * (D * sq.neumann_laplacian(y, grid.dx) + sq.reaction_rhs(
@@ -89,7 +89,7 @@ def test_forward_step_matches_reference(scenario):
 def test_forward_solve_stays_nonnegative(scenario):
     params, regions, grid, y, controls, _ = scenario
     assert positivity_bound(y, params, regions, grid) < 1.0
-    traj = sq.forward_solve(y, controls, params, regions, grid)
+    traj = sq.forward_solve(y, controls, params, grid)
     assert traj.values.min() >= 0.0
 
 
@@ -97,8 +97,8 @@ def test_forward_solve_stays_nonnegative(scenario):
 @given(scenarios(st.integers(2, 2)), weights_st)
 def test_adjoint_step_matches_reference(scenario, weights):
     params, regions, grid, y, controls, _ = scenario
-    state = sq.forward_solve(y, controls, params, regions, grid)
-    adjoint = sq.adjoint_solve(state, controls, weights, params, regions, grid)
+    state = sq.forward_solve(y, controls, params, grid)
+    adjoint = sq.adjoint_solve(state, controls, weights, params, grid)
     p = adjoint.values[1]
     rho = rho_source(grid.x, regions, weights)
     np.testing.assert_allclose(p, 0.5 * grid.dt * rho, rtol=1e-15)
@@ -117,12 +117,12 @@ def test_adjoint_pairing_is_exact(scenario, weights):
     # <J h, rho>: the cost-weighted linearized solve along h = (h_u, h_v);
     # <h, J^T p>: h paired with the adjoint through the control terms
     params, regions, grid, y, controls, rng = scenario
-    state = sq.forward_solve(y, controls, params, regions, grid)
-    adjoint = sq.adjoint_solve(state, controls, weights, params, regions, grid)
+    state = sq.forward_solve(y, controls, params, grid)
+    adjoint = sq.adjoint_solve(state, controls, weights, params, grid)
     shape = (grid.nt + 1, grid.nx)
     mask = regions.mask(grid.x)
     h_u, h_v = rng.normal(size=shape), rng.normal(size=shape) * mask
-    Y = sq.sensitivity_solve(y, controls, h_u, h_v, params, regions, grid)
+    Y = sq.sensitivity_solve(y, controls, h_u, h_v, params, grid)
 
     wx, wt = grid.space_weights(), grid.time_weights()
     rho_wx = rho_source(grid.x, regions, weights) * wx
@@ -154,8 +154,8 @@ def reference_adjoint(state, controls, weights, params, regions, grid):
 def test_adjoint_matches_reference_across_blocks(scenario, weights):
     # the adjoint reads its coefficient rows per block of _BLOCK levels
     params, regions, grid, y, controls, _ = scenario
-    state = sq.forward_solve(y, controls, params, regions, grid)
-    adjoint = sq.adjoint_solve(state, controls, weights, params, regions, grid)
+    state = sq.forward_solve(y, controls, params, grid)
+    adjoint = sq.adjoint_solve(state, controls, weights, params, grid)
     expected = reference_adjoint(state, controls, weights, params, regions, grid)
     np.testing.assert_allclose(adjoint.values, expected, rtol=0,
                                atol=1e-12 * np.abs(expected).max())
@@ -165,9 +165,9 @@ def test_adjoint_matches_reference_across_blocks(scenario, weights):
 @given(scenarios(st.integers(1, 20)), weights_st)
 def test_projection_is_idempotent(scenario, weights):
     params, regions, grid, y, controls, _ = scenario
-    state = sq.forward_solve(y, controls, params, regions, grid)
-    adjoint = sq.adjoint_solve(state, controls, weights, params, regions, grid)
-    projected = sq.project_controls(state, adjoint, weights, regions, grid)
+    state = sq.forward_solve(y, controls, params, grid)
+    adjoint = sq.adjoint_solve(state, controls, weights, params, grid)
+    projected = sq.project_controls(state, adjoint, weights, regions)
     np.testing.assert_array_equal(np.clip(projected.u, 0.0, 1.0), projected.u)
     np.testing.assert_array_equal(
         np.clip(projected.v, 0.0, regions.v_max) * regions.mask(grid.x), projected.v)
@@ -188,9 +188,9 @@ def test_sweep_converges_inside_the_box(scenario, weights):
     _, _, returned, report = sq.fbsm_solve(
         y, params, weights, regions, grid, sweep, on_iterate=iterates.append)
     assert report.converged and report.iterations <= SWEEP_UPDATES
-    state = sq.forward_solve(y, returned, params, regions, grid)
-    adjoint = sq.adjoint_solve(state, returned, weights, params, regions, grid)
-    projected = sq.project_controls(state, adjoint, weights, regions, grid)
+    state = sq.forward_solve(y, returned, params, grid)
+    adjoint = sq.adjoint_solve(state, returned, weights, params, grid)
+    projected = sq.project_controls(state, adjoint, weights, regions)
     assert max(np.abs(projected.u - returned.u).max(),
                np.abs(projected.v - returned.v).max()) <= sweep.tolerance
     off = ~regions.mask(grid.x)
@@ -219,9 +219,9 @@ def reference_cost(state, controls, weights, regions, grid):
 @given(scenarios(st.integers(1, 20)), weights_st)
 def test_cost_functional_matches_reference(scenario, weights):
     params, regions, grid, y, controls, _ = scenario
-    state = sq.forward_solve(y, controls, params, regions, grid)
+    state = sq.forward_solve(y, controls, params, grid)
     expected = reference_cost(state, controls, weights, regions, grid)
-    assert sq.cost_functional(state, controls, weights, regions, grid) == pytest.approx(
+    assert sq.cost_functional(state, controls, weights) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -229,7 +229,7 @@ def test_cost_functional_matches_reference(scenario, weights):
 @given(scenarios(st.integers(1, 40)))
 def test_forward_solve_balances_population(scenario):
     params, regions, grid, y, controls, _ = scenario
-    report = sq.mass_balance_check(sq.forward_solve(y, controls, params, regions, grid),
+    report = sq.mass_balance_check(sq.forward_solve(y, controls, params, grid),
                                    params)
     assert report.passed, report.detail
 
@@ -284,9 +284,8 @@ def test_divergence_reported_where_it_first_happens(scenario):
     assert expected is not None
     ones = np.ones((grid.nt + 1, grid.nx))
     solves = {
-        "state": lambda: sq.forward_solve(y, controls, params, regions, grid),
-        "sensitivity": lambda: sq.sensitivity_solve(y, controls, ones, ones, params,
-                                                    regions, grid),
+        "state": lambda: sq.forward_solve(y, controls, params, grid),
+        "sensitivity": lambda: sq.sensitivity_solve(y, controls, ones, ones, params, grid),
     }
     for what, solve in solves.items():
         with pytest.raises(sq.IntegrationError) as err:
@@ -303,10 +302,10 @@ def test_batched_members_equal_single_solves(scenario, batch):
     u = rng.uniform(0.0, 1.0, shape)
     v = rng.uniform(0.0, regions.v_max, shape) * regions.mask(grid.x)
     pairs = [sq.ControlPair(u[:, b], v[:, b], grid, regions) for b in range(batch)]
-    members = _forward_batch(y, pairs, params, regions, grid)
+    members = _forward_batch(y, pairs, params, grid)
     assert len(members) == batch
     for member, pair in zip(members, pairs):
-        single = sq.forward_solve(y, pair, params, regions, grid)
+        single = sq.forward_solve(y, pair, params, grid)
         np.testing.assert_allclose(member.values, single.values, rtol=0,
                                    atol=1e-15 * np.abs(single.values).max())
 
@@ -351,9 +350,9 @@ def raised(solve):
 @given(one_diverging_batch())
 def test_batched_divergence_reported_as_in_its_member(scenario):
     params, regions, grid, y, pairs, bad = scenario
-    _forward_batch(y, pairs[:bad] + pairs[bad + 1:], params, regions, grid)
-    alone = raised(lambda: sq.forward_solve(y, pairs[bad], params, regions, grid))
-    assert raised(lambda: _forward_batch(y, pairs, params, regions, grid)) == alone
+    _forward_batch(y, pairs[:bad] + pairs[bad + 1:], params, grid)
+    alone = raised(lambda: sq.forward_solve(y, pairs[bad], params, grid))
+    assert raised(lambda: _forward_batch(y, pairs, params, grid)) == alone
 
 
 # every character str.splitlines splits on; all are whitespace to str.strip

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import sqeiar as sq
-from sqeiar.control import ControlPair, cost_functional
+from sqeiar.control import ControlPair, cost_functional, directional_derivative
 from sqeiar.model import _I, _S, QuarantineRegions, rho_source
 from sqeiar.pde import (_BLOCK, _blocks, _forward_batch, _forward_stream, _stencil,
                         _step_operator, adjoint_solve, forward_solve, sensitivity_solve)
@@ -105,7 +105,7 @@ class TestStepsArePinned:
     def test_forward_solve(self, nx):
         grid, cfg, initial = scenario(nx)
         pair = random_pair(np.random.default_rng(nx), grid, cfg.regions)
-        state = forward_solve(initial, pair, cfg.params, cfg.regions, grid)
+        state = forward_solve(initial, pair, cfg.params, grid)
         expected = reference_forward(initial, pair.u[:, None], pair.v[:, None], cfg.params, grid)
         assert np.array_equal(state.values, expected[:, :, 0])
 
@@ -113,7 +113,7 @@ class TestStepsArePinned:
         grid, cfg, initial = scenario(nx)
         rng = np.random.default_rng(nx + 1)
         pairs = [random_pair(rng, grid, cfg.regions) for _ in range(3)]
-        members = _forward_batch(initial, pairs, cfg.params, cfg.regions, grid)
+        members = _forward_batch(initial, pairs, cfg.params, grid)
         expected = reference_forward(initial, np.stack([pair.u for pair in pairs], axis=1),
                                      np.stack([pair.v for pair in pairs], axis=1),
                                      cfg.params, grid)
@@ -127,7 +127,7 @@ class TestStepsArePinned:
         expected = reference_forward(initial, pair.u[:, None], pair.v[:, None],
                                      cfg.params, grid)[:, :, 0]
         seen = []
-        _forward_stream(initial, pair, cfg.params, cfg.regions, grid,
+        _forward_stream(initial, pair, cfg.params, grid,
                         lambda lo, levels: seen.append((lo, levels.copy())))
         assert [(lo, lo + len(levels)) for lo, levels in seen] == list(_blocks(nt))
         for lo, levels in seen:
@@ -138,7 +138,7 @@ class TestStepsArePinned:
         rng = np.random.default_rng(nx + 2)
         pair = random_pair(rng, grid, cfg.regions)
         [(h_u, h_v)] = _random_directions(grid, cfg.regions, 1, rng)
-        lin = sensitivity_solve(initial, pair, h_u, h_v, cfg.params, cfg.regions, grid)
+        lin = sensitivity_solve(initial, pair, h_u, h_v, cfg.params, grid)
         h = 1e-30
         u = pair.u + 1j * h * h_u
         v = pair.v + 1j * h * (h_v * cfg.regions.mask(grid.x))
@@ -148,8 +148,8 @@ class TestStepsArePinned:
     def test_adjoint_solve(self, nx):
         grid, cfg, initial = scenario(nx)
         pair = random_pair(np.random.default_rng(nx + 3), grid, cfg.regions)
-        state = forward_solve(initial, pair, cfg.params, cfg.regions, grid)
-        adjoint = adjoint_solve(state, pair, cfg.weights, cfg.params, cfg.regions, grid)
+        state = forward_solve(initial, pair, cfg.params, grid)
+        adjoint = adjoint_solve(state, pair, cfg.weights, cfg.params, grid)
         expected = reference_adjoint(state, pair, cfg.weights, cfg.params, cfg.regions, grid)
         assert np.array_equal(adjoint.values, expected)
 
@@ -180,8 +180,8 @@ class TestNoPythonFramePerStep:
         rng = np.random.default_rng(0)
         pair = random_pair(rng, grid, cfg.regions)
         [(h_u, h_v)] = _random_directions(grid, cfg.regions, 1, rng)
-        state = forward_solve(initial, pair, cfg.params, cfg.regions, grid)
-        args = cfg.params, cfg.regions, grid
+        state = forward_solve(initial, pair, cfg.params, grid)
+        args = cfg.params, grid
         return {
             "forward": lambda: forward_solve(initial, pair, *args),
             "adjoint": lambda: adjoint_solve(state, pair, cfg.weights, *args),
@@ -200,13 +200,19 @@ class TestNoPythonFramePerStep:
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="one CPU: no BLAS worker thread to spin")
-def test_cost_leaves_no_blas_thread_spinning():
+@pytest.mark.parametrize("reduction", ["cost_functional", "directional_derivative"])
+def test_cost_leaves_no_blas_thread_spinning(reduction):
     # past 10,000 entries OpenBLAS runs a ddot on two threads, and its idle worker
-    # then spins for a tenth of a second of CPU; the cost's time quadrature avoids BLAS
+    # then spins for a tenth of a second of CPU; the time quadratures avoid BLAS
     grid = sq.Grid(nx=3, tau=30.0, nt=12000)
     regions = QuarantineRegions(((0.0, 1.0),))
-    state = sq.Trajectory(np.ones((grid.nt + 1, 6, grid.nx)), grid)
-    cost_functional(state, ControlPair.zeros(grid, regions), sq.CostWeights(), regions, grid)
+    controls = ControlPair.zeros(grid, regions)
+    if reduction == "cost_functional":
+        state = sq.Trajectory(np.ones((grid.nt + 1, 6, grid.nx)), grid)
+        cost_functional(state, controls, sq.CostWeights())
+    else:
+        field = np.ones((grid.nt + 1, grid.nx))
+        directional_derivative(field, field, controls, sq.CostWeights(), field, field)
     process, thread = time.process_time(), time.thread_time()
     end = time.perf_counter() + 0.2
     while time.perf_counter() < end:

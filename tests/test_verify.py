@@ -45,9 +45,8 @@ class TestMetrics:
 
     def test_zero_trajectory_zero_metrics(self):
         grid = sq.Grid(nx=11, tau=1.0, nt=50)
-        traj = sq.forward_solve(np.zeros((6, grid.nx)),
-                                sq.ControlPair.zeros(grid, WHOLE),
-                                TABLE, WHOLE, grid)
+        traj = sq.forward_solve(np.zeros((6, grid.nx)), sq.ControlPair.zeros(grid, WHOLE),
+                                TABLE, grid)
         metrics = sq.extract_metrics(traj)
         assert metrics.deaths == 0.0
         assert metrics.final_total_population == 0.0
@@ -70,8 +69,7 @@ class TestMassBalance:
     def test_fault_injection_detected(self, small_config):
         grid = small_config.grid
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        traj = sq.forward_solve(small_config.initial_array(), controls,
-                                TABLE, WHOLE, grid)
+        traj = sq.forward_solve(small_config.initial_array(), controls, TABLE, grid)
         broken = inject_fault(traj, grid.nt // 2, 0, grid.nx // 2, 50.0)
         report = sq.mass_balance_check(broken, TABLE)
         assert not report.passed
@@ -79,8 +77,7 @@ class TestMassBalance:
     def test_fault_magnitude_scales_residual(self, small_config):
         grid = small_config.grid
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        traj = sq.forward_solve(small_config.initial_array(), controls,
-                                TABLE, WHOLE, grid)
+        traj = sq.forward_solve(small_config.initial_array(), controls, TABLE, grid)
         residuals = []
         for mag in (10.0, 100.0):
             broken = inject_fault(traj, grid.nt // 2, 0, grid.nx // 2, mag)
@@ -96,8 +93,7 @@ class TestPositivity:
     def test_negative_value_detected(self, small_config):
         grid = small_config.grid
         controls = sq.ControlPair.zeros(grid, WHOLE)
-        traj = sq.forward_solve(small_config.initial_array(), controls,
-                                TABLE, WHOLE, grid)
+        traj = sq.forward_solve(small_config.initial_array(), controls, TABLE, grid)
         broken = inject_fault(traj, grid.nt, 4, 0, -1e6)
         report = sq.positivity_check(broken)
         assert not report.passed
@@ -128,25 +124,24 @@ class TestPositivity:
                     f"scale {scale:.6g}"))
 
 
-def base_state(config, base, regions=WHOLE):
+def base_state(config, base):
     """The oracles' base state: forward_solve at ``base`` on the config's grid."""
-    return sq.forward_solve(config.initial_array(), base, TABLE, regions, config.grid)
+    return sq.forward_solve(config.initial_array(), base, TABLE, config.grid)
 
 
 class TestGradientOracle:
     def test_passes_on_small_grid(self, small_config):
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        report = sq.gradient_oracle(base_state(small_config, base), base,
-                                    TABLE, sq.CostWeights(), WHOLE, grid)
+        report = sq.gradient_oracle(base_state(small_config, base), base, TABLE,
+                                    sq.CostWeights())
         assert report.passed, report.detail
         assert report.measured < 1e-2
 
     def test_deterministic_for_fixed_seed(self, small_config):
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        args = (base_state(small_config, base), base, TABLE, sq.CostWeights(),
-                WHOLE, grid)
+        args = (base_state(small_config, base), base, TABLE, sq.CostWeights())
         first = sq.gradient_oracle(*args, seed=123)
         second = sq.gradient_oracle(*args, seed=123)
         assert first.measured == second.measured
@@ -157,8 +152,7 @@ class TestSensitivityOracle:
     def test_passes_on_small_grid(self, small_config):
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        report = sq.sensitivity_oracle(base_state(small_config, base), base,
-                                       TABLE, WHOLE, grid)
+        report = sq.sensitivity_oracle(base_state(small_config, base), base, TABLE)
         assert report.passed, report.detail
 
     @pytest.mark.parametrize("at", [(0.3, 0.3), (0.5, 0.2)])
@@ -169,7 +163,7 @@ class TestSensitivityOracle:
         grid = small_config.grid
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
         state = base_state(small_config, sq.ControlPair.constant(*at, grid, WHOLE))
-        report = sq.sensitivity_oracle(state, base, TABLE, WHOLE, grid)
+        report = sq.sensitivity_oracle(state, base, TABLE)
         lo, hi = DECAY_RATIO_RANGE
         assert report.bound == hi
         assert report.passed == (lo <= report.measured <= hi)
@@ -177,10 +171,8 @@ class TestSensitivityOracle:
 
 
 ORACLES = {
-    "gradient": lambda state, base, grid: sq.gradient_oracle(
-        state, base, TABLE, sq.CostWeights(), WHOLE, grid),
-    "sensitivity": lambda state, base, grid: sq.sensitivity_oracle(
-        state, base, TABLE, WHOLE, grid),
+    "gradient": lambda state, base: sq.gradient_oracle(state, base, TABLE, sq.CostWeights()),
+    "sensitivity": lambda state, base: sq.sensitivity_oracle(state, base, TABLE),
 }
 
 
@@ -194,7 +186,7 @@ class TestForeignBaseState:
         state = base_state(other, sq.ControlPair.constant(0.3, 0.3, other.grid, WHOLE))
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
         with pytest.raises(sq.ContractError, match="Trajectory defined on a different grid"):
-            ORACLES[oracle](state, base, grid)
+            ORACLES[oracle](state, base)
 
     @pytest.mark.parametrize("oracle", ORACLES)
     def test_state_at_other_controls_fails(self, small_config, oracle):
@@ -203,28 +195,28 @@ class TestForeignBaseState:
         grid = small_config.grid
         state = base_state(small_config, sq.ControlPair.constant(0.5, 0.2, grid, WHOLE))
         base = sq.ControlPair.constant(0.3, 0.3, grid, WHOLE)
-        report = ORACLES[oracle](state, base, grid)
+        report = ORACLES[oracle](state, base)
         assert not report.passed, report.detail
 
 
-def loop_gradient_oracle(initial, base, params, weights, regions, grid, seed):
+def loop_gradient_oracle(initial, base, params, weights, seed):
     """gradient_oracle as one forward_solve per direction and epsilon."""
+    grid, regions = base.grid, base.regions
     first, last = epsilons = GRADIENT_EPSILONS
     directions = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
                                     np.random.default_rng(seed))
-    state = sq.forward_solve(initial, base, params, regions, grid)
-    adjoint = sq.adjoint_solve(state, base, weights, params, regions, grid)
-    grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights, regions, grid)
-    j_base = sq.cost_functional(state, base, weights, regions, grid)
+    state = sq.forward_solve(initial, base, params, grid)
+    adjoint = sq.adjoint_solve(state, base, weights, params, grid)
+    grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights)
+    j_base = sq.cost_functional(state, base, weights)
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
     predicted = np.zeros((GRADIENT_DIRECTIONS, 1))
     for i, (h_u, h_v) in enumerate(directions):
         predicted[i] = sq.directional_derivative(grad_u, grad_v, base, weights, h_u, h_v)
         for k, eps in enumerate(epsilons):
             plus = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
-            bumped = sq.forward_solve(initial, plus, params, regions, grid)
-            fd[i, k] = (sq.cost_functional(bumped, plus, weights, regions, grid)
-                        - j_base) / eps
+            bumped = sq.forward_solve(initial, plus, params, grid)
+            fd[i, k] = (sq.cost_functional(bumped, plus, weights) - j_base) / eps
     fd[:, 2] = (first * fd[:, 1] - last * fd[:, 0]) / (first - last)
     errors = np.abs(fd - predicted) / np.maximum(np.abs(fd), 1e-300)
     ratios = errors[:, 0] / np.maximum(errors[:, 1], 1e-300)
@@ -233,11 +225,12 @@ def loop_gradient_oracle(initial, base, params, weights, regions, grid, seed):
     return worst < GRADIENT_REL_BOUND and bool(np.all((ratios >= lo) & (ratios <= hi))), worst
 
 
-def loop_sensitivity_oracle(initial, base, params, regions, grid, seed):
+def loop_sensitivity_oracle(initial, base, params, seed):
     """sensitivity_oracle as one forward_solve per epsilon."""
+    grid, regions = base.grid, base.regions
     [(h_u, h_v)] = _random_directions(grid, regions, 1, np.random.default_rng(seed))
-    state = sq.forward_solve(initial, base, params, regions, grid)
-    lin = sq.sensitivity_solve(initial, base, h_u, h_v, params, regions, grid)
+    state = sq.forward_solve(initial, base, params, grid)
+    lin = sq.sensitivity_solve(initial, base, h_u, h_v, params, grid)
     wx, wt = grid.space_weights(), grid.time_weights()
 
     def l2(block):
@@ -246,7 +239,7 @@ def loop_sensitivity_oracle(initial, base, params, regions, grid, seed):
     errs = []
     for eps in SENSITIVITY_EPSILONS:
         shifted = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
-        bumped = sq.forward_solve(initial, shifted, params, regions, grid)
+        bumped = sq.forward_solve(initial, shifted, params, grid)
         errs.append(l2((bumped.values - state.values) / eps - lin.values)
                     / max(l2(lin.values), 1e-300))
     lo, hi = DECAY_RATIO_RANGE
@@ -264,15 +257,14 @@ def test_batched_oracles_match_per_direction_loops(small_config, seed, regions):
     grid = small_config.grid
     initial = small_config.initial_array()
     base = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
-    state = base_state(small_config, base, regions)
+    state = base_state(small_config, base)
     args = (initial, base, TABLE)
-    gradient = sq.gradient_oracle(state, base, TABLE, sq.CostWeights(), regions, grid,
-                                  seed=seed)
-    passed, measured = loop_gradient_oracle(*args, sq.CostWeights(), regions, grid, seed)
+    gradient = sq.gradient_oracle(state, base, TABLE, sq.CostWeights(), seed=seed)
+    passed, measured = loop_gradient_oracle(*args, sq.CostWeights(), seed)
     assert gradient.passed == passed
     assert abs(gradient.measured - measured) <= 1e-7
-    sensitivity = sq.sensitivity_oracle(state, base, TABLE, regions, grid, seed=seed)
-    passed, errs = loop_sensitivity_oracle(*args, regions, grid, seed)
+    sensitivity = sq.sensitivity_oracle(state, base, TABLE, seed=seed)
+    passed, errs = loop_sensitivity_oracle(*args, seed)
     assert sensitivity.passed == passed
     reported = ast.literal_eval(re.search(r"errors=(\[.*?\])", sensitivity.detail)[1])
     assert reported == pytest.approx(errs, rel=1e-12, abs=0)

@@ -216,11 +216,7 @@ def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeig
     """
     _check_initial(initial_state, params, grid)
     coarse = _coarse_grid(initial_state, params, regions, grid)
-    state, adjoint, controls, iterations, coarse_iterations, history, residual = _sweep(
-        initial_state, coarse, params, weights, regions, grid, sweep, on_iterate)
-    report = SweepReport(iterations, coarse_iterations, history, residual,
-                         residual <= sweep.tolerance)
-    return state, adjoint, controls, report
+    return _sweep(initial_state, coarse, params, weights, regions, grid, sweep, on_iterate)
 
 
 def _coarse_grid(initial: np.ndarray, params: ModelParams,
@@ -260,7 +256,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
            weights: CostWeights, regions: QuarantineRegions, grid: Grid,
-           sweep: SweepSettings, on_iterate):
+           sweep: SweepSettings, on_iterate
+           ) -> tuple[Trajectory, Trajectory, ControlPair, SweepReport]:
     """Anderson type-II iteration (Walker & Ni 2011) of x -> P(S(x)) on
     ``grid``, from zero controls, or, given a ``coarse`` grid, from the
     controls of this sweep on ``coarse`` from zero, stopped at a residual of
@@ -277,18 +274,19 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
 
     The differences are kept in float32 (only gamma depends on them); f_k
     waits in the slot of its difference until f_{k+1} is known.  Returns
-    the state, adjoint and controls of the last pass, the number of updates,
-    the number of coarse updates (0 without a coarse stage), the cost at
-    each pass and the last residual.  The coarse controls are freed once
-    _to_grid has read them, and the start made from them at the first update.
+    the state, adjoint and controls of the last pass and the SweepReport,
+    whose coarse_iterations is 0 without a coarse stage.  The coarse
+    controls are freed once _to_grid has read them, and the start made from
+    them at the first update.
     """
     if coarse is None:
         controls, coarse_iterations = ControlPair.zeros(grid, regions), 0
     else:
         start_sweep = replace(sweep, tolerance=max(sweep.tolerance, sweep.tolerance ** 0.5))
-        _, _, start, coarse_iterations, _, _, _ = _sweep(
-            initial_state, None, params, weights, regions, coarse, start_sweep, None)
-        controls = _to_grid(start)
+        # only the controls and the report, so no coarse trajectory outlives the call
+        start, report = _sweep(
+            initial_state, None, params, weights, regions, coarse, start_sweep, None)[2:]
+        controls, coarse_iterations = _to_grid(start), report.iterations
         del start
     shape = (ANDERSON_DEPTH, 2, grid.nt + 1, grid.nx)
     steps = np.empty(shape, dtype=np.float32)    # x_{j+1} - x_j
@@ -336,4 +334,5 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
         controls = ControlPair(u, v, grid, regions)
         if on_iterate is not None:
             on_iterate(controls)
-    return state, adjoint, controls, iterations, coarse_iterations, history, residual
+    return state, adjoint, controls, SweepReport(iterations, coarse_iterations, history,
+                                                 residual, residual <= sweep.tolerance)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,29 +118,18 @@ def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResul
     return _result("optimal", config, seen, controls, report)
 
 
-def _outputs(root: Path, out_dir: Path, summary: RunSummary) -> list[Path]:
-    """Every path write_outputs can create when ``root`` is the highest missing
-    directory: the directories from ``root`` down to ``out_dir``, summary.txt,
-    and each result's directory with its CSVs."""
-    chain = [out_dir, *out_dir.parents]
-    paths = chain[:chain.index(root) + 1] + [out_dir / "summary.txt"]
-    for result in (summary.baseline, summary.optimal):
-        if result is not None:
-            directory = out_dir / result.name
-            paths += [directory, *(directory / f"{name}.csv"
-                                   for name in (*result.rows, "aggregates"))]
-    return paths
-
-
-def _existing(paths: list[Path]) -> set[Path]:
-    return {path for path in paths if os.path.lexists(path)}
-
-
 def run_scenario(config: ScenarioConfig) -> RunSummary:
     """Solve the configured scenario(s), run the trajectory checks, and
-    write all outputs.  If writing fails, what this call created is
-    removed and nothing that existed before is.  A quarantine region that
-    holds no node of the grid is a ConfigError: its control could not act."""
+    write all outputs.  A quarantine region that holds no node of the grid
+    is a ConfigError: its control could not act.
+
+    write_outputs writes into a hidden `.sqeiar-*` directory made in the
+    nearest existing directory on the output path, so every os.replace
+    stays on one filesystem.  Each file moves into place only once all are
+    written and no target is a non-directory where a directory goes or a
+    directory where a file goes.  So a failure before the moves leaves the
+    output directory as it was, one during them can leave old and new files
+    mixed, and the staging directory is removed either way."""
     grid = config.grid
     for region in config.regions.regions:
         if not QuarantineRegions((region,)).mask(grid.x).any():
@@ -155,24 +145,30 @@ def run_scenario(config: ScenarioConfig) -> RunSummary:
     if baseline is not None and optimal is not None:
         deaths_averted = baseline.metrics.deaths - optimal.metrics.deaths
     summary = RunSummary(baseline, optimal, deaths_averted)
-    out_dir = Path(config.output_dir)
-    root = out_dir  # the highest directory this call may create
-    while not root.parent.exists():
-        root = root.parent
-    outputs = _outputs(root, out_dir, summary)
-    before = _existing(outputs)
+    out_dir = Path(config.output_dir).absolute()
+    base = next(path for path in (out_dir, *out_dir.parents) if path.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".sqeiar-", dir=base))
     try:
-        write_outputs(summary, config, out_dir)
-    except Exception:
+        write_outputs(summary, config, staging)
+        staged = [path for path in sorted(staging.rglob("*")) if path.is_file()]
+        targets = [out_dir / path.relative_to(staging) for path in staged]
+        for target in targets:  # every conflict is found before the first move
+            for path in (target, *target.parents[:target.parents.index(base)]):
+                # a directory where the file goes, or a non-directory where a directory goes
+                if os.path.lexists(path) and path.is_dir() == (path == target):
+                    raise OSError(f"{path} is {'a' if path == target else 'not a'} directory")
+        for path, target in zip(staged, targets):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(path, target)
+    finally:
         # a path sorts after its parent, so reverse order empties
         # directories before removing them
-        for path in sorted(_existing(outputs) - before, reverse=True):
+        for path in [*sorted(staging.rglob("*"), reverse=True), staging]:
             with contextlib.suppress(OSError):
-                if path.is_dir() and not path.is_symlink():
+                if path.is_dir():
                     path.rmdir()
                 else:
                     path.unlink()
-        raise
     return summary
 
 

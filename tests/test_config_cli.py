@@ -240,6 +240,34 @@ class TestOutputs:
         assert summary.optimal.sweep.coarse_iterations > 0
         assert [grid.nt for grid, *_ in made] == [config.grid.nt // 3]  # the coarse start
 
+    def test_no_coarse_trajectory_alive_in_the_fine_stage(self, tmp_path, small_config,
+                                                          monkeypatch):
+        # the coarse stage hands only its controls and report to the fine stage
+        import weakref
+
+        import sqeiar.control
+
+        coarse, alive = [], []
+
+        def sweep(*args):
+            result = run_sweep(*args)
+            if args[5] != config.grid:
+                coarse.extend(weakref.ref(trajectory.values) for trajectory in result[:2])
+            return result
+
+        def forward_solve(initial, controls, *args):
+            if controls.grid == config.grid:
+                alive.append(sum(ref() is not None for ref in coarse))
+            return solve(initial, controls, *args)
+
+        run_sweep, solve = sqeiar.control._sweep, sqeiar.control.forward_solve
+        monkeypatch.setattr(sqeiar.control, "_sweep", sweep)
+        monkeypatch.setattr(sqeiar.control, "forward_solve", forward_solve)
+        config = replace(small_config, output_dir=tmp_path / "run", mode="optimal")
+        summary = sq.run_scenario(config)
+        assert summary.optimal.sweep.coarse_iterations > 0 and len(coarse) == 2
+        assert alive and set(alive) == {0}
+
     @pytest.mark.parametrize("rows, columns", [(1, 1), (1, 7), (_CSV_VALUES // 8, 8),
                                                (_CSV_VALUES // 4 + 5, 12), (9, _CSV_VALUES + 3)])
     def test_csv_bytes_match_savetxt(self, tmp_path, rows, columns):
@@ -295,6 +323,39 @@ class TestOutputs:
         sq.run_scenario(replace(small_config, output_dir=out, mode="baseline"))
         assert [p for p in scanned if p == unrelated or unrelated in p.parents] == []
         assert (unrelated / "deep" / "notes.txt").read_text() == "keep\n"
+
+    @pytest.mark.parametrize("failure", ["no_space", "directory"])
+    def test_failed_write_keeps_previous_run(self, tmp_path, capsys, monkeypatch, failure):
+        # a run whose I.csv cannot be written, after S..A could, leaves every
+        # file of the previous run with its bytes
+        import builtins
+        import errno
+        import os
+
+        import sqeiar.runner
+
+        out = tmp_path / "out"
+        config = tmp_path / "scenario.conf"
+        config.write_text(f"grid.nx = 21\ngrid.tau = 3\ngrid.nt = 300\noutput.dir = {out}\n")
+        assert main(["run", "--config", str(config), "--mode", "baseline"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["baseline", "summary.txt"]
+        if failure == "directory":
+            (out / "baseline" / "I.csv").unlink()
+            (out / "baseline" / "I.csv").mkdir()
+        else:
+            def no_space(path, *args, **kwargs):
+                if Path(path).name == "I.csv":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+                return builtins.open(path, *args, **kwargs)
+            monkeypatch.setattr(sqeiar.runner, "open", no_space, raising=False)
+        before = {p: p.is_dir() or p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        config.write_text(f"grid.nx = 21\ngrid.tau = 6\ngrid.nt = 600\noutput.dir = {out}\n")
+        assert main(["run", "--config", str(config), "--mode", "baseline"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error")
+        assert {p: p.is_dir() or p.read_bytes() for p in out.rglob("*")} == before
+        assert list(tmp_path.glob("**/.sqeiar-*")) == []
 
 
 class TestStreamedBaseline:
@@ -552,7 +613,8 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("output error")
         assert sorted(p.name for p in out.iterdir()) == ["baseline", "notes.txt"]
         assert (out / "notes.txt").read_text() == "keep\n"
-        # S..A, written before I.csv fails, are removed; what was there stays
+        # I.csv is a directory: the conflict is found before any file moves, so
+        # S..A, written in the staging directory, never arrive; what was there stays
         (out / "baseline").unlink()
         (out / "baseline").mkdir()
         (out / "baseline" / "I.csv").mkdir()

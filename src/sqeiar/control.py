@@ -72,8 +72,8 @@ class SweepSettings:
     relaxation: float = 0.5
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ContractError(f"sweep.tolerance must be > 0, got {self.tolerance}")
+        if not 0 < self.tolerance < np.inf:  # NaN fails too
+            raise ContractError(f"sweep.tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ContractError(f"sweep.max_iterations must be >= 1, got {self.max_iterations}")
         if not 0 < self.relaxation <= 1:

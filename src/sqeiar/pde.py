@@ -25,8 +25,9 @@ returns B Trajectory views into its one output.  The step loop writes into a
 buffer of levels and checks each block of them before it reuses their slots.
 A solve that returns a Trajectory holds all nt + 1 levels; _forward_stream,
 the baseline run's solve, holds a ring of _BLOCK + 1 and hands each block of
-levels to its consumer, which keeps the reductions and rows that `run`
-reports, so that run never holds its (nt + 1, 6, nx) trajectory.
+levels to its consumer, so that run never holds its (nt + 1, 6, nx)
+trajectory.  The block size is this module's own: a consumer reduces each
+level on its own, so its results do not depend on it.
 
 The adjoint step is the forward step's exact transpose in the same form, 6
 numpy calls per step, made the same way: its flows are one product with B^T

@@ -15,7 +15,7 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig
 from .control import ControlPair, SweepReport, _state_cost, _state_weights, fbsm_solve
 from .model import COMPARTMENTS, QuarantineRegions
-from .pde import Grid, _blocks
+from .pde import Grid
 from .verify import CheckReport, RunMetrics, _integrals, _lowest, _population
 
 # The baseline streams its levels into _Levels instead of holding its trajectory, and
@@ -54,9 +54,9 @@ class RunSummary:
 
 
 class _Levels:
-    """What a result keeps of its solve's levels, handed over in the blocks of
-    pde._blocks, in order: the rows `run` writes, each level's compartment
-    integrals and state cost, the least value and the initial population."""
+    """What a result keeps of its solve's levels, handed over in blocks, in order:
+    the rows `run` writes, each level's compartment integrals and state cost, the
+    least value and the initial population."""
 
     def __init__(self, config: ScenarioConfig):
         grid = config.grid
@@ -113,8 +113,7 @@ def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResul
     state, _adjoint, controls, report = fbsm_solve(
         initial, config.params, config.weights, config.regions, config.grid, config.sweep)
     seen = _Levels(config)
-    for lo, hi in _blocks(config.grid.nt):  # the blocks a streamed solve hands over
-        seen(lo, state.values[lo:hi])
+    seen(0, state.values)
     return _result("optimal", config, seen, controls, report)
 
 

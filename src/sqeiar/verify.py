@@ -10,7 +10,7 @@ import numpy as np
 
 from .control import ControlPair, _dot, cost_functional, cost_gradient, directional_derivative
 from .model import COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
-from .pde import (Grid, Trajectory, _blocks, _forward_batch, adjoint_solve, require_aligned,
+from .pde import (Grid, Trajectory, _forward_batch, adjoint_solve, require_aligned,
                   sensitivity_solve)
 # The oracles take the base state from their caller and solve no base of their
 # own.  The module keeps the name forward_solve, which benchmarks/tracing.py wraps.
@@ -50,20 +50,15 @@ class RunMetrics:
 
 def _integrals(levels: np.ndarray, wx: np.ndarray) -> np.ndarray:
     """Trapezoid integral over space of each compartment at each of ``levels``, shape
-    (k, 6, nx): shape (6, k).  A gemv may round a level by its place in the block
-    (OpenBLAS: by its group of 4 levels, and the last levels by another path), so each
-    caller passes the blocks of pde._blocks, and the levels get the same bits however
-    they were solved."""
-    return np.stack([levels[:, c, :] @ wx for c in range(len(COMPARTMENTS))])
+    (k, 6, nx): shape (6, k).  Each level's sum is its own (an einsum without
+    ``optimize``, which could route it to BLAS), so blocks of levels give the bits of all
+    levels at once."""
+    return np.einsum("tcn,n->ct", levels, wx)
 
 
 def _aggregates(traj: Trajectory) -> dict[str, np.ndarray]:
-    """Trapezoid integral over space of each compartment, per time level, from the
-    blocks of levels that a streamed solve hands over (see pde._forward_stream)."""
-    wx = traj.grid.space_weights()
-    series = np.hstack([_integrals(traj.values[lo:hi], wx)
-                        for lo, hi in _blocks(traj.grid.nt)])
-    return dict(zip(COMPARTMENTS, series))
+    """Trapezoid integral over space of each compartment, per time level."""
+    return dict(zip(COMPARTMENTS, _integrals(traj.values, traj.grid.space_weights())))
 
 
 def extract_metrics(traj: Trajectory) -> RunMetrics:

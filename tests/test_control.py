@@ -283,7 +283,8 @@ class TestSweep:
     def test_bad_sweep_arguments(self, small_config):
         grid = small_config.grid
         initial = small_config.initial_array()
-        for bad in ({"tolerance": 0.0}, {"relaxation": 1.5}, {"max_iterations": 0}):
+        for bad in ({"tolerance": 0.0}, {"tolerance": float("inf")}, {"relaxation": 1.5},
+                    {"max_iterations": 0}):
             with pytest.raises(ContractError):
                 sq.fbsm_solve(initial, TABLE, sq.CostWeights(), WHOLE, grid,
                               sq.SweepSettings(**bad))

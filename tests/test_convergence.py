@@ -46,3 +46,16 @@ def test_second_order_in_space_with_dt_proportional_to_dx_squared():
         solutions.append(final_level(grid)[:, ::(nx - 1) // 10])
     ratios = gap_ratios(solutions)
     assert all(3.5 <= ratio <= 5.0 for ratio in ratios), ratios
+
+
+def test_optimal_cost_first_order_in_time():
+    # the swept optimum's J on 21 nodes over 30 days, nt = 600, 1200, 2400:
+    # about 19793.9, 19885.2 and 19931.1, gaps 91.3 and 45.9
+    costs = []
+    for nt in (600, 1200, 2400):
+        cfg = replace(sq.ScenarioConfig(), grid=sq.Grid(nx=21, tau=30.0, nt=nt))
+        *_, report = sq.fbsm_solve(cfg.initial_array(), cfg.params, cfg.weights,
+                                   cfg.regions, cfg.grid, cfg.sweep)
+        costs.append(report.cost_history[-1])
+    ratios = gap_ratios(costs)
+    assert all(1.8 <= ratio <= 2.2 for ratio in ratios), ratios

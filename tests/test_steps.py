@@ -4,7 +4,8 @@ Reference loops here make each step with numpy's plain calls (np.dot with
 out=, a multiply by 2.0 at the stencil ends) on top of the solver's own
 _step_operator and _stencil; every solve path must give their bits, so a
 change of the step that changes rounding fails here.  A second group counts
-the Python-level frames a solve opens: none per step.
+the Python-level frames a solve opens: none per step.  A third pins the
+per-level reductions a run keeps: any blocking of the levels gives their bits.
 """
 
 import os
@@ -20,7 +21,8 @@ from sqeiar.control import ControlPair, cost_functional, directional_derivative
 from sqeiar.model import _I, _S, QuarantineRegions, rho_source
 from sqeiar.pde import (_BLOCK, _blocks, _forward_batch, _forward_stream, _stencil,
                         _step_operator, adjoint_solve, forward_solve, sensitivity_solve)
-from sqeiar.verify import _random_directions
+from sqeiar.runner import _Levels
+from sqeiar.verify import _integrals, _random_directions
 
 # nodes -> (tau, nt): D*dt/dx^2 stays at most 0.16 on each grid
 GRIDS = {21: (3.0, 300), 33: (3.0, 300), 101: (3.0, 300), 401: (0.3, 300)}
@@ -219,3 +221,28 @@ def test_cost_leaves_no_blas_thread_spinning(reduction):
         pass
     other_threads = (time.process_time() - process) - (time.thread_time() - thread)
     assert other_threads < 0.02
+
+
+@pytest.mark.parametrize("nx", [21, 101, 401])
+def test_integrals_do_not_depend_on_blocking(nx):
+    # a BLAS gemv rounds a level by its place in the block; the reductions must not, so
+    # that a streamed solve and a held trajectory report the same bits
+    grid, cfg, initial = scenario(nx)
+    rng = np.random.default_rng(nx + 4)
+    pairs = [random_pair(rng, grid, cfg.regions) for _ in range(3)]
+    state = forward_solve(initial, pairs[0], cfg.params, grid).values
+    member = _forward_batch(initial, pairs, cfg.params, grid)[1].values  # a strided view
+    wx = grid.space_weights()
+    for levels in (state, member):
+        whole = _integrals(levels, wx)
+        for size in (1, 7, 63, 64, 65):
+            blocks = [_integrals(levels[lo:lo + size], wx)
+                      for lo in range(0, grid.nt + 1, size)]
+            assert np.array_equal(np.hstack(blocks), whole), size
+    whole, blocked = _Levels(cfg), _Levels(cfg)
+    whole(0, state)
+    for lo in range(0, grid.nt + 1, 7):
+        blocked(lo, state[lo:lo + 7])
+    for name in ("integrals", "state_cost", "rows"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+    assert (blocked.lowest, blocked.population) == (whole.lowest, whole.population)

@@ -62,6 +62,9 @@ def evaluate_profile(spec: str, x: np.ndarray) -> np.ndarray:
     if values.ndim != 1 or values.size != x.size:
         raise ConfigError(
             f"profile file {path} must hold one column of {x.size} values")
+    # before the positivity advisory reads them: an inf would warn, then fail
+    if not (values.min() >= 0 and values.max() < np.inf):  # NaN fails both
+        raise ConfigError(f"profile file {path} must hold finite, nonnegative values")
     return values
 
 

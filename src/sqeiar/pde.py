@@ -178,6 +178,32 @@ class Trajectory:
     def r(self) -> np.ndarray:
         return self.values[:, 5, :]
 
+    @property
+    def integrals(self) -> np.ndarray:
+        """Trapezoid integral over space of each field at each level, shape (6, nt + 1)."""
+        return _integrals(self.values, self.grid.space_weights())
+
+    @property
+    def lowest(self) -> tuple[float, int, int, int]:
+        """The least value with its (level, field, node); see _lowest."""
+        return _lowest(self.values)
+
+
+def _integrals(levels: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """Trapezoid integral over space of each compartment at each of ``levels``, shape
+    (k, 6, nx): shape (6, k).  Each level's sum is its own (an einsum without
+    ``optimize``, which could route it to BLAS), so blocks of levels give the bits of all
+    levels at once."""
+    return np.einsum("tcn,n->ct", levels, wx)
+
+
+def _lowest(levels: np.ndarray, first: int = 0) -> tuple[float, int, int, int]:
+    """The least value of ``levels``, shape (k, 6, nx), whose row m is level first + m,
+    and its (level, compartment, node): the first minimum, or the first NaN."""
+    # one scan; where min would return NaN, argmin points at the first NaN
+    m, comp, node = np.unravel_index(levels.argmin(), levels.shape)
+    return float(levels[m, comp, node]), first + int(m), int(comp), int(node)
+
 
 def positivity_bound(initial: np.ndarray, params: ModelParams,
                      regions: QuarantineRegions, grid: Grid) -> float:

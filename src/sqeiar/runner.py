@@ -15,17 +15,15 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig
 from .control import ControlPair, SweepReport, _state_cost, _state_weights, fbsm_solve
 from .model import COMPARTMENTS, QuarantineRegions
-from .pde import Grid
-from .verify import CheckReport, RunMetrics, _integrals, _lowest, _population
+from .pde import Grid, _integrals, _lowest
+from .verify import (CheckReport, RunMetrics, extract_metrics, mass_balance_check,
+                     positivity_check)
 
-# The baseline streams its levels into _Levels instead of holding its trajectory, and
-# both results are reduced from what _Levels kept, so the runner calls the cores that
-# take those reductions.  It keeps the public names, which benchmarks/tracing.py wraps.
+# The baseline streams its levels into _Levels instead of holding its trajectory.  The
+# checks and extract_metrics read a _Levels as they read a Trajectory; the cost and the
+# streamed solve are cores, called under the public names that benchmarks/tracing.py wraps.
 from .control import _cost as cost_functional
 from .pde import _forward_stream as forward_solve
-from .verify import _balance as mass_balance_check
-from .verify import _metrics as extract_metrics
-from .verify import _positivity as positivity_check
 
 _CSV_VALUES = 1024  # CSV values formatted per % operation (at least one row)
 
@@ -55,26 +53,24 @@ class RunSummary:
 
 class _Levels:
     """What a result keeps of its solve's levels, handed over in blocks, in order:
-    the rows `run` writes, each level's compartment integrals and state cost, the
-    least value and the initial population."""
+    the rows `run` writes and each level's state cost, beside what the checks read
+    of a Trajectory: each level's compartment integrals, the least value and the
+    grid."""
 
     def __init__(self, config: ScenarioConfig):
-        grid = config.grid
+        self.grid = grid = config.grid
         self.integrals = np.empty((len(COMPARTMENTS), grid.nt + 1))
         self.state_cost = np.empty(grid.nt + 1)
         # the stored levels, Python ints for any stride
         self.levels = sorted({*range(0, grid.nt + 1, config.stride), grid.nt})
         self.rows = np.empty((len(self.levels), len(COMPARTMENTS), grid.nx))
         self.lowest = (np.inf, 0, 0, 0)
-        self.population = 1.0
-        self._grid, self._wx = grid, grid.space_weights()
+        self._wx = grid.space_weights()
         self._state_weights = _state_weights(config.weights, config.regions, grid)
 
     def __call__(self, lo: int, block: np.ndarray) -> None:
         """Take levels lo, lo + 1, ... of a solve, shape (k, 6, nx), all finite."""
         hi = lo + len(block)
-        if lo == 0:
-            self.population = _population(block[0], self._grid)
         self.integrals[:, lo:hi] = _integrals(block, self._wx)
         self.state_cost[lo:hi] = _state_cost(block, self._state_weights)
         lowest = _lowest(block, lo)
@@ -90,15 +86,11 @@ def _result(name: str, config: ScenarioConfig, seen: _Levels, controls: ControlP
     ``seen`` kept of its levels, and copies of the rows of ``controls`` that
     `run` writes, so the result keeps neither ``seen`` nor ``controls``
     alive."""
-    grid = config.grid
-    aggregates = dict(zip(COMPARTMENTS, seen.integrals))
     cost = cost_functional(seen.state_cost, controls, config.weights)
-    checks = [mass_balance_check(aggregates, config.params, grid),
-              positivity_check(seen.lowest, seen.population)]
+    checks = [mass_balance_check(seen, config.params), positivity_check(seen)]
     rows = dict(zip(COMPARTMENTS, np.moveaxis(seen.rows, 1, 0)))
     rows.update(u=controls.u[seen.levels], v=controls.v[seen.levels])
-    return ScenarioResult(name, seen.levels, rows, cost, extract_metrics(aggregates, grid),
-                          checks, sweep)
+    return ScenarioResult(name, seen.levels, rows, cost, extract_metrics(seen), checks, sweep)
 
 
 def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlPair, _dot, cost_functional, cost_gradient, directional_derivative
-from .model import COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
+from .model import _I, COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
 from .pde import (Grid, Trajectory, _forward_batch, adjoint_solve, require_aligned,
                   sensitivity_solve)
 # The oracles take the base state from their caller and solve no base of their
@@ -48,28 +48,14 @@ class RunMetrics:
     deaths: float                      # N(0) - N(tau), integrated
 
 
-def _integrals(levels: np.ndarray, wx: np.ndarray) -> np.ndarray:
-    """Trapezoid integral over space of each compartment at each of ``levels``, shape
-    (k, 6, nx): shape (6, k).  Each level's sum is its own (an einsum without
-    ``optimize``, which could route it to BLAS), so blocks of levels give the bits of all
-    levels at once."""
-    return np.einsum("tcn,n->ct", levels, wx)
-
-
-def _aggregates(traj: Trajectory) -> dict[str, np.ndarray]:
-    """Trapezoid integral over space of each compartment, per time level."""
-    return dict(zip(COMPARTMENTS, _integrals(traj.values, traj.grid.space_weights())))
-
-
 def extract_metrics(traj: Trajectory) -> RunMetrics:
-    """Trapezoid aggregates per compartment plus peak/death statistics."""
-    return _metrics(_aggregates(traj), traj.grid)
-
-
-def _metrics(aggregates: dict[str, np.ndarray], grid: Grid) -> RunMetrics:
-    """extract_metrics from the aggregates at the levels of ``grid``."""
-    total = sum(aggregates.values())
-    times = grid.t
+    """Trapezoid aggregates per compartment plus peak/death statistics.  Like the
+    checks, it reads only the ``integrals`` and ``grid`` of ``traj`` (positivity also
+    its ``lowest``), so a run's record of its streamed levels serves as a Trajectory."""
+    integrals = traj.integrals
+    aggregates = dict(zip(COMPARTMENTS, integrals))
+    total = integrals.sum(axis=0)
+    times = traj.grid.t
     peak_value = {name: float(series.max()) for name, series in aggregates.items()}
     peak_time = {name: float(times[int(series.argmax())])
                  for name, series in aggregates.items()}
@@ -87,14 +73,9 @@ def mass_balance_check(traj: Trajectory, params: ModelParams) -> CheckReport:
     """Discrete total-population balance: per step, the change of the
     integrated population equals dt * (alpha - 1) * f * integrated I,
     up to roundoff (the reflected stencil has zero weighted sum)."""
-    return _balance(_aggregates(traj), params, traj.grid)
-
-
-def _balance(aggregates: dict[str, np.ndarray], params: ModelParams,
-             grid: Grid) -> CheckReport:
-    """mass_balance_check from the aggregates at the levels of ``grid``."""
-    total = sum(aggregates.values())
-    expected = grid.dt * (params.alpha - 1.0) * params.f * aggregates["I"][:-1]
+    integrals = traj.integrals
+    total = integrals.sum(axis=0)
+    expected = traj.grid.dt * (params.alpha - 1.0) * params.f * integrals[_I, :-1]
     residual = np.abs(np.diff(total) - expected)
     scale = max(total[0], 1.0)
     measured = float(residual.max() / scale) if residual.size else 0.0
@@ -108,27 +89,10 @@ def _balance(aggregates: dict[str, np.ndarray], params: ModelParams,
 
 
 def positivity_check(traj: Trajectory) -> CheckReport:
-    """Most negative compartment value, normalized by the initial population;
+    """Most negative compartment value, normalized by the balance's N(0), at least 1;
     a NaN anywhere fails the check, with measured NaN."""
-    return _positivity(_lowest(traj.values), _population(traj.values[0], traj.grid))
-
-
-def _lowest(levels: np.ndarray, first: int = 0) -> tuple[float, int, int, int]:
-    """The least value of ``levels``, shape (k, 6, nx), whose row m is level first + m,
-    and its (level, compartment, node): the first minimum, or the first NaN."""
-    # one scan; where min would return NaN, argmin points at the first NaN
-    m, comp, node = np.unravel_index(levels.argmin(), levels.shape)
-    return float(levels[m, comp, node]), first + int(m), int(comp), int(node)
-
-
-def _population(level: np.ndarray, grid: Grid) -> float:
-    """The positivity check's scale: the total population of one level, at least 1."""
-    return max(float(level.sum(axis=0) @ grid.space_weights()), 1.0)
-
-
-def _positivity(lowest: tuple[float, int, int, int], scale: float) -> CheckReport:
-    """positivity_check from the least value with its place (see _lowest) and the scale."""
-    most_negative, step, comp, node = lowest
+    most_negative, step, comp, node = traj.lowest
+    scale = max(float(traj.integrals.sum(axis=0)[0]), 1.0)
     # a NaN fails the check: max(0.0, -nan) would give 0.0
     measured = np.nan if np.isnan(most_negative) else max(0.0, -most_negative) / scale
     return CheckReport(

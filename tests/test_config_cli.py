@@ -622,18 +622,21 @@ class TestCli:
         assert sorted(p.name for p in out.rglob("*")) == ["I.csv", "baseline", "notes.txt"]
 
     @pytest.mark.parametrize("case", ["config_dir", "not_utf8", "profile_abc",
-                                      "profile_dir", "profile_empty", "profile_negative",
-                                      "repeated_key"])
+                                      "profile_dir", "profile_empty", "profile_inf",
+                                      "profile_negative", "repeated_key"])
     def test_unreadable_or_invalid_input_exit_one(self, tmp_path, capsys, case):
         (tmp_path / "abc.txt").write_text("abc\n")
         (tmp_path / "empty.txt").write_text("")
         (tmp_path / "dir").mkdir()
-        negative = np.full(21, 5.0)
-        negative[3] = -1.0
-        np.savetxt(tmp_path / "negative.txt", negative)
+        for name, value in (("negative", -1.0), ("inf", np.inf)):
+            values = np.full(21, 5.0)
+            values[3] = value
+            np.savetxt(tmp_path / f"{name}.txt", values)
         extra = {"profile_abc": "initial.a = file:abc.txt\n",
                  "profile_dir": "initial.a = file:dir\n",
                  "profile_empty": "initial.s = file:empty.txt\n",
+                 # the positivity advisory would read inf >= 1 and warn first
+                 "profile_inf": "initial.s = file:inf.txt\n",
                  "profile_negative": "initial.a = file:negative.txt\n",
                  "repeated_key": "grid.nx = 41\n"}.get(case, "")
         config = self.write_config(tmp_path, extra)
@@ -641,9 +644,11 @@ class TestCli:
             config = tmp_path / "dir"
         elif case == "not_utf8":
             config.write_bytes(b"\xff\xfe")
-        assert main(["run", "--config", str(config), "--mode", "baseline"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("configuration error")
+        for argv in (["run", "--config", str(config), "--mode", "baseline"],
+                     ["check", "--config", str(config)]):
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("configuration error"), argv[0]
 
     def test_tiny_control_cost_no_warning(self, tmp_path, capsys, monkeypatch):
         # v / sigma2 overflows to inf, and the clip puts it on the box's edge

@@ -111,7 +111,7 @@ class TestPositivity:
         if seed >= 3:
             values.flat[rng.integers(values.size)] = np.nan
         traj = sq.Trajectory(values, grid)
-        scale = max(float(values[0].sum(axis=0) @ grid.space_weights()), 1.0)
+        scale = max(sq.extract_metrics(traj).total_population[0], 1.0)
         most_negative = float(values.min())
         step, comp, node = np.unravel_index(values.argmin(), values.shape)
         measured = np.nan if seed >= 3 else max(0.0, -most_negative) / scale

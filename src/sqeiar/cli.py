@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, ScenarioConfig, evaluate_profile, load_config,
-                     render_defaults)
-from .model import ContractError
+from .config import (DEFAULT_PROFILES, MODES, ConfigError, ScenarioConfig, evaluate_profile,
+                     load_config, render_defaults)
 from .pde import Grid, IntegrationError
 
 EXIT_OK = 0
@@ -23,8 +22,19 @@ EXIT_CHECK = 3
 EXIT_OUTPUT = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # rejected input: one stderr line and exit 1, not exit 2
+        raise ConfigError(message)
+
+
+def _out_dir(value: str) -> Path:
+    if not value:  # Path('') is the working directory
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return Path(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqeiar",
         description="Spatiotemporal SQEIAR epidemic simulation with "
                     "adjoint-based quarantine/treatment optimization.")
@@ -33,9 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve the configured scenario(s)")
     run.add_argument("--config", type=Path, default=None,
                      help="scenario file (omit for the default scenario)")
-    run.add_argument("--mode", choices=("baseline", "optimal", "both"),
-                     default=None, help="override the configured mode")
-    run.add_argument("--out", type=Path, default=None,
+    run.add_argument("--mode", choices=MODES, default=None, help="override the configured mode")
+    run.add_argument("--out", type=_out_dir, default=None,
                      help="override the configured output directory")
 
     check = sub.add_parser("check", help="run the small-grid verification oracles")
@@ -69,9 +78,7 @@ def _cmd_run(args) -> int:
         print(f"{result.name}: J = {result.cost:.6g}, "
               f"deaths = {result.metrics.deaths:.4g}")
         for report in result.checks:
-            status = "PASS" if report.passed else "FAIL"
-            print(f"  {report.name}: {status} (measured {report.measured:.3g},"
-                  f" bound {report.bound:.3g})")
+            print(f"  {report}")
             if not report.passed:
                 problems.append(f"{result.name} {report.name} check failed")
         if result.sweep is not None and not result.sweep.converged:
@@ -94,8 +101,7 @@ def _check_profiles(config: ScenarioConfig, grid: Grid) -> np.ndarray:
         if spec.startswith("file:"):
             return np.interp(grid.x, config.grid.x, evaluate_profile(spec, config.grid.x))
         return evaluate_profile(spec, grid.x)
-    names = ("s", "q", "e", "a", "i", "r")
-    return np.vstack([row(config.profiles[name]) for name in names])
+    return np.vstack([row(config.profiles[name]) for name in DEFAULT_PROFILES])
 
 
 def _cmd_check(args) -> int:
@@ -124,9 +130,7 @@ def _cmd_check(args) -> int:
 
     failed = False
     for report in reports:
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{report.name}: {status} (measured {report.measured:.3g}, "
-              f"bound {report.bound:.3g})")
+        print(report)
         if not report.passed:
             failed = True
             print(f"  {report.detail}")
@@ -140,8 +144,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 def main(argv=None) -> int:
     """Run one command; every expected failure ends in one stderr line and
     its documented exit code, and every warning is one `warning:` line."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             if args.command == "run":
@@ -150,7 +154,7 @@ def main(argv=None) -> int:
                 return _cmd_check(args)
         print(render_defaults(), end="")
         return EXIT_OK
-    except (ConfigError, ContractError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -11,16 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from .control import SweepSettings
-from .model import ContractError, CostWeights, ModelParams, QuarantineRegions
+from .model import ContractError as ConfigError  # one error type for rejected input
+from .model import CostWeights, ModelParams, QuarantineRegions
 from .pde import Grid, positivity_bound
-
-
-class ConfigError(ValueError):
-    """Bad configuration file or invariant violation, with the key path."""
-
 
 PROFILE_NAMES = ("paper_s0", "paper_e0", "paper_a0", "paper_i0", "zero")
 
+# keyed in the state's compartment order, S Q E A I R, which initial_array stacks
 DEFAULT_PROFILES = {
     "s": "paper_s0",
     "q": "zero",
@@ -111,9 +108,7 @@ class ScenarioConfig:
     def initial_array(self) -> np.ndarray:
         """The six initial profiles evaluated on the grid, shape (6, nx)."""
         x = self.grid.x
-        rows = [evaluate_profile(self.profiles[name], x)
-                for name in ("s", "q", "e", "a", "i", "r")]
-        return np.vstack(rows)
+        return np.vstack([evaluate_profile(self.profiles[name], x) for name in DEFAULT_PROFILES])
 
 
 # Sections whose keys are the scalar fields of one dataclass, by the
@@ -204,13 +199,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
         base = diffusion_all if diffusion_all is not None else ModelParams.diffusion[0]
         scalars["params"]["diffusion"] = tuple(base if d is None else d for d in diffusion)
 
-    try:
-        parts = {attr: cls(**scalars[attr]) for attr, cls in _SECTIONS.values()}
-        if regions:
-            parts["regions"] = QuarantineRegions(tuple(regions[i] for i in sorted(regions)))
-        return ScenarioConfig(**parts, profiles=profiles, **output)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
+    parts = {attr: cls(**scalars[attr]) for attr, cls in _SECTIONS.values()}
+    if regions:
+        parts["regions"] = QuarantineRegions(tuple(regions[i] for i in sorted(regions)))
+    return ScenarioConfig(**parts, profiles=profiles, **output)
 
 
 def load_config(path) -> ScenarioConfig:

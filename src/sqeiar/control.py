@@ -108,7 +108,7 @@ def cost_functional(state: Trajectory, controls: ControlPair,
 def _state_weights(weights: CostWeights, regions: QuarantineRegions, grid: Grid) -> np.ndarray:
     """The cost's weights of the state on ``grid``, shape (6, nx): rho_source times the
     trapezoid weights in space."""
-    return rho_source(grid.x, regions, weights, grid.x_min, grid.x_max) * grid.space_weights()
+    return rho_source(grid, regions, weights) * grid.space_weights()
 
 
 def _state_cost(levels: np.ndarray, state_weights: np.ndarray) -> np.ndarray:

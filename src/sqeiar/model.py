@@ -21,7 +21,8 @@ BOUND_SLACK = 1e-12  # tolerance for floating-point drift at the box boundary
 
 
 class ContractError(ValueError):
-    """A documented precondition or invariant was violated."""
+    """Rejected input: a bad configuration value, or a documented
+    precondition or invariant that was violated."""
 
 
 @dataclass(frozen=True)
@@ -241,19 +242,14 @@ def state_jacobian(state, u, v_eff, params: ModelParams, v_max: float = 1.0) -> 
     return H
 
 
-def rho_source(x, regions: QuarantineRegions, weights: CostWeights,
-               x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
-    """Cost-gradient source vector at position(s) x.
+def rho_source(grid, regions: QuarantineRegions, weights: CostWeights) -> np.ndarray:
+    """Cost-gradient source on the nodes of ``grid`` (a ``pde.Grid``), shape (6, nx).
 
     Component 1 carries rho1 on the quarantine regions only; components
     3, 4, 5 carry rho3, rho4, rho5 everywhere; components 2 and 6 vanish.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < x_min) or np.any(x > x_max):
-        raise ContractError(f"position outside domain [{x_min}, {x_max}]")
-    mask = regions.mask(x).astype(float)
-    out = np.zeros((N_COMPARTMENTS,) + x.shape, dtype=float)
-    out[_S] = weights.rho1 * mask
+    out = np.zeros((N_COMPARTMENTS, grid.nx))
+    out[_S] = weights.rho1 * regions.mask(grid.x)
     out[_E] = weights.rho3
     out[_A] = weights.rho4
     out[_I] = weights.rho5

@@ -424,7 +424,7 @@ def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
                    params: ModelParams, grid: Grid) -> Trajectory:
     """adjoint_solve without its entry checks, for a state that forward_solve
     returned for ``controls`` on ``grid``: its _check_finite certified it."""
-    rho = rho_source(grid.x, controls.regions, weights, grid.x_min, grid.x_max)
+    rho = rho_source(grid, controls.regions, weights)
 
     M, B, c, contact_dt = _step_operator(params, grid)
     # one product per step, the transpose of the forward step linearized at y_m:

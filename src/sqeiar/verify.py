@@ -35,6 +35,10 @@ class CheckReport:
     bound: float
     detail: str = ""
 
+    def __str__(self) -> str:  # the status line that `run` and `check` print
+        status = "PASS" if self.passed else "FAIL"
+        return f"{self.name}: {status} (measured {self.measured:.3g}, bound {self.bound:.3g})"
+
 
 @dataclass(frozen=True)
 class RunMetrics:

@@ -61,6 +61,12 @@ class TestConfigParsing:
         with pytest.raises((ConfigError, sq.ContractError), match="CFL"):
             parse_config_text("grid.nx = 101\ngrid.nt = 30")
 
+    def test_one_error_type_for_rejected_input(self):
+        # the CFL check of Grid raises it too, not only the parser
+        assert ConfigError is sq.ContractError
+        with pytest.raises(ConfigError, match="CFL"):
+            sq.ScenarioConfig(grid=sq.Grid(nx=101, nt=600))
+
     def test_regions_and_caps(self):
         config = parse_config_text("regions.1 = 0.1, 0.4\nregions.2 = 0.6, 0.9")
         assert config.regions.n == 2
@@ -578,6 +584,28 @@ class TestCli:
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
         # an explicit '.' still names the config's directory
         assert parse_config_text("output.dir = .", tmp_path).output_dir == tmp_path
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", "{config}", "--mode", "foo"],
+         "argument --mode: invalid choice: 'foo'"),
+        # an empty --out would name the working directory
+        (["run", "--config", "{config}", "--out", ""], "argument --out: expected a path, got ''"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown_mode", "empty_out", "no_command"])
+    def test_usage_error_exit_one(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        config = self.write_config(tmp_path, "output.mode = baseline\n")
+        before = sorted(tmp_path.iterdir())
+        assert main([arg.format(config=config) for arg in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"configuration error: {message}"), err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_help:
+            main(["run", "-h"])
+        assert exit_help.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sqeiar run")
 
     def test_huge_stride_writes_first_and_last_rows(self, tmp_path):
         # a stride past int64: np.arange would give float row indices

@@ -11,6 +11,7 @@ from sqeiar.model import (
     rho_source,
     state_jacobian,
 )
+from sqeiar.pde import Grid
 
 TABLE = ModelParams()
 
@@ -173,25 +174,33 @@ class TestStateJacobian:
 
 class TestRhoSource:
     UNIT = CostWeights(rho1=1, rho3=1, rho4=1, rho5=1, sigma1=1, sigma2=1)
+    GRID = Grid(nx=11)  # nodes 0, 0.1, ..., 1
 
     def test_inside_region(self):
         regions = QuarantineRegions(((0.2, 0.6),))
         np.testing.assert_allclose(
-            rho_source(np.array(0.4), regions, self.UNIT), [1, 0, 1, 1, 1, 0])
+            rho_source(self.GRID, regions, self.UNIT)[:, 4], [1, 0, 1, 1, 1, 0])
 
     def test_outside_region(self):
         regions = QuarantineRegions(((0.2, 0.6),))
         weights = CostWeights(rho1=9, rho3=3, rho4=4, rho5=5, sigma1=1, sigma2=1)
         np.testing.assert_allclose(
-            rho_source(np.array(0.9), regions, weights), [0, 0, 3, 4, 5, 0])
+            rho_source(self.GRID, regions, weights)[:, 9], [0, 0, 3, 4, 5, 0])
 
     def test_whole_domain_region(self):
         regions = QuarantineRegions(((0.0, 1.0),))
         weights = CostWeights(rho1=2, rho3=3, rho4=4, rho5=5, sigma1=1, sigma2=1)
         np.testing.assert_allclose(
-            rho_source(np.array(0.5), regions, weights), [2, 0, 3, 4, 5, 0])
+            rho_source(self.GRID, regions, weights)[:, 5], [2, 0, 3, 4, 5, 0])
 
-    def test_outside_domain_rejected(self):
-        regions = QuarantineRegions(((0.0, 1.0),))
-        with pytest.raises(ContractError):
-            rho_source(np.array(1.5), regions, self.UNIT)
+    def test_grid_beyond_the_unit_interval(self):
+        # a region of a [0, 2] grid holds rho1 on its 9 inner nodes 0.6 ... 1.4
+        grid = Grid(x_max=2.0, nx=21)
+        weights = CostWeights(rho1=2, rho3=3, rho4=4, rho5=5, sigma1=1, sigma2=1)
+        rho = rho_source(grid, QuarantineRegions(((0.5, 1.5),)), weights)
+        assert rho.shape == (6, 21)
+        inner = np.zeros(21)
+        inner[6:15] = 2.0
+        np.testing.assert_array_equal(rho[0], inner)
+        np.testing.assert_array_equal(rho[[1, 5]], 0.0)
+        np.testing.assert_array_equal(rho[2:5], [[3.0] * 21, [4.0] * 21, [5.0] * 21])

@@ -246,7 +246,7 @@ class TestAdjointSolve:
         adjoint = sq.adjoint_solve(state, controls, weights, TABLE, grid)
         gradient = sq.cost_gradient(state, adjoint, controls, weights)
         wx, wt = grid.space_weights(), grid.time_weights()
-        rho_wx = rho_source(grid.x, regions, weights) * wx
+        rho_wx = rho_source(grid, regions, weights) * wx
         rng = np.random.default_rng(3)
         for h_u, h_v in _random_directions(grid, regions, 3, rng):
             Y = sq.sensitivity_solve(initial, controls, h_u, h_v, TABLE, grid)

@@ -100,7 +100,7 @@ def test_adjoint_step_matches_reference(scenario, weights):
     state = sq.forward_solve(y, controls, params, grid)
     adjoint = sq.adjoint_solve(state, controls, weights, params, grid)
     p = adjoint.values[1]
-    rho = rho_source(grid.x, regions, weights)
+    rho = rho_source(grid, regions, weights)
     np.testing.assert_allclose(p, 0.5 * grid.dt * rho, rtol=1e-15)
     H = sq.state_jacobian(state.values[1], controls.u[1], controls.v[1], params,
                           regions.v_max)
@@ -125,7 +125,7 @@ def test_adjoint_pairing_is_exact(scenario, weights):
     Y = sq.sensitivity_solve(y, controls, h_u, h_v, params, grid)
 
     wx, wt = grid.space_weights(), grid.time_weights()
-    rho_wx = rho_source(grid.x, regions, weights) * wx
+    rho_wx = rho_source(grid, regions, weights) * wx
     forward = wt[:, None, None] * rho_wx * Y.values
     backward = grid.dt * wx * (h_u * state.i * (adjoint.r - adjoint.i)
                                + h_v * mask * state.s * (adjoint.q - adjoint.s))[:-1]
@@ -136,7 +136,7 @@ def test_adjoint_pairing_is_exact(scenario, weights):
 def reference_adjoint(state, controls, weights, params, regions, grid):
     """Every level of the adjoint, stepped from state_jacobian and
     neumann_laplacian one level at a time."""
-    rho, D = rho_source(grid.x, regions, weights), params.diffusion_array[:, None]
+    rho, D = rho_source(grid, regions, weights), params.diffusion_array[:, None]
     out = np.zeros_like(state.values)
     out[grid.nt - 1] = 0.5 * grid.dt * rho
     for m in range(grid.nt - 1, 0, -1):

@@ -61,7 +61,7 @@ def reference_forward(initial, u, v, params, grid):
 
 def reference_adjoint(state, controls, weights, params, regions, grid):
     """The adjoint recursion of pde._adjoint_solve with the plain calls."""
-    rho_dt = grid.dt * rho_source(grid.x, regions, weights, grid.x_min, grid.x_max)
+    rho_dt = grid.dt * rho_source(grid, regions, weights)
     M, B, c, contact_dt = _step_operator(params, grid)
     e = np.eye(6)
     R = np.column_stack([e[_S], rho_dt[:, 0]])

@@ -20,14 +20,16 @@ profiles and differ in their controls step together, their rows side by side
 in one (15, B * nx) operand, so a step is still one product and 8 calls
 whatever B is, and each member is bitwise its own solve.  forward_solve and
 sensitivity_solve are the batch of one; _forward_batch, through which the
-check oracles make their bumped solves, takes a list of B ControlPairs and
-returns B Trajectory views into its one output.  The step loop writes into a
+check oracles make their bumped solves, reads B ControlPairs from the
+(nt + 1, B, nx) stacks that their fields view.  The step loop writes into a
 buffer of levels and checks each block of them before it reuses their slots.
-A solve that returns a Trajectory holds all nt + 1 levels; _forward_stream,
-the baseline run's solve, holds a ring of _BLOCK + 1 and hands each block of
-levels to its consumer, so that run never holds its (nt + 1, 6, nx)
-trajectory.  The block size is this module's own: a consumer reduces each
-level on its own, so its results do not depend on it.
+forward_solve holds all nt + 1 levels; the streamed solves hold a ring of
+_BLOCK + 1 and hand each block of levels to a consumer: _forward_stream, the
+baseline run's solve, so that run never holds its (nt + 1, 6, nx)
+trajectory; _forward_batch, whose oracles keep only per-level reductions of
+each member; and sensitivity_solve, which keeps only the imaginary part of
+its complex levels.  The block size is this module's own: a consumer reduces
+each level on its own, so its results do not depend on it.
 
 The adjoint step is the forward step's exact transpose in the same form, 6
 numpy calls per step, made the same way: its flows are one product with B^T
@@ -390,15 +392,19 @@ def _forward_stream(initial: np.ndarray, controls, params: ModelParams, grid: Gr
                lambda lo, levels: consume(lo, levels[:, :, 0]))
 
 
-def _forward_batch(initial: np.ndarray, pairs, params: ModelParams,
-                   grid: Grid) -> list[Trajectory]:
-    """forward_solve of each ControlPair in ``pairs`` in one step loop: one Trajectory
-    per pair, in order, each a view into the one (nt + 1, 6, B, nx) output.  The pairs
-    share ``grid``; their regions may differ."""
+def _forward_batch(initial: np.ndarray, u: np.ndarray, v: np.ndarray, pairs,
+                   params: ModelParams, grid: Grid, consume) -> None:
+    """_forward_stream of B control pairs in one step loop: consume(lo, levels) receives
+    the levels lo..hi - 1 of each of _blocks(nt), shape (hi - lo, 6, B, nx), member b
+    along axis 2, as a view that the next block overwrites.  The steps read the stacks u
+    and v, shape (nt + 1, B, nx); ``pairs`` are the B ControlPairs that view them, pair b
+    (u[:, b], v[:, b]), so each checked its box and its regions when it was made.  The
+    pairs share ``grid``; their regions may differ."""
     _check_initial(initial, params, grid, *pairs)
-    out = _integrate(initial, np.stack([pair.u for pair in pairs], axis=1),
-                     np.stack([pair.v for pair in pairs], axis=1), params, grid, "state")
-    return [Trajectory(out[:, :, b], grid) for b in range(len(pairs))]
+    shape = (grid.nt + 1, len(pairs), grid.nx)
+    if u.shape != shape or v.shape != shape:
+        raise ContractError(f"batched control stacks must have shape {shape}")
+    _integrate(initial, u, v, params, grid, "state", consume)
 
 
 def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
@@ -474,7 +480,9 @@ def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
 
     The forward step is analytic, so this is the complex step
     Im F(u + i*h*h_u, v + i*h*h_v) / h, exact to roundoff: second-order
-    terms are h^2 = 1e-60 below the real values.
+    terms are h^2 = 1e-60 below the real values.  The complex levels stream
+    through a ring of _BLOCK + 1, and only Im / h, the Trajectory returned, is
+    kept of them.
     """
     _check_initial(initial, params, grid, controls)
     shape = (grid.nt + 1, grid.nx)
@@ -485,7 +493,17 @@ def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,
     if not (np.all(np.isfinite(h_u)) and np.all(np.isfinite(h_v))):
         raise ContractError("perturbation direction contains non-finite values")
     h = 1e-30
-    u = controls.u + 1j * h * h_u
-    v = controls.v + 1j * h * (h_v * controls.regions.mask(grid.x))
-    out = _integrate(initial, u[:, None], v[:, None], params, grid, "sensitivity")
-    return Trajectory(out[:, :, 0].imag / h, grid)
+    # the complex controls u + i*h*h_u and v + i*h*h_v*mask, filled part by part so
+    # that no complex temporary is made
+    u, v = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    u.real, v.real = controls.u, controls.v
+    np.multiply(h_u, h, out=u.imag)
+    np.multiply(h_v, controls.regions.mask(grid.x), out=v.imag)
+    v.imag *= h
+    out = np.empty((grid.nt + 1, 6, grid.nx))
+
+    def keep(lo, levels):  # Im / h of each block of levels
+        np.divide(levels.imag[:, :, 0], h, out=out[lo:lo + len(levels)])
+
+    _integrate(initial, u[:, None], v[:, None], params, grid, "sensitivity", keep)
+    return Trajectory(out, grid)

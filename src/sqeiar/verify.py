@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlPair, _dot, cost_functional, cost_gradient, directional_derivative
+from .control import (ControlPair, _cost, _dot, _state_cost, _state_weights, cost_functional,
+                      cost_gradient, directional_derivative)
 from .model import _I, COMPARTMENTS, CostWeights, ModelParams, QuarantineRegions
 from .pde import (Grid, Trajectory, _forward_batch, adjoint_solve, require_aligned,
                   sensitivity_solve)
@@ -132,6 +133,18 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
     return directions
 
 
+def _bumped(base: ControlPair, bumps) -> tuple[np.ndarray, np.ndarray, list[ControlPair]]:
+    """The controls base + eps * h of each (eps, (h_u, h_v)) of ``bumps``, written straight
+    into the stacks u and v, shape (nt + 1, B, nx), that _forward_batch reads, and the
+    checked ControlPair of each bump b, a view (u[:, b], v[:, b])."""
+    grid = base.grid
+    u, v = np.empty((2, grid.nt + 1, len(bumps), grid.nx))
+    for b, (eps, (h_u, h_v)) in enumerate(bumps):
+        np.add(base.u, eps * h_u, out=u[:, b])
+        np.add(base.v, eps * h_v, out=v[:, b])
+    return u, v, [ControlPair(u[:, b], v[:, b], grid, base.regions) for b in range(len(bumps))]
+
+
 def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
                     weights: CostWeights, seed: int = DEFAULT_SEED) -> CheckReport:
     """Compare the adjoint cost gradient along seeded random directions with
@@ -153,19 +166,30 @@ def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
     j_base = cost_functional(state, base, weights)
     predicted = np.array([[directional_derivative(grad_u, grad_v, base, weights, h_u, h_v)]
                           for h_u, h_v in directions])
-    del adjoint, grad_u, grad_v  # room for the batched solves below
+    del adjoint, grad_u, grad_v  # room for the bumped control stacks below
 
-    # fd[i]: divided differences along direction i per epsilon, then Richardson's;
-    # one batched solve per epsilon, member i along direction i
+    # one batched solve of every bump, member k * GRADIENT_DIRECTIONS + i along
+    # direction i at epsilons[k]; of each member it keeps the state's integrand
+    # of the cost per level, from which _cost gives its J
+    u, v, pairs = _bumped(base, [(eps, h) for eps in epsilons for h in directions])
+    del directions
+    state_weights = _state_weights(weights, regions, grid)
+    state_cost = np.empty((len(pairs), grid.nt + 1))
+
+    def reduce(lo, levels):
+        # einsum sums a strided member view in another order than a contiguous one;
+        # from a contiguous copy each member's J is bit for bit its single solve's
+        for b, cost in enumerate(state_cost):
+            member = np.ascontiguousarray(levels[:, :, b])
+            cost[lo:lo + len(member)] = _state_cost(member, state_weights)
+
+    _forward_batch(initial, u, v, pairs, params, grid, reduce)
+    costs = np.reshape([_cost(cost, pair, weights) for cost, pair in zip(state_cost, pairs)],
+                       (len(epsilons), GRADIENT_DIRECTIONS))
+    # fd[i]: divided differences along direction i per epsilon, then Richardson's
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
     for k, eps in enumerate(epsilons):
-        pairs = [ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
-                 for h_u, h_v in directions]
-        bumped = _forward_batch(initial, pairs, params, grid)
-        costs = [cost_functional(member, pair, weights)
-                 for member, pair in zip(bumped, pairs)]
-        fd[:, k] = (np.array(costs) - j_base) / eps
-        del pairs, bumped  # before the next batch is made
+        fd[:, k] = (costs[k] - j_base) / eps
     fd[:, 2] = (first * fd[:, 1] - last * fd[:, 0]) / (first - last)
     errors = np.abs(fd - predicted) / np.maximum(np.abs(fd), 1e-300)
     worst = float(errors[:, 2].max())
@@ -203,19 +227,28 @@ def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams
     wx = grid.space_weights()
     wt = grid.time_weights()
 
-    def l2(block):
-        return float(np.sqrt(_dot(wt, (block ** 2).sum(axis=1) @ wx)))
+    def squares(levels):  # the integral over space of the squares, per level
+        return (levels ** 2).sum(axis=1) @ wx
 
-    scale = max(l2(lin.values), 1e-300)
-    # one batched solve, member k along the direction at epsilons[k]
-    pairs = [ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
-             for eps in epsilons]
-    errs = []
-    for eps, bumped in zip(epsilons, _forward_batch(initial, pairs, params, grid)):
-        divided = np.subtract(bumped.values, state.values)  # in place: one temporary field
-        divided /= eps
-        divided -= lin.values
-        errs.append(l2(divided) / scale)
+    def l2(per_level):
+        return float(np.sqrt(_dot(wt, per_level)))
+
+    scale = max(l2(squares(lin.values)), 1e-300)
+    # one batched solve, member k along the direction at epsilons[k]; of each member
+    # it keeps the squares of its error against state and lin per level
+    u, v, pairs = _bumped(base, [(eps, (h_u, h_v)) for eps in epsilons])
+    errors = np.empty((len(epsilons), grid.nt + 1))
+
+    def reduce(lo, levels):
+        hi = lo + len(levels)
+        for b, (eps, error) in enumerate(zip(epsilons, errors)):
+            divided = np.subtract(levels[:, :, b], state.values[lo:hi])
+            divided /= eps
+            divided -= lin.values[lo:hi]
+            error[lo:hi] = squares(divided)
+
+    _forward_batch(initial, u, v, pairs, params, grid, reduce)
+    errs = [l2(error) / scale for error in errors]
 
     lo, hi = DECAY_RATIO_RANGE
     ratio = errs[0] / max(errs[-1], 1e-300)

@@ -313,6 +313,32 @@ class TestOutputs:
         for name in ("S", "Q", "E", "A", "I", "R", "u", "v"):
             assert (tmp_path / "run" / "optimal" / f"{name}.csv").exists()
 
+    def test_summary_peak_times(self, tmp_path, small_config):
+        # each peak time is the first level of the largest integral over space, derived
+        # here from the runs' own trajectories; the optimal run peaks inside (0, tau)
+        from sqeiar.model import COMPARTMENTS
+
+        config = replace(small_config, output_dir=tmp_path / "run")
+        sq.run_scenario(config)
+        text = (tmp_path / "run" / "summary.txt").read_text()
+        grid, initial = config.grid, config.initial_array()
+        zero = sq.ControlPair.zeros(grid, config.regions)
+        states = {
+            "baseline": sq.forward_solve(initial, zero, config.params, grid),
+            "optimal": sq.fbsm_solve(initial, config.params, config.weights, config.regions,
+                                     grid, config.sweep)[0],
+        }
+        interior = 0
+        for name, state in states.items():
+            section = text.split(f"[{name}]\n")[1].split("\n\n")[0]
+            reported = dict(re.findall(r"^peak (\w) = \S+ at t = (\S+)$", section, re.M))
+            integrals = (state.values * grid.space_weights()).sum(axis=2)  # (nt + 1, 6)
+            peaks = integrals.argmax(axis=0)
+            assert {c: float(t) for c, t in reported.items()} == dict(
+                zip(COMPARTMENTS, grid.t[peaks].tolist())), name
+            interior += int(((peaks > 0) & (peaks < grid.nt)).sum())
+        assert interior > 0
+
     def test_output_snapshot_lists_no_unrelated_tree(self, tmp_path, small_config,
                                                      monkeypatch):
         # the failure cleanup looks only at the paths a run can write, so what
@@ -475,7 +501,7 @@ class TestCli:
 
     def test_check_solve_budget(self, tmp_path, monkeypatch, capsys):
         # one base solve, shared by the checks and both oracles; one batched
-        # solve per gradient epsilon and one for the sensitivity epsilons
+        # solve of the gradient oracle's bumps and one of the sensitivity oracle's
         import sqeiar.pde
         import sqeiar.verify
 
@@ -494,7 +520,7 @@ class TestCli:
         for name in ("forward_solve", "_forward_batch", "adjoint_solve", "sensitivity_solve"):
             count(sqeiar.verify, name)
         assert main(["check", "--config", str(self.write_config(tmp_path))]) == 0
-        assert calls == {"forward_solve": 1, "_forward_batch": 3, "adjoint_solve": 1,
+        assert calls == {"forward_solve": 1, "_forward_batch": 2, "adjoint_solve": 1,
                          "sensitivity_solve": 1}, capsys.readouterr().out
 
     def test_check_passes_for_seeds(self, tmp_path, capsys):

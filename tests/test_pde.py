@@ -8,7 +8,7 @@ from sqeiar.model import ContractError, ModelParams, QuarantineRegions, rho_sour
 from sqeiar.pde import _forward_batch, neumann_laplacian
 from sqeiar.verify import _random_directions
 
-from helpers import time_to_threshold
+from helpers import collect_batch, time_to_threshold
 
 WHOLE = QuarantineRegions(((0.0, 1.0),))
 TABLE = ModelParams()
@@ -113,7 +113,16 @@ class TestForwardSolve:
         grid, initial = small_setup()
         pair = sq.ControlPair.zeros(sq.Grid(nx=21, tau=6.0, nt=300), WHOLE)
         with pytest.raises(ContractError, match="different"):
-            _forward_batch(initial, [sq.ControlPair.zeros(grid, WHOLE), pair], TABLE, grid)
+            collect_batch(initial, [sq.ControlPair.zeros(grid, WHOLE), pair], TABLE, grid)
+
+    def test_batch_stacks_of_another_shape_rejected(self):
+        # the steps read the stacks, so they must hold one (nt + 1, nx) field per pair
+        grid, initial = small_setup()
+        pairs = [sq.ControlPair.zeros(grid, WHOLE) for _ in range(2)]
+        stack = np.zeros((grid.nt + 1, 2, grid.nx))
+        for u, v in ((stack[:, :1], stack), (stack, stack[:-1])):
+            with pytest.raises(ContractError, match="stacks"):
+                _forward_batch(initial, u, v, pairs, TABLE, grid, lambda lo, levels: None)
 
     def test_batch_members_of_other_regions_are_their_own_solves(self):
         # each pair carries its regions: a batch may mix them, and each member
@@ -123,9 +132,10 @@ class TestForwardSolve:
                  for regions in (WHOLE, QuarantineRegions(((0.0, 0.5),)),
                                  QuarantineRegions(((0.2, 0.45), (0.6, 0.8))))]
         assert len({pair.v.tobytes() for pair in pairs}) == 3
-        for member, pair in zip(_forward_batch(initial, pairs, TABLE, grid), pairs):
+        members = collect_batch(initial, pairs, TABLE, grid)
+        for b, pair in enumerate(pairs):
             single = sq.forward_solve(initial, pair, TABLE, grid)
-            assert np.array_equal(member.values, single.values)
+            assert np.array_equal(members[:, :, b], single.values)
 
     def test_uncontrolled_susceptibles_collapse(self, baseline_run, default_config):
         traj, _, _ = baseline_run
@@ -341,11 +351,8 @@ def _extra_peak(call, grid) -> float:
         (grid.nt + 1) * grid.nx * 8)
 
 
-@pytest.mark.parametrize("name", ["forward_solve", "adjoint_solve", "cost_functional",
-                                  "mass_balance_check", "ControlPair"])
-def test_solves_and_integrals_build_no_field(name):
-    # a temporary as large as one control or state field is waste here, and
-    # the checks of a ControlPair need only reductions
+def _memory_calls():
+    """Calls on the grid of the allocation tests (nx = 101, nt = 1000), by name."""
     grid = sq.Grid(nx=101, tau=10.0, nt=1000)
     regions = QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))
     config = sq.ScenarioConfig(grid=grid, regions=regions)
@@ -353,11 +360,34 @@ def test_solves_and_integrals_build_no_field(name):
     initial = config.initial_array()
     controls = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
     state = sq.forward_solve(initial, controls, params, grid)
-    call = {
+    [(h_u, h_v)] = _random_directions(grid, regions, 1, np.random.default_rng(0))
+    return grid, {
         "forward_solve": lambda: sq.forward_solve(initial, controls, params, grid),
         "adjoint_solve": lambda: sq.adjoint_solve(state, controls, weights, params, grid),
         "cost_functional": lambda: sq.cost_functional(state, controls, weights),
         "mass_balance_check": lambda: sq.mass_balance_check(state, params),
         "ControlPair": lambda: sq.ControlPair(controls.u, controls.v, grid, regions),
-    }[name]
-    assert _extra_peak(call, grid) < (0.1 if name == "ControlPair" else 0.5)
+        "sensitivity_solve": lambda: sq.sensitivity_solve(initial, controls, h_u, h_v, params,
+                                                          grid),
+        "gradient_oracle": lambda: sq.gradient_oracle(state, controls, params, weights),
+        "sensitivity_oracle": lambda: sq.sensitivity_oracle(state, controls, params),
+    }
+
+
+@pytest.mark.parametrize("name", ["forward_solve", "adjoint_solve", "cost_functional",
+                                  "mass_balance_check", "ControlPair"])
+def test_solves_and_integrals_build_no_field(name):
+    # a temporary as large as one control or state field is waste here, and
+    # the checks of a ControlPair need only reductions
+    grid, calls = _memory_calls()
+    assert _extra_peak(calls[name], grid) < (0.1 if name == "ControlPair" else 0.5)
+
+
+@pytest.mark.parametrize("name, bound", [("sensitivity_solve", 6), ("gradient_oracle", 40),
+                                         ("sensitivity_oracle", 20)])
+def test_check_solves_hold_no_bumped_or_complex_trajectory(name, bound):
+    # the complex controls of the sensitivity solve are 4 fields, and the gradient
+    # oracle's directions and bumped control stacks 30; a bumped or complex trajectory
+    # (6 fields per member, 12 if complex) would break each bound
+    grid, calls = _memory_calls()
+    assert _extra_peak(calls[name], grid) < bound

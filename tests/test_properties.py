@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 import sqeiar as sq
 from sqeiar.config import MODES, PROFILE_NAMES, ConfigError, parse_config_text, render_config
 from sqeiar.model import rho_source
-from sqeiar.pde import _BLOCK, _forward_batch, positivity_bound
+from sqeiar.pde import _BLOCK, positivity_bound
+
+from helpers import collect_batch
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -302,11 +304,11 @@ def test_batched_members_equal_single_solves(scenario, batch):
     u = rng.uniform(0.0, 1.0, shape)
     v = rng.uniform(0.0, regions.v_max, shape) * regions.mask(grid.x)
     pairs = [sq.ControlPair(u[:, b], v[:, b], grid, regions) for b in range(batch)]
-    members = _forward_batch(y, pairs, params, grid)
-    assert len(members) == batch
-    for member, pair in zip(members, pairs):
+    members = collect_batch(y, pairs, params, grid)
+    assert members.shape[2] == batch
+    for b, pair in enumerate(pairs):
         single = sq.forward_solve(y, pair, params, grid)
-        np.testing.assert_allclose(member.values, single.values, rtol=0,
+        np.testing.assert_allclose(members[:, :, b], single.values, rtol=0,
                                    atol=1e-15 * np.abs(single.values).max())
 
 
@@ -350,9 +352,9 @@ def raised(solve):
 @given(one_diverging_batch())
 def test_batched_divergence_reported_as_in_its_member(scenario):
     params, regions, grid, y, pairs, bad = scenario
-    _forward_batch(y, pairs[:bad] + pairs[bad + 1:], params, grid)
+    collect_batch(y, pairs[:bad] + pairs[bad + 1:], params, grid)
     alone = raised(lambda: sq.forward_solve(y, pairs[bad], params, grid))
-    assert raised(lambda: _forward_batch(y, pairs, params, grid)) == alone
+    assert raised(lambda: collect_batch(y, pairs, params, grid)) == alone
 
 
 # every character str.splitlines splits on; all are whitespace to str.strip

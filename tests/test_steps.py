@@ -8,6 +8,7 @@ the Python-level frames a solve opens: none per step.  A third pins the
 per-level reductions a run keeps: any blocking of the levels gives their bits.
 """
 
+import gc
 import os
 import sys
 import time
@@ -24,6 +25,8 @@ from sqeiar.pde import (_BLOCK, _blocks, _forward_batch, _forward_stream, _integ
                         sensitivity_solve)
 from sqeiar.runner import _Levels
 from sqeiar.verify import _random_directions
+
+from helpers import collect_batch, stacked
 
 # nodes -> (tau, nt): D*dt/dx^2 stays at most 0.16 on each grid
 GRIDS = {21: (3.0, 300), 33: (3.0, 300), 101: (3.0, 300), 401: (0.3, 300)}
@@ -116,12 +119,12 @@ class TestStepsArePinned:
         grid, cfg, initial = scenario(nx)
         rng = np.random.default_rng(nx + 1)
         pairs = [random_pair(rng, grid, cfg.regions) for _ in range(3)]
-        members = _forward_batch(initial, pairs, cfg.params, grid)
+        members = collect_batch(initial, pairs, cfg.params, grid)
         expected = reference_forward(initial, np.stack([pair.u for pair in pairs], axis=1),
                                      np.stack([pair.v for pair in pairs], axis=1),
                                      cfg.params, grid)
-        for b, member in enumerate(members):
-            assert np.array_equal(member.values, expected[:, :, b])
+        for b in range(len(pairs)):
+            assert np.array_equal(members[:, :, b], expected[:, :, b])
 
     @pytest.mark.parametrize("nt", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     def test_stream_blocks(self, nx, nt):
@@ -129,12 +132,19 @@ class TestStepsArePinned:
         pair = random_pair(np.random.default_rng(nt), grid, cfg.regions)
         expected = reference_forward(initial, pair.u[:, None], pair.v[:, None],
                                      cfg.params, grid)[:, :, 0]
-        seen = []
+        seen, batch = [], []
         _forward_stream(initial, pair, cfg.params, grid,
                         lambda lo, levels: seen.append((lo, levels.copy())))
         assert [(lo, lo + len(levels)) for lo, levels in seen] == list(_blocks(nt))
         for lo, levels in seen:
             assert np.array_equal(levels, expected[lo:lo + len(levels)])
+        # a batch hands over the same blocks, member b along axis 2
+        _forward_batch(initial, *stacked([pair, pair]), cfg.params, grid,
+                       lambda lo, levels: batch.append((lo, levels.copy())))
+        assert [(lo, lo + len(levels)) for lo, levels in batch] == list(_blocks(nt))
+        for lo, levels in batch:
+            for b in (0, 1):
+                assert np.array_equal(levels[:, :, b], expected[lo:lo + len(levels)])
 
     def test_sensitivity_solve(self, nx):
         grid, cfg, initial = scenario(nx)
@@ -158,18 +168,23 @@ class TestStepsArePinned:
 
 
 def python_calls(solve) -> int:
-    """The Python-level frames that ``solve()`` opens: sys.setprofile's "call" events."""
+    """The Python-level frames that ``solve()`` opens: sys.setprofile's "call" events.
+    The cyclic garbage collector is off meanwhile: a collection that it starts runs the
+    finalizers of whatever it frees, frames that are not the solve's."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         solve()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls
 
 
@@ -185,20 +200,23 @@ class TestNoPythonFramePerStep:
         [(h_u, h_v)] = _random_directions(grid, cfg.regions, 1, rng)
         state = forward_solve(initial, pair, cfg.params, grid)
         args = cfg.params, grid
+        batch = stacked([pair])
         return {
             "forward": lambda: forward_solve(initial, pair, *args),
             "adjoint": lambda: adjoint_solve(state, pair, cfg.weights, *args),
             "sensitivity": lambda: sensitivity_solve(initial, pair, h_u, h_v, *args),
             "stream": lambda: _forward_stream(initial, pair, *args, lambda lo, levels: None),
+            "batch": lambda: _forward_batch(initial, *batch, *args, lambda lo, levels: None),
         }
 
     def test_calls_do_not_grow_with_steps(self):
         short, long = self.solves(300), self.solves(600)
-        for name in ("forward", "adjoint", "sensitivity"):
+        for name in ("forward", "adjoint"):
             assert python_calls(short[name]) == python_calls(long[name]), name
         extra_blocks = len(list(_blocks(600))) - len(list(_blocks(300)))
-        extra_calls = python_calls(long["stream"]) - python_calls(short["stream"])
-        assert 0 <= extra_calls <= 8 * extra_blocks
+        for name in ("sensitivity", "stream", "batch"):  # streamed solves
+            extra_calls = python_calls(long[name]) - python_calls(short[name])
+            assert 0 <= extra_calls <= 8 * extra_blocks, name
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -232,7 +250,7 @@ def test_integrals_do_not_depend_on_blocking(nx):
     rng = np.random.default_rng(nx + 4)
     pairs = [random_pair(rng, grid, cfg.regions) for _ in range(3)]
     state = forward_solve(initial, pairs[0], cfg.params, grid).values
-    member = _forward_batch(initial, pairs, cfg.params, grid)[1].values  # a strided view
+    member = collect_batch(initial, pairs, cfg.params, grid)[:, :, 1]  # a strided view
     wx = grid.space_weights()
     for levels in (state, member):
         whole = _integrals(levels, wx)

@@ -44,7 +44,7 @@ class ControlPair:
         if self.u.shape != shape or self.v.shape != shape:
             raise ContractError(f"control fields must have shape {shape}")
         check_controls(self.u, self.v, self.regions.v_max)
-        off = ~self.regions.mask(self.grid.x)
+        off = self.regions.mask(self.grid.x) == 0
         # reductions over the levels, which keep NaN, then the nodes off the regions
         if np.any(self.v.min(axis=0)[off] != 0) or np.any(self.v.max(axis=0)[off] != 0):
             raise ContractError("quarantine control nonzero outside the regions")
@@ -58,7 +58,7 @@ class ControlPair:
     def constant(cls, u_value: float, v_value: float, grid: Grid,
                  regions: QuarantineRegions) -> "ControlPair":
         shape = (grid.nt + 1, grid.nx)
-        mask = regions.mask(grid.x).astype(float)
+        mask = regions.mask(grid.x)
         return cls(np.full(shape, float(u_value)),
                    np.full(shape, float(v_value)) * mask, grid, regions)
 
@@ -136,19 +136,25 @@ def project_controls(state: Trajectory, adjoint: Trajectory,
     ``regions``, on the grid of ``state``, which ``adjoint`` must share."""
     grid = state.grid
     require_aligned(grid, adjoint)
-    mask = regions.mask(grid.x).astype(float)
     u = np.subtract(adjoint.i, adjoint.r)
     u *= state.i
     v = np.subtract(adjoint.s, adjoint.q)
     v *= state.s
-    v *= mask
     # a tiny sigma overflows a quotient to +-inf, which the clip maps onto the
     # edge of the box: the exact projection
     with np.errstate(over="ignore"):
         u /= weights.sigma1
         v /= weights.sigma2
+    return _admissible(u, v, grid, regions)
+
+
+def _admissible(u: np.ndarray, v: np.ndarray, grid: Grid,
+                regions: QuarantineRegions) -> ControlPair:
+    """The checked ControlPair of (u, v) clipped in place onto the admissible box of
+    ``regions`` on ``grid``: u into [0, 1] and v into [0, v_max * mask] node by node, so
+    v vanishes off the regions."""
     np.clip(u, 0.0, 1.0, out=u)
-    np.clip(v, 0.0, regions.v_max, out=v)
+    np.clip(v, 0.0, regions.v_max * regions.mask(grid.x), out=v)
     return ControlPair(u, v, grid, regions)
 
 
@@ -160,7 +166,7 @@ def cost_gradient(state: Trajectory, adjoint: Trajectory,
     ``adjoint`` must share."""
     grid = controls.grid
     require_aligned(grid, state, adjoint)
-    mask = controls.regions.mask(grid.x).astype(float)
+    mask = controls.regions.mask(grid.x)
     grad_u = weights.sigma1 * controls.u - state.i * (adjoint.i - adjoint.r)
     grad_v = weights.sigma2 * controls.v - mask * state.s * (adjoint.s - adjoint.q)
     return grad_u, grad_v
@@ -266,8 +272,8 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
     Each pass solves the state forward, the adjoint backward and projects
     the optimality formulas at the current controls x_k, giving the residual
     f_k = P(x_k) - x_k.  Unless it stops, the next controls are
-    x_k + r f_k - sum_j gamma_j (dx_j + r df_j), clipped onto the box with
-    v masked to the regions, where r is ``sweep.relaxation``, dx_j and df_j
+    x_k + r f_k - sum_j gamma_j (dx_j + r df_j), clipped onto the box of
+    project_controls (see _admissible), where r is ``sweep.relaxation``, dx_j and df_j
     are the last ANDERSON_DEPTH differences of iterates and residuals, and
     gamma minimizes |f_k - sum_j gamma_j df_j|.  With no history this is
     the relaxed update (1 - r) x_k + r P(x_k).
@@ -292,7 +298,6 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
     steps = np.empty(shape, dtype=np.float32)    # x_{j+1} - x_j
     changes = np.empty(shape, dtype=np.float32)  # f_{j+1} - f_j
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # df_i . df_j
-    mask = regions.mask(grid.x)
     r = sweep.relaxation
     history = []
     for iterations in range(sweep.max_iterations + 1):
@@ -323,15 +328,13 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
             for j, g in enumerate(gamma):
                 y -= g * steps[j, part]
                 y -= (r * g) * changes[j, part]
-        np.clip(u, 0.0, 1.0, out=u)
-        np.clip(v, 0.0, regions.v_max, out=v)
-        v *= mask
+        boxed = _admissible(u, v, grid, regions)  # clips u and v in place
         slot = iterations % ANDERSON_DEPTH
         np.subtract(u, controls.u, out=steps[slot, 0])
         np.subtract(v, controls.v, out=steps[slot, 1])
         changes[slot, 0], changes[slot, 1] = f
         del f, x, y  # the projection and the previous controls
-        controls = ControlPair(u, v, grid, regions)
+        controls = boxed
         if on_iterate is not None:
             on_iterate(controls)
     return state, adjoint, controls, SweepReport(iterations, coarse_iterations, history,

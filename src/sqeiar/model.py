@@ -105,14 +105,16 @@ class QuarantineRegions:
                     f"region ({a}, {b}) not contained in domain ({x_min}, {x_max})")
 
     def mask(self, x: np.ndarray) -> np.ndarray:
-        """Boolean membership of the grid nodes in the union of the regions.
+        """Weight of each grid node in the union of the regions, as a float:
+        1.0 where a < x < b for some region (open comparison), else 0.0.
 
-        A node belongs to a region when a < x < b (open comparison).
+        The one membership rule: every site that asks which nodes the regions
+        hold reads this weight as it is.
         """
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=bool)
+        out = np.zeros(x.shape)
         for a, b in self.regions:
-            out |= (x > a) & (x < b)
+            out[(x > a) & (x < b)] = 1.0
         return out
 
 

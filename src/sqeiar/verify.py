@@ -120,14 +120,14 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
     controls.
     """
     shape = (grid.nt + 1, grid.nx)
-    mask = regions.mask(grid.x).astype(float)
+    mask = regions.mask(grid.x)
     directions = []
     for _ in range(count):
         du = rng.uniform(0.0, 1.0, shape)
         du -= du.mean()
         dv = rng.uniform(0.0, regions.v_max, shape) * mask
         if mask.any():  # else dv stays zero: no node lies in a region
-            dv -= dv[:, mask.astype(bool)].mean()
+            dv -= dv[:, mask > 0].mean()
             dv *= mask
         directions.append((du, dv))
     return directions

@@ -150,7 +150,7 @@ def test_08_control_admissibility(optimal_run, default_config):
     for it in iterates:
         worst = max(worst, -it.u.min(), it.u.max() - 1.0,
                     -it.v.min(), it.v.max() - v_max)
-        off_mask = max(off_mask, np.abs(it.v[:, ~mask]).max(initial=0.0))
+        off_mask = max(off_mask, np.abs(it.v[:, mask == 0]).max(initial=0.0))
     passed = len(iterates) > 0 and worst <= 0.0 and off_mask == 0.0
     report(8, "control admissibility", passed,
            f"{len(iterates)} iterates, worst bound excess {worst:.1e}, "

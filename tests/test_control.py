@@ -201,7 +201,7 @@ class TestSweep:
         # two regions, so the mask of the quarantine control is exercised too
         grid = small_config.grid
         two = QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))
-        off = ~two.mask(grid.x)
+        off = two.mask(grid.x) == 0
         iterates = []
         _, _, controls, report = sq.fbsm_solve(
             small_config.initial_array(), TABLE, sq.CostWeights(), two, grid,

@@ -55,7 +55,8 @@ class TestRegions:
     def test_mask_open_intervals(self):
         regions = QuarantineRegions(((0.0, 0.5),))
         x = np.array([0.0, 0.25, 0.5, 0.75])
-        assert list(regions.mask(x)) == [False, True, False, False]
+        mask = regions.mask(x)
+        assert mask.dtype == float and mask.tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_outside_domain_rejected(self):
         with pytest.raises(ContractError):

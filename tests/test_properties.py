@@ -195,7 +195,7 @@ def test_sweep_converges_inside_the_box(scenario, weights):
     projected = sq.project_controls(state, adjoint, weights, regions)
     assert max(np.abs(projected.u - returned.u).max(),
                np.abs(projected.v - returned.v).max()) <= sweep.tolerance
-    off = ~regions.mask(grid.x)
+    off = regions.mask(grid.x) == 0
     for it in iterates:
         assert it.u.min() >= 0.0 and it.u.max() <= 1.0
         assert it.v.min() >= 0.0 and it.v.max() <= regions.v_max
@@ -207,7 +207,7 @@ def reference_cost(state, controls, weights, regions, grid):
     """The cost written out compartment by compartment: trapezoid in space
     and time, with the rho1 and sigma2 terms weighted by the region mask."""
     wx, wt = grid.space_weights(), grid.time_weights()
-    mask = regions.mask(grid.x).astype(float)
+    mask = regions.mask(grid.x)
     epidemic = (weights.rho1 * (state.s * (wx * mask)).sum(axis=1)
                 + weights.rho3 * (state.e * wx).sum(axis=1)
                 + weights.rho4 * (state.a * wx).sum(axis=1)

@@ -206,7 +206,8 @@ def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeig
 
     The Anderson-accelerated sweep (see _sweep) first runs on the grid with
     nt / COARSE_FACTOR time steps, from zero controls, and then on ``grid``
-    from the coarse controls interpolated linearly in time.  The coarse
+    from the coarse controls, each coarse level held for COARSE_FACTOR fine
+    levels (see _to_grid).  The coarse
     stage is skipped, and the fine stage starts from zero controls, when nt
     is not a multiple of COARSE_FACTOR or when the coarse step fails the CFL
     bound or the positivity advisory.  The fine stage stops when the
@@ -239,20 +240,13 @@ def _coarse_grid(initial: np.ndarray, params: ModelParams,
 
 
 def _to_grid(controls: ControlPair) -> ControlPair:
-    """Controls on the coarse grid interpolated linearly in time onto the
-    grid with COARSE_FACTOR times its steps (convex combinations, so the box
-    and the region mask hold)."""
-    f = COARSE_FACTOR
-    grid = replace(controls.grid, nt=controls.grid.nt * f)
-    fields = []
-    for coarse in (controls.u, controls.v):
-        fine = np.empty((grid.nt + 1, grid.nx))
-        fine[::f] = coarse
-        for r in range(1, f):
-            np.multiply(coarse[:-1], (f - r) / f, out=fine[r::f])
-            fine[r::f] += coarse[1:] * (r / f)
-        fields.append(fine)
-    return ControlPair(*fields, grid, controls.regions)
+    """Controls on the coarse grid held onto the grid with COARSE_FACTOR
+    times its steps: each coarse level stands for the COARSE_FACTOR fine
+    levels from its own on.  Every value is a coarse value, so the box and
+    the regions hold."""
+    grid = replace(controls.grid, nt=controls.grid.nt * COARSE_FACTOR)
+    return ControlPair(*(np.repeat(field, COARSE_FACTOR, axis=0)[:grid.nt + 1]
+                         for field in (controls.u, controls.v)), grid, controls.regions)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -267,7 +261,7 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
     """Anderson type-II iteration (Walker & Ni 2011) of x -> P(S(x)) on
     ``grid``, from zero controls, or, given a ``coarse`` grid, from the
     controls of this sweep on ``coarse`` from zero, stopped at a residual of
-    max(tol, sqrt(tol)), interpolated onto ``grid`` (see _to_grid).
+    max(tol, sqrt(tol)), held onto ``grid`` (see _to_grid).
 
     Each pass solves the state forward, the adjoint backward and projects
     the optimality formulas at the current controls x_k, giving the residual

@@ -65,6 +65,17 @@ class TestCostFunctional:
         J = sq.cost_functional(state, controls, weights)
         assert J == pytest.approx(1.0, rel=1e-12)
 
+    def test_pure_quarantine_effort(self):
+        # v == 1 on the 7 nodes x = 0.25, ..., 0.55 of (0.22, 0.58), each of trapezoid
+        # weight dx = 0.05, sigma2 = 4, tau = 1: effort term is sigma2/2 * 0.35 = 0.7
+        grid = sq.Grid(nx=21, tau=1.0, nt=100)
+        state, _ = zero_state(grid)
+        controls = sq.ControlPair.constant(0.0, 1.0, grid, QuarantineRegions(((0.22, 0.58),)))
+        weights = sq.CostWeights(rho1=1e-12, rho3=1e-12, rho4=1e-12, rho5=1e-12,
+                                 sigma1=1.0, sigma2=4.0)
+        J = sq.cost_functional(state, controls, weights)
+        assert J == pytest.approx(0.7, rel=1e-12)
+
     def test_uniform_exposed_burden(self):
         # E == c with no dynamics over tau = 2 and rho3 = 1 costs 2c
         c = 37.5
@@ -241,7 +252,7 @@ class TestSweep:
         refs, alive = [], []
 
         def to_grid(controls):
-            start = interpolate(controls)
+            start = hold(controls)
             refs.extend(weakref.ref(a) for a in (controls.u, controls.v, start.u, start.v))
             return start
 
@@ -250,7 +261,7 @@ class TestSweep:
                 alive.append([ref() is not None for ref in refs])
             return solve(initial, controls, params, on)
 
-        interpolate, solve = sqeiar.control._to_grid, sqeiar.control.forward_solve
+        hold, solve = sqeiar.control._to_grid, sqeiar.control.forward_solve
         monkeypatch.setattr(sqeiar.control, "_to_grid", to_grid)
         monkeypatch.setattr(sqeiar.control, "forward_solve", forward_solve)
         _, _, _, report = sq.fbsm_solve(small_config.initial_array(), TABLE, sq.CostWeights(),

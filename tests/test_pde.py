@@ -255,6 +255,8 @@ class TestAdjointSolve:
         state = sq.forward_solve(initial, controls, TABLE, grid)
         adjoint = sq.adjoint_solve(state, controls, weights, TABLE, grid)
         gradient = sq.cost_gradient(state, adjoint, controls, weights)
+        # no flow v*S off the regions, so no gradient there: exactly zero
+        assert np.all(gradient[1][:, regions.mask(grid.x) == 0] == 0.0)
         wx, wt = grid.space_weights(), grid.time_weights()
         rho_wx = rho_source(grid, regions, weights) * wx
         rng = np.random.default_rng(3)

@@ -150,7 +150,9 @@ class TestStepsArePinned:
         grid, cfg, initial = scenario(nx)
         rng = np.random.default_rng(nx + 2)
         pair = random_pair(rng, grid, cfg.regions)
-        [(h_u, h_v)] = _random_directions(grid, cfg.regions, 1, rng)
+        [(h_u, _)] = _random_directions(grid, cfg.regions, 1, rng)
+        # nonzero off the regions too, where the solve must mask it
+        h_v = rng.uniform(-cfg.regions.v_max, cfg.regions.v_max, h_u.shape)
         lin = sensitivity_solve(initial, pair, h_u, h_v, cfg.params, grid)
         h = 1e-30
         u = pair.u + 1j * h * h_u

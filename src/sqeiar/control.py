@@ -207,10 +207,10 @@ def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeig
     The Anderson-accelerated sweep (see _sweep) first runs on the grid with
     nt / COARSE_FACTOR time steps, from zero controls, and then on ``grid``
     from the coarse controls, each coarse level held for COARSE_FACTOR fine
-    levels (see _to_grid).  The coarse
-    stage is skipped, and the fine stage starts from zero controls, when nt
-    is not a multiple of COARSE_FACTOR or when the coarse step fails the CFL
-    bound or the positivity advisory.  The fine stage stops when the
+    levels (see _to_grid).  The coarse stage is skipped, and the fine stage
+    starts from zero controls, when nt is not a multiple of COARSE_FACTOR or
+    when the coarse step fails the CFL bound or the positivity advisory.  The
+    fine stage stops when the
     residual max |P(u) - u| is at most ``sweep.tolerance``, the coarse stage
     when it is at most max(tol, sqrt(tol)) for tol = ``sweep.tolerance``;
     either stops after ``sweep.max_iterations`` updates.  The coarse stage
@@ -267,10 +267,10 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
     the optimality formulas at the current controls x_k, giving the residual
     f_k = P(x_k) - x_k.  Unless it stops, the next controls are
     x_k + r f_k - sum_j gamma_j (dx_j + r df_j), clipped onto the box of
-    project_controls (see _admissible), where r is ``sweep.relaxation``, dx_j and df_j
-    are the last ANDERSON_DEPTH differences of iterates and residuals, and
-    gamma minimizes |f_k - sum_j gamma_j df_j|.  With no history this is
-    the relaxed update (1 - r) x_k + r P(x_k).
+    project_controls (see _admissible), where r is ``sweep.relaxation``,
+    dx_j and df_j are the last ANDERSON_DEPTH differences of iterates and
+    residuals, and gamma minimizes |f_k - sum_j gamma_j df_j|.  With no
+    history this is the relaxed update (1 - r) x_k + r P(x_k).
 
     The differences are kept in float32 (only gamma depends on them); f_k
     waits in the slot of its difference until f_{k+1} is known.  Returns

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ContractError, CostWeights, ModelParams, QuarantineRegions, check_controls,
-                    rho_source)
+from .model import (_I, _Q, _R, _S, ContractError, CostWeights, ModelParams, QuarantineRegions,
+                    check_controls, rho_source)
 from .pde import (
     Grid,
     Trajectory,
@@ -17,9 +17,11 @@ from .pde import (
     positivity_bound,
     require_aligned,
 )
-# The sweep's states come from forward_solve, so it calls the adjoint core
-# without the entry checks.  The module keeps the name adjoint_solve, which
-# benchmarks/tracing.py wraps to time the sweep's adjoint solves.
+# project_controls and fbsm_solve read the adjoint of a state that forward_solve
+# returned, so they call the adjoint core without the entry checks: project_controls
+# streams it through its ring, and fbsm_solve holds one, of the controls it returns.
+# The module keeps the name adjoint_solve, which benchmarks/tracing.py wraps to time
+# these solves, and looks it up at each call.
 from .pde import _adjoint_solve as adjoint_solve
 
 ANDERSON_DEPTH = 3  # differences of iterates the sweep's update combines
@@ -130,22 +132,35 @@ def _cost(state_cost: np.ndarray, controls: ControlPair, weights: CostWeights) -
     return _dot(grid.time_weights(), per_level)
 
 
-def project_controls(state: Trajectory, adjoint: Trajectory,
-                     weights: CostWeights, regions: QuarantineRegions) -> ControlPair:
-    """Pointwise optimality formulas clamped onto the admissible box of
-    ``regions``, on the grid of ``state``, which ``adjoint`` must share."""
-    grid = state.grid
-    require_aligned(grid, adjoint)
-    u = np.subtract(adjoint.i, adjoint.r)
-    u *= state.i
-    v = np.subtract(adjoint.s, adjoint.q)
-    v *= state.s
+def project_controls(state: Trajectory, controls: ControlPair, weights: CostWeights,
+                     params: ModelParams) -> ControlPair:
+    """P(controls): the pointwise optimality formulas at the adjoint of ``state``, clamped
+    onto the admissible box of the regions of ``controls``, on their grid.
+
+    ``state`` is the forward solve of ``controls``, as forward_solve returns it.  Its
+    adjoint streams through a ring (see pde._adjoint_solve), and each block of levels
+    becomes (p_I - p_R) * I and (p_S - p_Q) * S as it lands, so no adjoint trajectory is
+    held: elementwise ops, so any blocking gives the same bits.
+    """
+    grid = controls.grid
+    require_aligned(grid, state)
+    u, v = np.empty((grid.nt + 1, grid.nx)), np.empty((grid.nt + 1, grid.nx))
+    S, I = state.s, state.i
+
+    def project(lo, levels):
+        hi = lo + len(levels)
+        np.subtract(levels[:, _I], levels[:, _R], out=u[lo:hi])
+        np.multiply(u[lo:hi], I[lo:hi], out=u[lo:hi])
+        np.subtract(levels[:, _S], levels[:, _Q], out=v[lo:hi])
+        np.multiply(v[lo:hi], S[lo:hi], out=v[lo:hi])
+
+    adjoint_solve(state, controls, weights, params, grid, consume=project)
     # a tiny sigma overflows a quotient to +-inf, which the clip maps onto the
     # edge of the box: the exact projection
     with np.errstate(over="ignore"):
         u /= weights.sigma1
         v /= weights.sigma2
-    return _admissible(u, v, grid, regions)
+    return _admissible(u, v, grid, controls.regions)
 
 
 def _admissible(u: np.ndarray, v: np.ndarray, grid: Grid,
@@ -219,11 +234,16 @@ def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeig
     coarse residual below it, so passes that solve the coarse problem further
     are wasted (the nested-iteration rule of multigrid).  Non-convergence on
     ``grid`` is reported, not raised.  ``on_iterate`` (if given) receives
-    each updated ControlPair on ``grid``.
+    each updated ControlPair on ``grid``.  Returns the state, adjoint and
+    controls of the last pass and the SweepReport.  The passes hold no
+    adjoint (see project_controls); once the sweep has freed its history, one
+    more adjoint solve gives the one returned.
     """
     _check_initial(initial_state, params, grid)
     coarse = _coarse_grid(initial_state, params, regions, grid)
-    return _sweep(initial_state, coarse, params, weights, regions, grid, sweep, on_iterate)
+    state, controls, report = _sweep(initial_state, coarse, params, weights, regions, grid,
+                                     sweep, on_iterate)
+    return state, adjoint_solve(state, controls, weights, params, grid), controls, report
 
 
 def _coarse_grid(initial: np.ndarray, params: ModelParams,
@@ -257,14 +277,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
            weights: CostWeights, regions: QuarantineRegions, grid: Grid,
            sweep: SweepSettings, on_iterate
-           ) -> tuple[Trajectory, Trajectory, ControlPair, SweepReport]:
+           ) -> tuple[Trajectory, ControlPair, SweepReport]:
     """Anderson type-II iteration (Walker & Ni 2011) of x -> P(S(x)) on
     ``grid``, from zero controls, or, given a ``coarse`` grid, from the
     controls of this sweep on ``coarse`` from zero, stopped at a residual of
     max(tol, sqrt(tol)), held onto ``grid`` (see _to_grid).
 
-    Each pass solves the state forward, the adjoint backward and projects
-    the optimality formulas at the current controls x_k, giving the residual
+    Each pass solves the state forward and projects the optimality formulas
+    at the current controls x_k (see project_controls), giving the residual
     f_k = P(x_k) - x_k.  Unless it stops, the next controls are
     x_k + r f_k - sum_j gamma_j (dx_j + r df_j), clipped onto the box of
     project_controls (see _admissible), where r is ``sweep.relaxation``,
@@ -274,8 +294,8 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
 
     The differences are kept in float32 (only gamma depends on them); f_k
     waits in the slot of its difference until f_{k+1} is known.  Returns
-    the state, adjoint and controls of the last pass and the SweepReport,
-    whose coarse_iterations is 0 without a coarse stage.  The coarse
+    the state and controls of the last pass and the SweepReport, whose
+    coarse_iterations is 0 without a coarse stage.  The coarse
     controls are freed once _to_grid has read them, and the start made from
     them at the first update.
     """
@@ -285,7 +305,7 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
         start_sweep = replace(sweep, tolerance=max(sweep.tolerance, sweep.tolerance ** 0.5))
         # only the controls and the report, so no coarse trajectory outlives the call
         start, report = _sweep(
-            initial_state, None, params, weights, regions, coarse, start_sweep, None)[2:]
+            initial_state, None, params, weights, regions, coarse, start_sweep, None)[1:]
         controls, coarse_iterations = _to_grid(start), report.iterations
         del start
     shape = (ANDERSON_DEPTH, 2, grid.nt + 1, grid.nx)
@@ -297,14 +317,13 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
     for iterations in range(sweep.max_iterations + 1):
         state = forward_solve(initial_state, controls, params, grid)
         history.append(cost_functional(state, controls, weights))
-        adjoint = adjoint_solve(state, controls, weights, params, grid)
-        projected = project_controls(state, adjoint, weights, regions)
+        projected = project_controls(state, controls, weights, params)
         f = (np.subtract(projected.u, controls.u, out=projected.u),
              np.subtract(projected.v, controls.v, out=projected.v))
         residual = float(max(f[0].max(), -f[0].min(), f[1].max(), -f[1].min()))
         if residual <= sweep.tolerance or iterations == sweep.max_iterations:
             break
-        del state, adjoint, projected
+        del state, projected
 
         n = min(iterations, ANDERSON_DEPTH)
         if iterations:  # complete the newest df and its row of the Gram matrix
@@ -331,5 +350,5 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
         controls = boxed
         if on_iterate is not None:
             on_iterate(controls)
-    return state, adjoint, controls, SweepReport(iterations, coarse_iterations, history,
-                                                 residual, residual <= sweep.tolerance)
+    return state, controls, SweepReport(iterations, coarse_iterations, history, residual,
+                                        residual <= sweep.tolerance)

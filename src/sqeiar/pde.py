@@ -35,9 +35,13 @@ The adjoint step is the forward step's exact transpose in the same form, 6
 numpy calls per step, made the same way: its flows are one product with B^T
 (row 0 doubled) times the coefficient rows (Lambda_m, S_m, v_m, u_m), filled
 once per block of _BLOCK levels into a (_BLOCK, 4, nx) buffer, and the source
-dt * rho rides in the product as two constant operand rows.  Both steps read
-N from their operand's copy of y or p (see _stencil).  The sensitivity solve
-runs the forward step itself on complex values (complex step).
+dt * rho rides in the product as two constant operand rows.  The adjoint has
+one step loop too, run downward: adjoint_solve holds all nt + 1 levels, and
+the projection of the sweep (control.project_controls) streams them through
+a ring of _BLOCK + 1, each block handed to its consumer once certified, so a
+sweep pass holds no adjoint trajectory.  Both steps read N from their
+operand's copy of y or p (see _stencil).  The sensitivity solve runs the
+forward step itself on complex values (complex step).
 neumann_laplacian, reaction_rhs and state_jacobian are the per-equation forms
 the steps are tested against.
 """
@@ -427,9 +431,20 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
 
 
 def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
-                   params: ModelParams, grid: Grid) -> Trajectory:
+                   params: ModelParams, grid: Grid, consume=None) -> Trajectory | None:
     """adjoint_solve without its entry checks, for a state that forward_solve
-    returned for ``controls`` on ``grid``: its _check_finite certified it."""
+    returned for ``controls`` on ``grid``: its _check_finite certified it.
+
+    The steps run down from level nt - 1 in blocks of the departure levels lo..hi - 1:
+    _BLOCK levels a block, _BLOCK - 1 in the first, which also holds level nt, and one
+    block with no step when nt = 1.  Without ``consume`` the levels fill the
+    (nt + 1, 6, nx) Trajectory returned, certified whole by _check_finite.  With it they
+    pass through a ring of min(nt, _BLOCK) + 1 levels, _check_finite certifies each block,
+    and consume(lo, levels) then receives, block by block going down, the levels lo..nt
+    of the first, lo..hi - 1 of the next and 0..hi - 1 of the last, as a view that the
+    next block overwrites; nothing is returned.  A block's lowest arrival, level lo - 1,
+    departs the next block and is handed with it.
+    """
     rho = rho_source(grid, controls.regions, weights)
 
     M, B, c, contact_dt = _step_operator(params, grid)
@@ -448,28 +463,38 @@ def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     W, Z = np.empty((_BLOCK, 4, grid.nx)), np.empty((18, grid.nx))
     p, flows, near = Z[:6], Z[6:10], Z[10:16]
     Z[16], Z[17] = rho_dt[_S], 1.0
-    u, v, values = controls.u, controls.v, state.values
-    out = np.zeros((grid.nt + 1, 6, grid.nx))
-    out[grid.nt - 1] = 0.5 * rho_dt  # terminal cost sample: half trapezoid weight
+    u, v, values, nt = controls.u, controls.v, state.values, grid.nt
+    ring = consume is not None
+    out = np.zeros((min(nt, _BLOCK) + 1 if ring else nt + 1, 6, grid.nx))
+    tops = [nt, *range(nt - _BLOCK + 1, 1, -_BLOCK)]  # hi of each block, going down
     left, right, inner, edge, ends = _stencil(p, near)
     add, multiply, step, flow = np.add, np.multiply, K.dot, BT4.dot
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence ends in _check_finite
-        for hi in range(grid.nt, 1, -_BLOCK):  # levels lo..hi - 1, the last block down to 1
-            lo = max(hi - _BLOCK, 1)
+        for hi, lo in zip(tops, [*tops[1:], 1]):
+            base = lo - 1 if ring else 0  # level m sits in out[m - base]
+            if hi == nt:  # terminal cost sample: half trapezoid weight; level nt stays 0
+                out[hi - 1 - base] = 0.5 * rho_dt
+            elif ring:  # the previous block's lowest arrival departs this one
+                out[hi - 1 - base] = out[0]
             w = W[:hi - lo]
             np.matmul(lam_s, values[lo:hi], out=w[:, :2])
             w[:, 2], w[:, 3] = v[lo:hi], u[lo:hi]
-            # levels m = hi - 1 down to lo: departure out[m], arrival out[m - 1], rows w[m - lo]
-            for departure, arrival, w_m in zip(out[lo:hi][::-1], out[lo - 1:hi - 1][::-1],
-                                               w[::-1]):
+            # levels m = hi - 1 down to lo: departure m, arrival m - 1, rows w[m - lo]
+            for departure, arrival, w_m in zip(out[lo - base:hi - base][::-1],
+                                               out[lo - 1 - base:hi - 1 - base][::-1], w[::-1]):
                 p[...] = departure
                 add(left, right, inner)
                 add(edge, edge, ends)
                 flow(p, flows)
                 multiply(flows, w_m, flows)
                 step(Z, arrival)
-    _check_finite(out, range(grid.nt - 1, -1, -1), "adjoint")
-    return Trajectory(out, grid)
+            if ring or lo == 1:  # a held trajectory is certified once, whole
+                _check_finite(out, range((hi if ring else nt) - 1 - base, lo - 2 - base, -1),
+                              "adjoint", base)
+            if ring:
+                first = lo if lo > 1 else 0
+                consume(first, out[first - base:(nt + 1 if hi == nt else hi) - base])
+    return None if ring else Trajectory(out, grid)
 
 
 def sensitivity_solve(initial: np.ndarray, controls, h_u: np.ndarray,

@@ -67,6 +67,12 @@ MUTANTS = [
     ("pde.py", "np.multiply(h_v, controls.regions.mask(grid.x), out=v.imag)",
      "np.multiply(h_v, 1.0, out=v.imag)",
      "tests/test_steps.py::TestStepsArePinned::test_sensitivity_solve"),
+    # the adjoint's ring carries the wrong level into the next block
+    ("pde.py", "out[hi - 1 - base] = out[0]", "out[hi - 1 - base] = out[1]",
+     "tests/test_steps.py::TestAdjointRing::test_every_level_reaches_the_consumer_once"),
+    # the adjoint's last block does not hand over level 0
+    ("pde.py", "first = lo if lo > 1 else 0", "first = lo",
+     "tests/test_steps.py::TestAdjointRing::test_every_level_reaches_the_consumer_once"),
 ]
 
 

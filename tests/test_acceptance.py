@@ -127,8 +127,9 @@ def test_06_controlled_reproduction(optimal_metrics, baseline_metrics,
 
 def test_07_optimality_residual(optimal_run, default_config):
     cfg = default_config
-    state, adjoint, controls, sweep = optimal_run[:4]
-    projected = sq.project_controls(state, adjoint, cfg.weights, cfg.regions)
+    state, _, controls, sweep = optimal_run[:4]
+    # P(controls) solves its own adjoint of the returned state, not the sweep's
+    projected = sq.project_controls(state, controls, cfg.weights, cfg.params)
     residual = max(np.abs(controls.u - projected.u).max(),
                    np.abs(controls.v - projected.v).max())
     zero = sq.ControlPair.zeros(cfg.grid, cfg.regions)

@@ -97,37 +97,38 @@ class TestProjection:
         cfg = replace(sq.ScenarioConfig(), grid=grid)
         controls = sq.ControlPair.zeros(grid, WHOLE)
         state = sq.forward_solve(cfg.initial_array(), controls, TABLE, grid)
-        adjoint = sq.adjoint_solve(state, controls, sq.CostWeights(), TABLE, grid)
-        return grid, state, adjoint
+        return grid, state, controls
 
     def test_projection_respects_box(self):
-        grid, state, adjoint = self.setup_small()
+        grid, state, controls = self.setup_small()
         cramped = sq.CostWeights(sigma1=1e-6, sigma2=1e-6)
-        proj = sq.project_controls(state, adjoint, cramped, WHOLE)
+        proj = sq.project_controls(state, controls, cramped, TABLE)
         assert proj.u.max() == 1.0 and proj.u.min() == 0.0
         assert proj.v.max() == WHOLE.v_max
 
     def test_projection_formula_unclamped(self):
-        grid, state, adjoint = self.setup_small()
+        grid, state, controls = self.setup_small()
         loose = sq.CostWeights(sigma1=1e12, sigma2=1e12)
-        proj = sq.project_controls(state, adjoint, loose, WHOLE)
+        adjoint = sq.adjoint_solve(state, controls, loose, TABLE, grid)
+        proj = sq.project_controls(state, controls, loose, TABLE)
         expected_u = state.i * (adjoint.i - adjoint.r) / 1e12
         np.testing.assert_allclose(proj.u, np.clip(expected_u, 0, None))
 
     def test_projection_idempotent(self):
-        grid, state, adjoint = self.setup_small()
+        grid, state, controls = self.setup_small()
         weights = sq.CostWeights()
-        once = sq.project_controls(state, adjoint, weights, WHOLE)
-        twice = sq.project_controls(state, adjoint, weights, WHOLE)
+        once = sq.project_controls(state, controls, weights, TABLE)
+        twice = sq.project_controls(state, controls, weights, TABLE)
         np.testing.assert_array_equal(once.u, twice.u)
         np.testing.assert_array_equal(once.v, twice.v)
 
     def test_gradient_vanishes_at_projection_interior(self):
         # wherever the projected control lands strictly inside the box the
         # gradient field must vanish there
-        grid, state, adjoint = self.setup_small()
+        grid, state, controls = self.setup_small()
         weights = sq.CostWeights()
-        proj = sq.project_controls(state, adjoint, weights, WHOLE)
+        adjoint = sq.adjoint_solve(state, controls, weights, TABLE, grid)
+        proj = sq.project_controls(state, controls, weights, TABLE)
         grad_u, grad_v = sq.cost_gradient(state, adjoint, proj, weights)
         interior_u = (proj.u > 0) & (proj.u < 1)
         interior_v = (proj.v > 0) & (proj.v < WHOLE.v_max)
@@ -199,10 +200,10 @@ class TestSweep:
         # the residual |P(u) - u| of the returned controls does
         grid = small_config.grid
         sweep = sq.SweepSettings(tolerance=1e-3, relaxation=0.3)
-        state, adjoint, controls, report = sq.fbsm_solve(
+        state, _, controls, report = sq.fbsm_solve(
             small_config.initial_array(), TABLE, sq.CostWeights(), WHOLE, grid, sweep)
         assert report.converged
-        projected = sq.project_controls(state, adjoint, sq.CostWeights(), WHOLE)
+        projected = sq.project_controls(state, controls, sq.CostWeights(), TABLE)
         residual = max(np.abs(projected.u - controls.u).max(),
                        np.abs(projected.v - controls.v).max())
         assert residual <= sweep.tolerance

@@ -371,6 +371,8 @@ def _memory_calls():
         "ControlPair": lambda: sq.ControlPair(controls.u, controls.v, grid, regions),
         "sensitivity_solve": lambda: sq.sensitivity_solve(initial, controls, h_u, h_v, params,
                                                           grid),
+        "project_controls": lambda: sq.project_controls(state, controls, weights, params),
+        "fbsm_solve": lambda: sq.fbsm_solve(initial, params, weights, regions, grid),
         "gradient_oracle": lambda: sq.gradient_oracle(state, controls, params, weights),
         "sensitivity_oracle": lambda: sq.sensitivity_oracle(state, controls, params),
     }
@@ -391,5 +393,16 @@ def test_check_solves_hold_no_bumped_or_complex_trajectory(name, bound):
     # the complex controls of the sensitivity solve are 4 fields, and the gradient
     # oracle's directions and bumped control stacks 30; a bumped or complex trajectory
     # (6 fields per member, 12 if complex) would break each bound
+    grid, calls = _memory_calls()
+    assert _extra_peak(calls[name], grid) < bound
+
+
+@pytest.mark.parametrize("name, bound", [("project_controls", 3), ("fbsm_solve", 17)])
+def test_sweep_holds_no_adjoint_trajectory(name, bound):
+    # project_controls holds its two result fields and the adjoint's ring: 65 levels, and
+    # the coefficient rows of 64, 0.65 of a field on this grid, with numpy's block buffers
+    # 2.8; a held adjoint would add 6.  A sweep pass holds the state (6), the controls
+    # (2), the float32 Anderson history (the room of 6) and the projection (2): 16.8 here,
+    # where a held adjoint made 22.2
     grid, calls = _memory_calls()
     assert _extra_peak(calls[name], grid) < bound

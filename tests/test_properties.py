@@ -168,8 +168,7 @@ def test_adjoint_matches_reference_across_blocks(scenario, weights):
 def test_projection_is_idempotent(scenario, weights):
     params, regions, grid, y, controls, _ = scenario
     state = sq.forward_solve(y, controls, params, grid)
-    adjoint = sq.adjoint_solve(state, controls, weights, params, grid)
-    projected = sq.project_controls(state, adjoint, weights, regions)
+    projected = sq.project_controls(state, controls, weights, params)
     np.testing.assert_array_equal(np.clip(projected.u, 0.0, 1.0), projected.u)
     np.testing.assert_array_equal(
         np.clip(projected.v, 0.0, regions.v_max) * regions.mask(grid.x), projected.v)
@@ -191,8 +190,7 @@ def test_sweep_converges_inside_the_box(scenario, weights):
         y, params, weights, regions, grid, sweep, on_iterate=iterates.append)
     assert report.converged and report.iterations <= SWEEP_UPDATES
     state = sq.forward_solve(y, returned, params, grid)
-    adjoint = sq.adjoint_solve(state, returned, weights, params, grid)
-    projected = sq.project_controls(state, adjoint, weights, regions)
+    projected = sq.project_controls(state, returned, weights, params)
     assert max(np.abs(projected.u - returned.u).max(),
                np.abs(projected.v - returned.v).max()) <= sweep.tolerance
     off = regions.mask(grid.x) == 0

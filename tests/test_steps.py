@@ -6,6 +6,8 @@ _step_operator and _stencil; every solve path must give their bits, so a
 change of the step that changes rounding fails here.  A second group counts
 the Python-level frames a solve opens: none per step.  A third pins the
 per-level reductions a run keeps: any blocking of the levels gives their bits.
+A fourth pins the adjoint's ring, through which the sweep's projection streams,
+against the held adjoint.
 """
 
 import gc
@@ -18,10 +20,11 @@ import numpy as np
 import pytest
 
 import sqeiar as sq
-from sqeiar.control import ControlPair, cost_functional, directional_derivative
+from sqeiar.control import (ControlPair, cost_functional, directional_derivative, fbsm_solve,
+                            project_controls)
 from sqeiar.model import _I, _S, QuarantineRegions, rho_source
-from sqeiar.pde import (_BLOCK, _blocks, _forward_batch, _forward_stream, _integrals,
-                        _stencil, _step_operator, adjoint_solve, forward_solve,
+from sqeiar.pde import (_BLOCK, _adjoint_solve, _blocks, _forward_batch, _forward_stream,
+                        _integrals, _stencil, _step_operator, adjoint_solve, forward_solve,
                         sensitivity_solve)
 from sqeiar.runner import _Levels
 from sqeiar.verify import _random_directions
@@ -169,6 +172,80 @@ class TestStepsArePinned:
         assert np.array_equal(adjoint.values, expected)
 
 
+TWO = QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))
+
+
+@pytest.mark.parametrize("nx", [21, 101, 401])
+@pytest.mark.parametrize("nt", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+class TestAdjointRing:
+    """The streamed adjoint hands every level once, bit for bit the held one's, and the
+    projection made from it block by block is the clip of the formulas on the held
+    adjoint.  nt = 1 makes one block with no step, which must still hand levels 0 and 1."""
+
+    @staticmethod
+    def solve(nx, nt):
+        grid, cfg, initial = scenario(nx, nt)
+        pair = random_pair(np.random.default_rng(nt), grid, TWO)
+        state = forward_solve(initial, pair, cfg.params, grid)
+        return grid, cfg, state, pair, adjoint_solve(state, pair, cfg.weights, cfg.params, grid)
+
+    def test_every_level_reaches_the_consumer_once(self, nx, nt):
+        grid, cfg, state, pair, adjoint = self.solve(nx, nt)
+        seen = []
+        _adjoint_solve(state, pair, cfg.weights, cfg.params, grid,
+                       lambda lo, levels: seen.append((lo, levels.copy())))
+        # blocks going down, each ending where the one before it began
+        tops = [nt + 1] + [lo for lo, _ in seen[:-1]]
+        assert [lo + len(levels) for lo, levels in seen] == tops
+        assert seen[-1][0] == 0
+        assert sum(len(levels) for _, levels in seen) == nt + 1
+        for lo, levels in seen:
+            assert np.array_equal(levels, adjoint.values[lo:lo + len(levels)])
+
+    def test_projection_is_the_clip_of_the_formulas(self, nx, nt):
+        grid, cfg, state, pair, adjoint = self.solve(nx, nt)
+        weights = cfg.weights
+        projected = project_controls(state, pair, weights, cfg.params)
+        u = (adjoint.i - adjoint.r) * state.i / weights.sigma1
+        v = (adjoint.s - adjoint.q) * state.s / weights.sigma2
+        assert np.array_equal(projected.u, np.clip(u, 0.0, 1.0))
+        assert np.array_equal(projected.v, np.clip(v, 0.0, TWO.v_max * TWO.mask(grid.x)))
+
+
+def test_fbsm_adjoint_is_the_adjoint_of_its_controls(small_config):
+    grid = small_config.grid
+    state, adjoint, controls, report = fbsm_solve(
+        small_config.initial_array(), small_config.params, small_config.weights, TWO, grid)
+    assert report.iterations > 0
+    expected = adjoint_solve(state, controls, small_config.weights, small_config.params, grid)
+    assert np.array_equal(adjoint.values, expected.values)
+
+
+@pytest.mark.parametrize("below, step", [(None, 497), (300, 297), (120, 117), (40, 37),
+                                         (3, 0)])
+def test_diverging_adjoint_raises_alike_held_or_streamed(below, step):
+    # an exploding state at node 4 on the levels under ``below`` (all levels for None)
+    # makes the adjoint diverge at ``step``.  The blocks of departures are 438..499,
+    # then 64 each down to 54..117 and 1..53, so the steps fall in the first block, in
+    # a middle one, on a block's lowest arrival (level 117 departs the next block), and
+    # in the last block, at its last arrival too
+    grid = sq.Grid(nx=9, tau=50.0, nt=500)
+    values = np.ones((grid.nt + 1, 6, grid.nx))
+    values[:below, 0, 4] = 1e200
+    values[:below, 2, 4] = 1e150
+    state, zero = sq.Trajectory(values, grid), ControlPair.zeros(grid, TWO)
+    args = sq.CostWeights(), sq.ModelParams()
+    errors = []
+    for solve in (lambda: adjoint_solve(state, zero, *args, grid),
+                  lambda: _adjoint_solve(state, zero, *args, grid, lambda lo, levels: None),
+                  lambda: project_controls(state, zero, *args)):
+        with pytest.raises(sq.IntegrationError) as err:
+            solve()
+        errors.append((str(err.value), err.value.step, err.value.node))
+    assert errors[0] == (f"non-finite adjoint value at time step {step}, node 4", step, 4)
+    assert errors[1:] == errors[:1] * 2
+
+
 def python_calls(solve) -> int:
     """The Python-level frames that ``solve()`` opens: sys.setprofile's "call" events.
     The cyclic garbage collector is off meanwhile: a collection that it starts runs the
@@ -208,6 +285,8 @@ class TestNoPythonFramePerStep:
             "adjoint": lambda: adjoint_solve(state, pair, cfg.weights, *args),
             "sensitivity": lambda: sensitivity_solve(initial, pair, h_u, h_v, *args),
             "stream": lambda: _forward_stream(initial, pair, *args, lambda lo, levels: None),
+            "adjoint ring": lambda: _adjoint_solve(state, pair, cfg.weights, *args,
+                                                   lambda lo, levels: None),
             "batch": lambda: _forward_batch(initial, *batch, *args, lambda lo, levels: None),
         }
 
@@ -216,7 +295,7 @@ class TestNoPythonFramePerStep:
         for name in ("forward", "adjoint"):
             assert python_calls(short[name]) == python_calls(long[name]), name
         extra_blocks = len(list(_blocks(600))) - len(list(_blocks(300)))
-        for name in ("sensitivity", "stream", "batch"):  # streamed solves
+        for name in ("sensitivity", "stream", "batch", "adjoint ring"):  # streamed solves
             extra_calls = python_calls(long[name]) - python_calls(short[name])
             assert 0 <= extra_calls <= 8 * extra_blocks, name
 

@@ -104,7 +104,7 @@ def cost_functional(state: Trajectory, controls: ControlPair,
     grid = controls.grid
     require_aligned(grid, state)
     return _cost(_state_cost(state.values, _state_weights(weights, controls.regions, grid)),
-                 controls, weights)
+                 controls.u, controls.v, weights, grid)
 
 
 def _state_weights(weights: CostWeights, regions: QuarantineRegions, grid: Grid) -> np.ndarray:
@@ -119,14 +119,14 @@ def _state_cost(levels: np.ndarray, state_weights: np.ndarray) -> np.ndarray:
     return np.einsum("tcn,cn->t", levels, state_weights)
 
 
-def _cost(state_cost: np.ndarray, controls: ControlPair, weights: CostWeights) -> float:
-    """cost_functional from the state's integrand at every level (see _state_cost), on
-    the grid of ``controls``."""
-    grid = controls.grid
+def _cost(state_cost: np.ndarray, u: np.ndarray, v: np.ndarray, weights: CostWeights,
+          grid: Grid) -> float:
+    """cost_functional from the state's integrand at every level (see _state_cost) and the
+    control fields u and v, shape (nt + 1, nx), read as given, on ``grid``."""
     wx = grid.space_weights()
     per_level = (state_cost
-                 + 0.5 * weights.sigma1 * np.einsum("tn,tn,n->t", controls.u, controls.u, wx)
-                 + 0.5 * weights.sigma2 * np.einsum("tn,tn,n->t", controls.v, controls.v, wx))
+                 + 0.5 * weights.sigma1 * np.einsum("tn,tn,n->t", u, u, wx)
+                 + 0.5 * weights.sigma2 * np.einsum("tn,tn,n->t", v, v, wx))
     # einsum, not BLAS: past 10,000 levels OpenBLAS runs a ddot on two threads, and the
     # idle worker then spins for about 0.13 s of CPU
     return _dot(grid.time_weights(), per_level)

@@ -19,17 +19,18 @@ The forward step carries a batch axis: B scenarios that share the initial
 profiles and differ in their controls step together, their rows side by side
 in one (15, B * nx) operand, so a step is still one product and 8 calls
 whatever B is, and each member is bitwise its own solve.  forward_solve and
-sensitivity_solve are the batch of one; _forward_batch, through which the
-check oracles make their bumped solves, reads B ControlPairs from the
-(nt + 1, B, nx) stacks that their fields view.  The step loop writes into a
-buffer of levels and checks each block of them before it reuses their slots.
-forward_solve holds all nt + 1 levels; the streamed solves hold a ring of
-_BLOCK + 1 and hand each block of levels to a consumer: _forward_stream, the
-baseline run's solve, so that run never holds its (nt + 1, 6, nx)
-trajectory; _forward_batch, whose oracles keep only per-level reductions of
-each member; and sensitivity_solve, which keeps only the imaginary part of
-its complex levels.  The block size is this module's own: a consumer reduces
-each level on its own, so its results do not depend on it.
+sensitivity_solve are the batch of one.  _forward_batch reads bare
+(nt + 1, B, nx) control stacks as given: the baseline run passes one
+zero-stride member of zeros, and the check oracles their bumps, which may
+leave the admissible box.  The step loop writes into a buffer of levels and
+checks each block of them before it reuses their slots.  forward_solve holds
+all nt + 1 levels; the streamed solves hold a ring of _BLOCK + 1 and hand
+each block of levels to a consumer: _forward_batch, so the baseline run
+never holds its (nt + 1, 6, nx) trajectory and the oracles keep only
+per-level reductions of each member; and sensitivity_solve, which keeps only
+the imaginary part of its complex levels.  The block size is this module's
+own: a consumer reduces each level on its own, so its results do not depend
+on it.
 
 The adjoint step is the forward step's exact transpose in the same form, 6
 numpy calls per step, made the same way: its flows are one product with B^T
@@ -367,9 +368,9 @@ def _integrate(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
     return out
 
 
-# The solves take ``grid`` beside the ControlPair that carries it, and check that the
-# two agree: benchmarks/tracing.py counts a solve's time steps (its *.us_per_step
-# metrics) from the Grid among the arguments of the call.
+# The solves take ``grid``: benchmarks/tracing.py counts a solve's time steps (its
+# *.us_per_step metrics) from the Grid among the arguments of the call.  The public
+# ones take it beside the ControlPair that carries it, and check that the two agree.
 def forward_solve(initial: np.ndarray, controls, params: ModelParams,
                   grid: Grid) -> Trajectory:
     """Integrate the nonlinear state system on ``grid`` from the given initial
@@ -385,27 +386,15 @@ def forward_solve(initial: np.ndarray, controls, params: ModelParams,
     return Trajectory(out[:, :, 0], grid)
 
 
-def _forward_stream(initial: np.ndarray, controls, params: ModelParams, grid: Grid,
-                    consume) -> None:
-    """forward_solve without its trajectory: the steps keep a ring of _BLOCK + 1 levels and
-    hand consume(lo, levels) the levels lo..hi - 1 of each of _blocks(nt), in order, once
-    _check_finite has certified them, shape (hi - lo, 6, nx).  ``levels`` is a view that
-    the next block overwrites."""
-    _check_initial(initial, params, grid, controls)
-    _integrate(initial, controls.u[:, None], controls.v[:, None], params, grid, "state",
-               lambda lo, levels: consume(lo, levels[:, :, 0]))
-
-
-def _forward_batch(initial: np.ndarray, u: np.ndarray, v: np.ndarray, pairs,
+def _forward_batch(initial: np.ndarray, u: np.ndarray, v: np.ndarray,
                    params: ModelParams, grid: Grid, consume) -> None:
-    """_forward_stream of B control pairs in one step loop: consume(lo, levels) receives
-    the levels lo..hi - 1 of each of _blocks(nt), shape (hi - lo, 6, B, nx), member b
-    along axis 2, as a view that the next block overwrites.  The steps read the stacks u
-    and v, shape (nt + 1, B, nx); ``pairs`` are the B ControlPairs that view them, pair b
-    (u[:, b], v[:, b]), so each checked its box and its regions when it was made.  The
-    pairs share ``grid``; their regions may differ."""
-    _check_initial(initial, params, grid, *pairs)
-    shape = (grid.nt + 1, len(pairs), grid.nx)
+    """Explicit Euler steps of the B controls stacked in u and v, shape (nt + 1, B, nx),
+    read as given: no box or region check.  The steps keep a ring of _BLOCK + 1 levels
+    and hand consume(lo, levels) the levels lo..hi - 1 of each of _blocks(nt), in order,
+    once _check_finite has certified them, shape (hi - lo, 6, B, nx), member b along
+    axis 2, as a view that the next block overwrites."""
+    _check_initial(initial, params, grid)
+    shape = (grid.nt + 1, u.shape[1], grid.nx)
     if u.shape != shape or v.shape != shape:
         raise ContractError(f"batched control stacks must have shape {shape}")
     _integrate(initial, u, v, params, grid, "state", consume)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig
-from .control import ControlPair, SweepReport, _state_cost, _state_weights, fbsm_solve
+from .control import SweepReport, _state_cost, _state_weights, fbsm_solve
 from .model import COMPARTMENTS, QuarantineRegions
 from .pde import Grid, _integrals, _lowest
 from .verify import (CheckReport, RunMetrics, extract_metrics, mass_balance_check,
@@ -21,9 +21,10 @@ from .verify import (CheckReport, RunMetrics, extract_metrics, mass_balance_chec
 
 # The baseline streams its levels into _Levels instead of holding its trajectory.  The
 # checks and extract_metrics read a _Levels as they read a Trajectory; the cost and the
-# streamed solve are cores, called under the public names that benchmarks/tracing.py wraps.
+# streamed solve are cores on bare control fields, called under the public names that
+# benchmarks/tracing.py wraps.
 from .control import _cost as cost_functional
-from .pde import _forward_stream as forward_solve
+from .pde import _forward_batch as forward_solve
 
 _CSV_VALUES = 1024  # CSV values formatted per % operation (at least one row)
 
@@ -80,25 +81,26 @@ class _Levels:
         self.rows[i:j] = block[[m - lo for m in self.levels[i:j]]]
 
 
-def _result(name: str, config: ScenarioConfig, seen: _Levels, controls: ControlPair,
+def _result(name: str, config: ScenarioConfig, seen: _Levels, u: np.ndarray, v: np.ndarray,
             sweep: SweepReport | None = None) -> ScenarioResult:
     """Cost, trajectory checks and metrics of one solved scenario from what
-    ``seen`` kept of its levels, and copies of the rows of ``controls`` that
-    `run` writes, so the result keeps neither ``seen`` nor ``controls``
-    alive."""
-    cost = cost_functional(seen.state_cost, controls, config.weights)
+    ``seen`` kept of its levels, and copies of the rows of its control fields
+    u and v, shape (nt + 1, nx), that `run` writes, so the result keeps neither
+    ``seen`` nor the fields alive."""
+    cost = cost_functional(seen.state_cost, u, v, config.weights, config.grid)
     checks = [mass_balance_check(seen, config.params), positivity_check(seen)]
     rows = dict(zip(COMPARTMENTS, np.moveaxis(seen.rows, 1, 0)))
-    rows.update(u=controls.u[seen.levels], v=controls.v[seen.levels])
+    rows.update(u=u[seen.levels], v=v[seen.levels])
     return ScenarioResult(name, seen.levels, rows, cost, extract_metrics(seen), checks, sweep)
 
 
 def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
-    # zeroed by the allocator and only read, so on a large grid no memory backs them
-    controls = ControlPair.zeros(config.grid, config.regions)
+    # one zero-stride member of zeros: no field is allocated or checked
+    zeros = np.broadcast_to(0.0, (config.grid.nt + 1, 1, config.grid.nx))
     seen = _Levels(config)
-    forward_solve(initial, controls, config.params, config.grid, seen)
-    return _result("baseline", config, seen, controls)
+    forward_solve(initial, zeros, zeros, config.params, config.grid,
+                  lambda lo, levels: seen(lo, levels[:, :, 0]))
+    return _result("baseline", config, seen, zeros[:, 0], zeros[:, 0])
 
 
 def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
@@ -106,7 +108,7 @@ def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResul
         initial, config.params, config.weights, config.regions, config.grid, config.sweep)
     seen = _Levels(config)
     seen(0, state.values)
-    return _result("optimal", config, seen, controls, report)
+    return _result("optimal", config, seen, controls.u, controls.v, report)
 
 
 def run_scenario(config: ScenarioConfig) -> RunSummary:

@@ -133,16 +133,16 @@ def _random_directions(grid: Grid, regions: QuarantineRegions, count: int,
     return directions
 
 
-def _bumped(base: ControlPair, bumps) -> tuple[np.ndarray, np.ndarray, list[ControlPair]]:
+def _bumped(base: ControlPair, bumps) -> tuple[np.ndarray, np.ndarray]:
     """The controls base + eps * h of each (eps, (h_u, h_v)) of ``bumps``, written straight
-    into the stacks u and v, shape (nt + 1, B, nx), that _forward_batch reads, and the
-    checked ControlPair of each bump b, a view (u[:, b], v[:, b])."""
+    into the stacks u and v, shape (nt + 1, B, nx), that _forward_batch reads.  A bump may
+    leave the admissible box: the divided differences need none, so none is checked."""
     grid = base.grid
     u, v = np.empty((2, grid.nt + 1, len(bumps), grid.nx))
     for b, (eps, (h_u, h_v)) in enumerate(bumps):
         np.add(base.u, eps * h_u, out=u[:, b])
         np.add(base.v, eps * h_v, out=v[:, b])
-    return u, v, [ControlPair(u[:, b], v[:, b], grid, base.regions) for b in range(len(bumps))]
+    return u, v
 
 
 def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
@@ -153,7 +153,7 @@ def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
 
     ``state`` is forward_solve's trajectory at ``base``, on its grid; the bumped
     solves start from its initial profiles.  A state solved elsewhere fails the
-    check."""
+    check.  ``base`` may lie on the edge of its box, where bumps leave it."""
     grid, regions = base.grid, base.regions
     require_aligned(grid, state)
     first, last = epsilons = GRADIENT_EPSILONS
@@ -171,10 +171,10 @@ def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
     # one batched solve of every bump, member k * GRADIENT_DIRECTIONS + i along
     # direction i at epsilons[k]; of each member it keeps the state's integrand
     # of the cost per level, from which _cost gives its J
-    u, v, pairs = _bumped(base, [(eps, h) for eps in epsilons for h in directions])
+    u, v = _bumped(base, [(eps, h) for eps in epsilons for h in directions])
     del directions
     state_weights = _state_weights(weights, regions, grid)
-    state_cost = np.empty((len(pairs), grid.nt + 1))
+    state_cost = np.empty((u.shape[1], grid.nt + 1))
 
     def reduce(lo, levels):
         # einsum sums a strided member view in another order than a contiguous one;
@@ -183,8 +183,9 @@ def gradient_oracle(state: Trajectory, base: ControlPair, params: ModelParams,
             member = np.ascontiguousarray(levels[:, :, b])
             cost[lo:lo + len(member)] = _state_cost(member, state_weights)
 
-    _forward_batch(initial, u, v, pairs, params, grid, reduce)
-    costs = np.reshape([_cost(cost, pair, weights) for cost, pair in zip(state_cost, pairs)],
+    _forward_batch(initial, u, v, params, grid, reduce)
+    costs = np.reshape([_cost(cost, u[:, b], v[:, b], weights, grid)
+                        for b, cost in enumerate(state_cost)],
                        (len(epsilons), GRADIENT_DIRECTIONS))
     # fd[i]: divided differences along direction i per epsilon, then Richardson's
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
@@ -214,7 +215,7 @@ def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams
 
     ``state`` is forward_solve's trajectory at ``base``, on its grid; the
     linearized and bumped solves start from its initial profiles.  A state
-    solved elsewhere fails the check."""
+    solved elsewhere fails the check.  ``base`` may lie on the edge of its box."""
     grid, regions = base.grid, base.regions
     require_aligned(grid, state)
     epsilons = SENSITIVITY_EPSILONS
@@ -236,7 +237,7 @@ def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams
     scale = max(l2(squares(lin.values)), 1e-300)
     # one batched solve, member k along the direction at epsilons[k]; of each member
     # it keeps the squares of its error against state and lin per level
-    u, v, pairs = _bumped(base, [(eps, (h_u, h_v)) for eps in epsilons])
+    u, v = _bumped(base, [(eps, (h_u, h_v)) for eps in epsilons])
     errors = np.empty((len(epsilons), grid.nt + 1))
 
     def reduce(lo, levels):
@@ -247,7 +248,7 @@ def sensitivity_oracle(state: Trajectory, base: ControlPair, params: ModelParams
             divided -= lin.values[lo:hi]
             error[lo:hi] = squares(divided)
 
-    _forward_batch(initial, u, v, pairs, params, grid, reduce)
+    _forward_batch(initial, u, v, params, grid, reduce)
     errs = [l2(error) / scale for error in errors]
 
     lo, hi = DECAY_RATIO_RANGE

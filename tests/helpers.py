@@ -15,14 +15,9 @@ def time_to_threshold(metrics, times, compartment, level, direction="below"):
 
 def stacked(pairs):
     """The pairs' fields stacked into the (nt + 1, B, nx) arrays u and v that
-    pde._forward_batch reads, and each pair remade, on its own grid and regions, as a
-    view into them: (u, v, views)."""
-    from sqeiar.control import ControlPair
-
-    u = np.stack([pair.u for pair in pairs], axis=1)
-    v = np.stack([pair.v for pair in pairs], axis=1)
-    return u, v, [ControlPair(u[:, b], v[:, b], pair.grid, pair.regions)
-                  for b, pair in enumerate(pairs)]
+    pde._forward_batch reads: (u, v)."""
+    return (np.stack([pair.u for pair in pairs], axis=1),
+            np.stack([pair.v for pair in pairs], axis=1))
 
 
 def collect_batch(initial, pairs, params, grid):

@@ -73,6 +73,13 @@ MUTANTS = [
     # the adjoint's last block does not hand over level 0
     ("pde.py", "first = lo if lo > 1 else 0", "first = lo",
      "tests/test_steps.py::TestAdjointRing::test_every_level_reaches_the_consumer_once"),
+    # the oracles' bumps, which no ControlPair checks: h_u written into v's stack
+    ("verify.py", "np.add(base.v, eps * h_v, out=v[:, b])",
+     "np.add(base.v, eps * h_u, out=v[:, b])",
+     "tests/test_verify.py::test_batched_oracles_match_per_direction_loops"),
+    # eps dropped from v's bump
+    ("verify.py", "np.add(base.v, eps * h_v, out=v[:, b])", "np.add(base.v, h_v, out=v[:, b])",
+     "tests/test_verify.py::test_batched_oracles_match_per_direction_loops"),
 ]
 
 

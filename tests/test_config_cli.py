@@ -171,15 +171,15 @@ class TestOutputs:
 
         baseline = []
 
-        def forward_solve(initial, controls, *args):
+        def forward_solve(initial, u, v, *args):
             *args, consume = args
 
             def keep(lo, levels):
                 if lo == 0:  # the streamed solve's ring of levels
                     baseline.append(weakref.ref(levels.base))
                 consume(lo, levels)
-            solve(initial, controls, *args, keep)
-            baseline.extend(weakref.ref(a) for a in (controls.u, controls.v))
+            solve(initial, u, v, *args, keep)
+            baseline.extend(weakref.ref(a) for a in (u, v))
 
         def fbsm_solve(*args):
             assert [ref() for ref in baseline] == [None] * 3
@@ -582,9 +582,9 @@ class TestCli:
         # dx ** 2 in the CFL number would raise OverflowError, or divide by zero
         ("run", "grid.x_max = 1e250\n", "grid.dx = .* = 1e\\+248: its square must"),
         ("run", "grid.x_max = 1e-160\n", "grid.dx = .* = 1e-162: its square must"),
-        # 718 PiB per control field, beyond any 64-bit address space: fails at once
+        # 42.6 PiB for the per-level integrals, beyond any 64-bit address space: fails at once
         ("run", "grid.nt = 1000000000000000\n",
-         "does not fit in memory: Unable to allocate .* \\(1000000000000001, 101\\)"),
+         "does not fit in memory: Unable to allocate .* \\(6, 1000000000000001\\)"),
         # a digit to str.isdigit, but no ASCII decimal index
         ("run", "regions.\u00b2 = 0.1, 0.2\n",
          "unknown key 'regions.\u00b2' \\(use regions.<index> = a, b\\)"),

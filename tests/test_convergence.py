@@ -10,16 +10,17 @@ from dataclasses import replace
 import numpy as np
 
 import sqeiar as sq
-from sqeiar.pde import _forward_stream
+from sqeiar.pde import _forward_batch
 
 
 def final_level(grid):
     """S..R at t = tau of the uncontrolled default scenario on ``grid``, shape (6, nx),
     streamed, so that a fine grid does not hold its trajectory."""
     cfg = replace(sq.ScenarioConfig(), grid=grid)
+    zeros = np.broadcast_to(0.0, (grid.nt + 1, 1, grid.nx))
     last = []
-    _forward_stream(cfg.initial_array(), sq.ControlPair.zeros(grid, cfg.regions), cfg.params,
-                    grid, lambda lo, levels: last.append(levels[-1].copy()))
+    _forward_batch(cfg.initial_array(), zeros, zeros, cfg.params, grid,
+                   lambda lo, levels: last.append(levels[-1, :, 0].copy()))
     return last[-1]
 
 

@@ -107,22 +107,13 @@ class TestForwardSolve:
                 with pytest.raises(ContractError):
                     solve(initial)
 
-    @pytest.mark.parametrize("other", ["grid"])
-    def test_batch_member_of_another_setup_rejected(self, other):
-        # same shapes, so only the alignment check can tell the pair apart
-        grid, initial = small_setup()
-        pair = sq.ControlPair.zeros(sq.Grid(nx=21, tau=6.0, nt=300), WHOLE)
-        with pytest.raises(ContractError, match="different"):
-            collect_batch(initial, [sq.ControlPair.zeros(grid, WHOLE), pair], TABLE, grid)
-
     def test_batch_stacks_of_another_shape_rejected(self):
-        # the steps read the stacks, so they must hold one (nt + 1, nx) field per pair
+        # the steps read the stacks, so they must hold one (nt + 1, nx) field per member
         grid, initial = small_setup()
-        pairs = [sq.ControlPair.zeros(grid, WHOLE) for _ in range(2)]
         stack = np.zeros((grid.nt + 1, 2, grid.nx))
         for u, v in ((stack[:, :1], stack), (stack, stack[:-1])):
             with pytest.raises(ContractError, match="stacks"):
-                _forward_batch(initial, u, v, pairs, TABLE, grid, lambda lo, levels: None)
+                _forward_batch(initial, u, v, TABLE, grid, lambda lo, levels: None)
 
     def test_batch_members_of_other_regions_are_their_own_solves(self):
         # each pair carries its regions: a batch may mix them, and each member

@@ -23,9 +23,8 @@ import sqeiar as sq
 from sqeiar.control import (ControlPair, cost_functional, directional_derivative, fbsm_solve,
                             project_controls)
 from sqeiar.model import _I, _S, QuarantineRegions, rho_source
-from sqeiar.pde import (_BLOCK, _adjoint_solve, _blocks, _forward_batch, _forward_stream,
-                        _integrals, _stencil, _step_operator, adjoint_solve, forward_solve,
-                        sensitivity_solve)
+from sqeiar.pde import (_BLOCK, _adjoint_solve, _blocks, _forward_batch, _integrals, _stencil,
+                        _step_operator, adjoint_solve, forward_solve, sensitivity_solve)
 from sqeiar.runner import _Levels
 from sqeiar.verify import _random_directions
 
@@ -136,12 +135,12 @@ class TestStepsArePinned:
         expected = reference_forward(initial, pair.u[:, None], pair.v[:, None],
                                      cfg.params, grid)[:, :, 0]
         seen, batch = [], []
-        _forward_stream(initial, pair, cfg.params, grid,
-                        lambda lo, levels: seen.append((lo, levels.copy())))
+        _forward_batch(initial, pair.u[:, None], pair.v[:, None], cfg.params, grid,
+                       lambda lo, levels: seen.append((lo, levels[:, :, 0].copy())))
         assert [(lo, lo + len(levels)) for lo, levels in seen] == list(_blocks(nt))
         for lo, levels in seen:
             assert np.array_equal(levels, expected[lo:lo + len(levels)])
-        # a batch hands over the same blocks, member b along axis 2
+        # a batch of two hands over the same blocks, member b along axis 2
         _forward_batch(initial, *stacked([pair, pair]), cfg.params, grid,
                        lambda lo, levels: batch.append((lo, levels.copy())))
         assert [(lo, lo + len(levels)) for lo, levels in batch] == list(_blocks(nt))
@@ -284,7 +283,6 @@ class TestNoPythonFramePerStep:
             "forward": lambda: forward_solve(initial, pair, *args),
             "adjoint": lambda: adjoint_solve(state, pair, cfg.weights, *args),
             "sensitivity": lambda: sensitivity_solve(initial, pair, h_u, h_v, *args),
-            "stream": lambda: _forward_stream(initial, pair, *args, lambda lo, levels: None),
             "adjoint ring": lambda: _adjoint_solve(state, pair, cfg.weights, *args,
                                                    lambda lo, levels: None),
             "batch": lambda: _forward_batch(initial, *batch, *args, lambda lo, levels: None),
@@ -295,7 +293,7 @@ class TestNoPythonFramePerStep:
         for name in ("forward", "adjoint"):
             assert python_calls(short[name]) == python_calls(long[name]), name
         extra_blocks = len(list(_blocks(600))) - len(list(_blocks(300)))
-        for name in ("sensitivity", "stream", "batch", "adjoint ring"):  # streamed solves
+        for name in ("sensitivity", "batch", "adjoint ring"):  # streamed solves
             extra_calls = python_calls(long[name]) - python_calls(short[name])
             assert 0 <= extra_calls <= 8 * extra_blocks, name
 

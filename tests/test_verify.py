@@ -269,3 +269,23 @@ def test_batched_oracles_match_per_direction_loops(small_config, seed, regions):
     reported = ast.literal_eval(re.search(r"errors=(\[.*?\])", sensitivity.detail)[1])
     assert reported == pytest.approx(errs, rel=1e-12, abs=0)
     assert sensitivity.measured == pytest.approx(errs[0] / errs[-1], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("regions", [WHOLE, PARTIAL], ids=["whole", "partial"])
+def test_oracles_work_on_the_box_edge(small_config, regions):
+    # the uncontrolled baseline and the sweep's optimum sit on the edge of the box,
+    # where the bumps leave it: the divided differences need no box
+    config = replace(small_config, regions=regions)
+    grid = config.grid
+    optimum = sq.fbsm_solve(config.initial_array(), TABLE, config.weights, regions, grid,
+                            config.sweep)[2]
+    assert optimum.u.min() == 0.0 and optimum.u.max() > 1.0 - 1e-8
+    lo, hi = DECAY_RATIO_RANGE
+    for base in (sq.ControlPair.zeros(grid, regions), optimum):
+        state = base_state(config, base)
+        gradient = sq.gradient_oracle(state, base, TABLE, config.weights, seed=DEFAULT_SEED)
+        sensitivity = sq.sensitivity_oracle(state, base, TABLE, seed=DEFAULT_SEED)
+        assert isinstance(gradient, sq.CheckReport) and isinstance(sensitivity, sq.CheckReport)
+        # not `passed`: on the partial layout the zero base fails the decay test alone
+        assert gradient.measured < GRADIENT_REL_BOUND, gradient.detail
+        assert lo <= sensitivity.measured <= hi, sensitivity.detail

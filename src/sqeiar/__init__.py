@@ -8,7 +8,6 @@ from .control import (
     SweepSettings,
     cost_functional,
     cost_gradient,
-    directional_derivative,
     fbsm_solve,
     project_controls,
 )

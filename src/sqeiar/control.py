@@ -1,5 +1,6 @@
-"""Cost functional, projected control updates, adjoint gradient assembly,
-and the forward-backward sweep iteration."""
+"""Cost functional and its discrete gradient dJ/d(u, v), projected control updates, and
+the forward-backward sweep iteration.  Both read the optimality system's sources, stated
+once in _sources; a held adjoint serves only adjoint_solve and fbsm_solve's return."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from .pde import (
     positivity_bound,
     require_aligned,
 )
-# project_controls and fbsm_solve read the adjoint of a state that forward_solve
-# returned, so they call the adjoint core without the entry checks: project_controls
-# streams it through its ring, and fbsm_solve holds one, of the controls it returns.
+# _sources and fbsm_solve read the adjoint of a state that forward_solve returned, so
+# they call the adjoint core without the entry checks: _sources streams it through its
+# ring, and fbsm_solve holds one, of the controls it returns.
 # The module keeps the name adjoint_solve, which benchmarks/tracing.py wraps to time
 # these solves, and looks it up at each call.
 from .pde import _adjoint_solve as adjoint_solve
@@ -132,35 +133,41 @@ def _cost(state_cost: np.ndarray, u: np.ndarray, v: np.ndarray, weights: CostWei
     return _dot(grid.time_weights(), per_level)
 
 
-def project_controls(state: Trajectory, controls: ControlPair, weights: CostWeights,
-                     params: ModelParams) -> ControlPair:
-    """P(controls): the pointwise optimality formulas at the adjoint of ``state``, clamped
-    onto the admissible box of the regions of ``controls``, on their grid.
-
-    ``state`` is the forward solve of ``controls``, as forward_solve returns it.  Its
-    adjoint streams through a ring (see pde._adjoint_solve), and each block of levels
-    becomes (p_I - p_R) * I and (p_S - p_Q) * S as it lands, so no adjoint trajectory is
-    held: elementwise ops, so any blocking gives the same bits.
-    """
+def _sources(state: Trajectory, controls: ControlPair, weights: CostWeights,
+             params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The sources (p_I - p_R) * I and (p_S - p_Q) * S of the optimality system, shape
+    (nt + 1, nx), at the adjoint p of ``state``, the forward solve of ``controls`` as
+    forward_solve returns it; both are zero at level nt, as p is.  p streams through a
+    ring (see pde._adjoint_solve), and each block becomes the sources as it lands, so
+    none is held: elementwise ops, so any blocking gives the same bits."""
     grid = controls.grid
     require_aligned(grid, state)
-    u, v = np.empty((grid.nt + 1, grid.nx)), np.empty((grid.nt + 1, grid.nx))
+    src_u, src_v = np.empty((grid.nt + 1, grid.nx)), np.empty((grid.nt + 1, grid.nx))
     S, I = state.s, state.i
 
-    def project(lo, levels):
+    def consume(lo, levels):
         hi = lo + len(levels)
-        np.subtract(levels[:, _I], levels[:, _R], out=u[lo:hi])
-        np.multiply(u[lo:hi], I[lo:hi], out=u[lo:hi])
-        np.subtract(levels[:, _S], levels[:, _Q], out=v[lo:hi])
-        np.multiply(v[lo:hi], S[lo:hi], out=v[lo:hi])
+        np.subtract(levels[:, _I], levels[:, _R], out=src_u[lo:hi])
+        np.multiply(src_u[lo:hi], I[lo:hi], out=src_u[lo:hi])
+        np.subtract(levels[:, _S], levels[:, _Q], out=src_v[lo:hi])
+        np.multiply(src_v[lo:hi], S[lo:hi], out=src_v[lo:hi])
 
-    adjoint_solve(state, controls, weights, params, grid, consume=project)
+    adjoint_solve(state, controls, weights, params, grid, consume=consume)
+    return src_u, src_v
+
+
+def project_controls(state: Trajectory, controls: ControlPair, weights: CostWeights,
+                     params: ModelParams) -> ControlPair:
+    """P(controls): the pointwise optimality formulas (p_I - p_R) * I / sigma1 and
+    (p_S - p_Q) * S / sigma2 at the adjoint of ``state`` (see _sources), clamped onto the
+    admissible box of the regions of ``controls``, on their grid."""
+    u, v = _sources(state, controls, weights, params)
     # a tiny sigma overflows a quotient to +-inf, which the clip maps onto the
     # edge of the box: the exact projection
     with np.errstate(over="ignore"):
         u /= weights.sigma1
         v /= weights.sigma2
-    return _admissible(u, v, grid, controls.regions)
+    return _admissible(u, v, controls.grid, controls.regions)
 
 
 def _admissible(u: np.ndarray, v: np.ndarray, grid: Grid,
@@ -173,43 +180,25 @@ def _admissible(u: np.ndarray, v: np.ndarray, grid: Grid,
     return ControlPair(u, v, grid, regions)
 
 
-def cost_gradient(state: Trajectory, adjoint: Trajectory,
-                  controls: ControlPair, weights: CostWeights
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrands of the directional cost derivative w.r.t. (u, v), each of
-    shape (nt + 1, nx), on the grid of ``controls``, which ``state`` and
-    ``adjoint`` must share."""
+def cost_gradient(state: Trajectory, controls: ControlPair, weights: CostWeights,
+                  params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """dJ/d(u, v): the derivative of the discrete cost J(controls) = cost_functional(
+    state, controls) w.r.t. each control value, two (nt + 1, nx) arrays on the grid of
+    ``controls``, with the sources at the adjoint of ``state`` (see _sources):
+
+        dJ/du[m, j] = wx_j * (wt_m * sigma1 * u[m, j] - dt * (p_I - p_R) * I)
+        dJ/dv[m, j] = wx_j * (wt_m * sigma2 * v[m, j] - dt * mask_j * (p_S - p_Q) * S)
+
+    The cost prices level m with its trapezoid weight wt_m, and u_m, v_m drive the step
+    from level m for a whole dt.  The derivative along (h_u, h_v) is the plain sum of
+    dJ/du * h_u + dJ/dv * h_v."""
     grid = controls.grid
-    require_aligned(grid, state, adjoint)
-    mask = controls.regions.mask(grid.x)
-    grad_u = weights.sigma1 * controls.u - state.i * (adjoint.i - adjoint.r)
-    grad_v = weights.sigma2 * controls.v - mask * state.s * (adjoint.s - adjoint.q)
+    src_u, src_v = _sources(state, controls, weights, params)
+    dt, wt = grid.dt, grid.time_weights()[:, None]
+    wx, mask = grid.space_weights(), controls.regions.mask(grid.x)
+    grad_u = wx * (wt * (weights.sigma1 * controls.u) - dt * src_u)
+    grad_v = wx * (wt * (weights.sigma2 * controls.v) - dt * (mask * src_v))
     return grad_u, grad_v
-
-
-def directional_derivative(grad_u: np.ndarray, grad_v: np.ndarray,
-                           controls: ControlPair, weights: CostWeights,
-                           h_u: np.ndarray, h_v: np.ndarray) -> float:
-    """Pair the gradient fields with a perturbation direction, on the grid of
-    ``controls``.
-
-    The control-cost part integrates with trapezoid weights (matching the
-    cost functional); the adjoint part carries one rectangle weight per
-    forward step, which is its exact discrete dual, so the result equals the
-    divided difference of the cost up to Taylor error in the step size.
-    """
-    grid = controls.grid
-    wx = grid.space_weights()
-    wt = grid.time_weights()
-    dt = grid.dt
-    ctrl_u = weights.sigma1 * controls.u
-    ctrl_v = weights.sigma2 * controls.v
-    control_part = _dot(wt, (ctrl_u * h_u) @ wx + (ctrl_v * h_v) @ wx)  # not BLAS: see _cost
-    adj_u = grad_u - ctrl_u
-    adj_v = grad_v - ctrl_v
-    adjoint_part = dt * float(((adj_u * h_u)[:-1] @ wx).sum()
-                              + ((adj_v * h_v)[:-1] @ wx).sum())
-    return control_part + adjoint_part
 
 
 def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeights,

@@ -60,9 +60,15 @@ MUTANTS = [
     ("verify.py", "            dv *= mask\n", "",
      "tests/test_acceptance.py::test_03_gradient_oracle"),
     # cost_gradient leaves grad_v unmasked
-    ("control.py", "- mask * state.s * (adjoint.s - adjoint.q)",
-     "- state.s * (adjoint.s - adjoint.q)",
+    ("control.py", "- dt * (mask * src_v))", "- dt * src_v)",
      "tests/test_pde.py::TestAdjointSolve::test_exact_discrete_duality"),
+    # cost_gradient prices u's control term with dt in place of its trapezoid weight
+    ("control.py", "wt * (weights.sigma1 * controls.u)", "dt * (weights.sigma1 * controls.u)",
+     "tests/test_control.py::TestProjection::test_gradient_vanishes_at_projection_interior"),
+    # the gradient oracle's decay ratios taken from the relative one-sided errors again
+    ("verify.py", "ratios = misses[:, 0] / np.maximum(misses[:, 1], 1e-300)",
+     "ratios = errors[:, 0] / np.maximum(errors[:, 1], 1e-300)",
+     "tests/test_verify.py::test_oracles_work_on_the_box_edge"),
     # sensitivity_solve leaves h_v unmasked
     ("pde.py", "np.multiply(h_v, controls.regions.mask(grid.x), out=v.imag)",
      "np.multiply(h_v, 1.0, out=v.imag)",

@@ -502,7 +502,9 @@ class TestCli:
 
     def test_check_solve_budget(self, tmp_path, monkeypatch, capsys):
         # one base solve, shared by the checks and both oracles; one batched
-        # solve of the gradient oracle's bumps and one of the sensitivity oracle's
+        # solve of the gradient oracle's bumps and one of the sensitivity oracle's;
+        # one adjoint solve, which cost_gradient streams through sqeiar.control
+        import sqeiar.control
         import sqeiar.pde
         import sqeiar.verify
 
@@ -520,6 +522,7 @@ class TestCli:
         count(sqeiar.pde, "forward_solve")
         for name in ("forward_solve", "_forward_batch", "adjoint_solve", "sensitivity_solve"):
             count(sqeiar.verify, name)
+        count(sqeiar.control, "adjoint_solve")
         assert main(["check", "--config", str(self.write_config(tmp_path))]) == 0
         assert calls == {"forward_solve": 1, "_forward_batch": 2, "adjoint_solve": 1,
                          "sensitivity_solve": 1}, capsys.readouterr().out

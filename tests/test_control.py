@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 import sqeiar as sq
-from sqeiar.control import COARSE_FACTOR
+from sqeiar.control import COARSE_FACTOR, _dot, _sources
 from sqeiar.model import ContractError, ModelParams, QuarantineRegions
 from sqeiar.pde import positivity_bound
 
@@ -123,17 +123,29 @@ class TestProjection:
         np.testing.assert_array_equal(once.v, twice.v)
 
     def test_gradient_vanishes_at_projection_interior(self):
-        # wherever the projected control lands strictly inside the box the
-        # gradient field must vanish there
+        # the pin of the discrete gradient at a fixed point c = P(c) of the projection
+        # with the state held: wherever c lies strictly inside the box, dJ/d(u, v)
+        # vanishes on levels 1 to nt - 1; level 0 keeps -(dt/2) * wx * source, since
+        # the cost prices it with dt/2 while it drives a whole step; level nt is 0
         grid, state, controls = self.setup_small()
-        weights = sq.CostWeights()
-        adjoint = sq.adjoint_solve(state, controls, weights, TABLE, grid)
-        proj = sq.project_controls(state, controls, weights, TABLE)
-        grad_u, grad_v = sq.cost_gradient(state, adjoint, proj, weights)
-        interior_u = (proj.u > 0) & (proj.u < 1)
-        interior_v = (proj.v > 0) & (proj.v < WHOLE.v_max)
-        assert np.abs(grad_u[interior_u]).max(initial=0.0) < 1e-9
-        assert np.abs(grad_v[interior_v]).max(initial=0.0) < 1e-9
+        weights = sq.CostWeights(sigma1=1e4, sigma2=1e4)  # inside the box at level 0 too
+        for _ in range(20):  # with the state held P contracts, to roundoff in 20 passes
+            controls = sq.project_controls(state, controls, weights, TABLE)
+        again = sq.project_controls(state, controls, weights, TABLE)
+        assert np.abs(again.u - controls.u).max() < 1e-13
+        assert np.abs(again.v - controls.v).max() < 1e-13
+        grad_u, grad_v = sq.cost_gradient(state, controls, weights, TABLE)
+        src_u, src_v = _sources(state, controls, weights, TABLE)
+        wx, dt, mask = grid.space_weights(), grid.dt, WHOLE.mask(grid.x)
+        for grad, field, src, top in ((grad_u, controls.u, src_u, 1.0),
+                                      (grad_v, controls.v, src_v * mask, WHOLE.v_max * mask)):
+            interior = (field > 0) & (field < top)
+            assert interior[0].sum() >= 5 and interior[1:-1].sum() > 1000
+            scale = dt * np.abs(wx * src).max()
+            assert np.abs(grad[1:-1][interior[1:-1]]).max() < 1e-12 * scale
+            np.testing.assert_allclose(grad[0][interior[0]],
+                                       (-0.5 * dt * wx * src[0])[interior[0]], rtol=1e-9)
+            assert np.all(grad[-1] == 0.0)
 
 
 class TestGradientConsistency:
@@ -143,13 +155,12 @@ class TestGradientConsistency:
         weights = sq.CostWeights()
         base = sq.ControlPair.constant(0.4, 0.4, grid, WHOLE)
         state = sq.forward_solve(initial, base, TABLE, grid)
-        adjoint = sq.adjoint_solve(state, base, weights, TABLE, grid)
-        grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights)
+        grad_u, grad_v = sq.cost_gradient(state, base, weights, TABLE)
         rng = np.random.default_rng(7)
         shape = base.u.shape
         h_u = rng.uniform(-0.1, 0.1, shape)
         h_v = rng.uniform(-0.1, 0.1, shape) * WHOLE.mask(grid.x)
-        predicted = sq.directional_derivative(grad_u, grad_v, base, weights, h_u, h_v)
+        predicted = _dot(grad_u, h_u) + _dot(grad_v, h_v)
         eps = 1e-5
         shifted = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v,
                                  grid, WHOLE)

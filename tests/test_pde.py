@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sqeiar as sq
+from sqeiar.control import _dot
 from sqeiar.model import ContractError, ModelParams, QuarantineRegions, rho_source
 from sqeiar.pde import _forward_batch, neumann_laplacian
 from sqeiar.verify import _random_directions
@@ -237,15 +238,14 @@ class TestAdjointSolve:
     @pytest.mark.parametrize("regions", [
         WHOLE, QuarantineRegions(((0.1, 0.4), (0.6, 0.9)))])
     def test_exact_discrete_duality(self, regions):
-        # the adjoint pairing equals the derivative of the discrete cost
-        # along the linearized forward solve, to roundoff
+        # the gradient from the adjoint, paired with a direction, equals the derivative
+        # of the discrete cost along the linearized forward solve, to roundoff
         grid, initial = small_setup()
         weights = sq.CostWeights(rho1=2.0, rho3=0.5, rho4=3.0, rho5=1.5,
                                  sigma1=40.0, sigma2=70.0)
         controls = sq.ControlPair.constant(0.3, 0.3 * regions.v_max, grid, regions)
         state = sq.forward_solve(initial, controls, TABLE, grid)
-        adjoint = sq.adjoint_solve(state, controls, weights, TABLE, grid)
-        gradient = sq.cost_gradient(state, adjoint, controls, weights)
+        gradient = sq.cost_gradient(state, controls, weights, TABLE)
         # no flow v*S off the regions, so no gradient there: exactly zero
         assert np.all(gradient[1][:, regions.mask(grid.x) == 0] == 0.0)
         wx, wt = grid.space_weights(), grid.time_weights()
@@ -256,7 +256,7 @@ class TestAdjointSolve:
             control_part = wt @ ((weights.sigma1 * controls.u * h_u) @ wx
                                  + (weights.sigma2 * controls.v * h_v) @ wx)
             state_part = wt @ np.einsum("cx,mcx->m", rho_wx, Y.values)
-            paired = sq.directional_derivative(*gradient, controls, weights, h_u, h_v)
+            paired = _dot(gradient[0], h_u) + _dot(gradient[1], h_v)
             assert paired == pytest.approx(control_part + state_part, rel=1e-10)
 
     def test_transpose_consistency(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sqeiar as sq
+from sqeiar.control import _dot
 from sqeiar.model import COMPARTMENTS, ModelParams, QuarantineRegions
 from sqeiar.verify import (
     DECAY_RATIO_RANGE,
@@ -206,20 +207,20 @@ def loop_gradient_oracle(initial, base, params, weights, seed):
     directions = _random_directions(grid, regions, GRADIENT_DIRECTIONS,
                                     np.random.default_rng(seed))
     state = sq.forward_solve(initial, base, params, grid)
-    adjoint = sq.adjoint_solve(state, base, weights, params, grid)
-    grad_u, grad_v = sq.cost_gradient(state, adjoint, base, weights)
+    grad_u, grad_v = sq.cost_gradient(state, base, weights, params)
     j_base = sq.cost_functional(state, base, weights)
     fd = np.zeros((GRADIENT_DIRECTIONS, 3))
     predicted = np.zeros((GRADIENT_DIRECTIONS, 1))
     for i, (h_u, h_v) in enumerate(directions):
-        predicted[i] = sq.directional_derivative(grad_u, grad_v, base, weights, h_u, h_v)
+        predicted[i] = _dot(grad_u, h_u) + _dot(grad_v, h_v)
         for k, eps in enumerate(epsilons):
             plus = sq.ControlPair(base.u + eps * h_u, base.v + eps * h_v, grid, regions)
             bumped = sq.forward_solve(initial, plus, params, grid)
             fd[i, k] = (sq.cost_functional(bumped, plus, weights) - j_base) / eps
     fd[:, 2] = (first * fd[:, 1] - last * fd[:, 0]) / (first - last)
-    errors = np.abs(fd - predicted) / np.maximum(np.abs(fd), 1e-300)
-    ratios = errors[:, 0] / np.maximum(errors[:, 1], 1e-300)
+    misses = np.abs(fd - predicted)
+    errors = misses / np.maximum(np.abs(fd), 1e-300)
+    ratios = misses[:, 0] / np.maximum(misses[:, 1], 1e-300)
     lo, hi = DECAY_RATIO_RANGE
     worst = float(errors[:, 2].max())
     return worst < GRADIENT_REL_BOUND and bool(np.all((ratios >= lo) & (ratios <= hi))), worst
@@ -280,12 +281,10 @@ def test_oracles_work_on_the_box_edge(small_config, regions):
     optimum = sq.fbsm_solve(config.initial_array(), TABLE, config.weights, regions, grid,
                             config.sweep)[2]
     assert optimum.u.min() == 0.0 and optimum.u.max() > 1.0 - 1e-8
-    lo, hi = DECAY_RATIO_RANGE
     for base in (sq.ControlPair.zeros(grid, regions), optimum):
         state = base_state(config, base)
         gradient = sq.gradient_oracle(state, base, TABLE, config.weights, seed=DEFAULT_SEED)
         sensitivity = sq.sensitivity_oracle(state, base, TABLE, seed=DEFAULT_SEED)
         assert isinstance(gradient, sq.CheckReport) and isinstance(sensitivity, sq.CheckReport)
-        # not `passed`: on the partial layout the zero base fails the decay test alone
-        assert gradient.measured < GRADIENT_REL_BOUND, gradient.detail
-        assert lo <= sensitivity.measured <= hi, sensitivity.detail
+        assert gradient.passed, gradient.detail
+        assert sensitivity.passed, sensitivity.detail

@@ -1,6 +1,8 @@
 """Cost functional and its discrete gradient dJ/d(u, v), projected control updates, and
 the forward-backward sweep iteration.  Both read the optimality system's sources, stated
-once in _sources; a held adjoint serves only adjoint_solve and fbsm_solve's return."""
+once in _sources; a held adjoint serves only adjoint_solve.  A sweep pass holds neither a
+state nor an adjoint trajectory: its forward solve streams into the rows the adjoint and
+the projection read (see _Rows), and its adjoint streams through a ring."""
 
 from __future__ import annotations
 
@@ -8,22 +10,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import pde
 from .model import (_I, _Q, _R, _S, ContractError, CostWeights, ModelParams, QuarantineRegions,
                     check_controls, rho_source)
 from .pde import (
     Grid,
     Trajectory,
+    _adjoint_rows,
     _check_initial,
-    forward_solve,
     positivity_bound,
     require_aligned,
 )
-# _sources and fbsm_solve read the adjoint of a state that forward_solve returned, so
-# they call the adjoint core without the entry checks: _sources streams it through its
-# ring, and fbsm_solve holds one, of the controls it returns.
-# The module keeps the name adjoint_solve, which benchmarks/tracing.py wraps to time
-# these solves, and looks it up at each call.
+# _sources reads the adjoint of a state that forward_solve returned, so it calls the
+# adjoint core without the entry checks and streams it through its ring; a sweep pass
+# streams its forward solve into a _Rows.  The module keeps the names adjoint_solve and
+# forward_solve for these cores, which benchmarks/tracing.py wraps to time the solves,
+# and looks them up at each call; fbsm_solve's one held state comes from pde.forward_solve.
 from .pde import _adjoint_solve as adjoint_solve
+from .pde import _forward_batch as forward_solve
 
 ANDERSON_DEPTH = 3  # differences of iterates the sweep's update combines
 COARSE_FACTOR = 3   # fine time steps per step of the sweep's coarse start
@@ -120,37 +124,68 @@ def _state_cost(levels: np.ndarray, state_weights: np.ndarray) -> np.ndarray:
     return np.einsum("tcn,cn->t", levels, state_weights)
 
 
-def _cost(state_cost: np.ndarray, u: np.ndarray, v: np.ndarray, weights: CostWeights,
-          grid: Grid) -> float:
+def _cost(state_cost: np.ndarray, u: np.ndarray | None, v: np.ndarray | None,
+          weights: CostWeights, grid: Grid) -> float:
     """cost_functional from the state's integrand at every level (see _state_cost) and the
-    control fields u and v, shape (nt + 1, nx), read as given, on ``grid``."""
-    wx = grid.space_weights()
-    per_level = (state_cost
-                 + 0.5 * weights.sigma1 * np.einsum("tn,tn,n->t", u, u, wx)
-                 + 0.5 * weights.sigma2 * np.einsum("tn,tn,n->t", v, v, wx))
+    control fields u and v, shape (nt + 1, nx), read as given, on ``grid``.  u and v None
+    stand for zero controls, which cost exactly nothing: each level's cost is then its
+    state's, the bits that adding their +0.0 would give."""
+    per_level = state_cost
+    if u is not None:
+        wx = grid.space_weights()
+        per_level = (state_cost
+                     + 0.5 * weights.sigma1 * np.einsum("tn,tn,n->t", u, u, wx)
+                     + 0.5 * weights.sigma2 * np.einsum("tn,tn,n->t", v, v, wx))
     # einsum, not BLAS: past 10,000 levels OpenBLAS runs a ddot on two threads, and the
     # idle worker then spins for about 0.13 s of CPU
     return _dot(grid.time_weights(), per_level)
 
 
-def _sources(state: Trajectory, controls: ControlPair, weights: CostWeights,
+class _Rows:
+    """What a sweep pass keeps of its forward solve, handed over in blocks, in order: the
+    rows that the adjoint and the projection read, Lambda = (dt * contact) @ y and S as
+    _adjoint_rows gives them and I, each (nt + 1, nx) and contiguous, and each level's
+    state cost (see _state_cost).  Each row is its own array, so Lambda is freed while the
+    projection's sources, written over the I and S rows (see _sources), live on."""
+
+    def __init__(self, params: ModelParams, grid: Grid, state_weights: np.ndarray):
+        shape = (grid.nt + 1, grid.nx)
+        self.grid = grid
+        self.lam, self.s, self.i = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.state_cost = np.empty(grid.nt + 1)
+        self._adjoint_rows = _adjoint_rows(params, grid)
+        self._state_weights = state_weights
+
+    def __call__(self, lo: int, levels: np.ndarray) -> None:
+        """Take levels lo, lo + 1, ... of a batch of one, shape (k, 6, 1, nx), all finite."""
+        block = levels[:, :, 0]
+        hi = lo + len(block)
+        # the product and row layout of the adjoint's own rows of a Trajectory: the same bits
+        rows = np.matmul(self._adjoint_rows, block)
+        self.lam[lo:hi], self.s[lo:hi], self.i[lo:hi] = rows[:, 0], rows[:, 1], block[:, _I]
+        self.state_cost[lo:hi] = _state_cost(block, self._state_weights)
+
+
+def _sources(state, controls: ControlPair, weights: CostWeights,
              params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The sources (p_I - p_R) * I and (p_S - p_Q) * S of the optimality system, shape
-    (nt + 1, nx), at the adjoint p of ``state``, the forward solve of ``controls`` as
-    forward_solve returns it; both are zero at level nt, as p is.  p streams through a
-    ring (see pde._adjoint_solve), and each block becomes the sources as it lands, so
-    none is held: elementwise ops, so any blocking gives the same bits."""
+    (nt + 1, nx), at the adjoint p of ``state``, the forward solve of ``controls``: the
+    Trajectory that forward_solve returns, or the _Rows a sweep pass kept of it, whose I
+    and S rows become the sources.  Both are zero at level nt, as p is.  p streams through
+    a ring (see pde._adjoint_solve), and each block becomes the sources as it lands, over
+    contiguous rows of I and S, once the adjoint has read them, so none is held:
+    elementwise ops, so any blocking gives the same bits.  The S row of _Rows is the
+    adjoint's, which is S itself up to the sign of a zero."""
     grid = controls.grid
     require_aligned(grid, state)
-    src_u, src_v = np.empty((grid.nt + 1, grid.nx)), np.empty((grid.nt + 1, grid.nx))
-    S, I = state.s, state.i
+    src_u, src_v = state.i, state.s
+    if isinstance(state, Trajectory):  # strided rows: the sources start as contiguous copies
+        src_u, src_v = src_u.copy(), src_v.copy()
 
     def consume(lo, levels):
         hi = lo + len(levels)
-        np.subtract(levels[:, _I], levels[:, _R], out=src_u[lo:hi])
-        np.multiply(src_u[lo:hi], I[lo:hi], out=src_u[lo:hi])
-        np.subtract(levels[:, _S], levels[:, _Q], out=src_v[lo:hi])
-        np.multiply(src_v[lo:hi], S[lo:hi], out=src_v[lo:hi])
+        np.multiply(src_u[lo:hi], levels[:, _I] - levels[:, _R], out=src_u[lo:hi])
+        np.multiply(src_v[lo:hi], levels[:, _S] - levels[:, _Q], out=src_v[lo:hi])
 
     adjoint_solve(state, controls, weights, params, grid, consume=consume)
     return src_u, src_v
@@ -160,24 +195,25 @@ def project_controls(state: Trajectory, controls: ControlPair, weights: CostWeig
                      params: ModelParams) -> ControlPair:
     """P(controls): the pointwise optimality formulas (p_I - p_R) * I / sigma1 and
     (p_S - p_Q) * S / sigma2 at the adjoint of ``state`` (see _sources), clamped onto the
-    admissible box of the regions of ``controls``, on their grid."""
+    admissible box of the regions of ``controls``, on their grid.  The sweep passes the
+    _Rows of its pass as ``state``, and its I and S rows become the result."""
+    grid, regions = controls.grid, controls.regions
     u, v = _sources(state, controls, weights, params)
     # a tiny sigma overflows a quotient to +-inf, which the clip maps onto the
     # edge of the box: the exact projection
     with np.errstate(over="ignore"):
         u /= weights.sigma1
         v /= weights.sigma2
-    return _admissible(u, v, controls.grid, controls.regions)
-
-
-def _admissible(u: np.ndarray, v: np.ndarray, grid: Grid,
-                regions: QuarantineRegions) -> ControlPair:
-    """The checked ControlPair of (u, v) clipped in place onto the admissible box of
-    ``regions`` on ``grid``: u into [0, 1] and v into [0, v_max * mask] node by node, so
-    v vanishes off the regions."""
-    np.clip(u, 0.0, 1.0, out=u)
-    np.clip(v, 0.0, regions.v_max * regions.mask(grid.x), out=v)
+    for field, upper in zip((u, v), _upper_bounds(grid, regions)):
+        np.clip(field, 0.0, upper, out=field)
     return ControlPair(u, v, grid, regions)
+
+
+def _upper_bounds(grid: Grid, regions: QuarantineRegions) -> tuple:
+    """The upper bounds of the admissible box of ``regions`` on ``grid``, whose lower
+    bounds are 0: 1 for u and v_max * mask node by node for v, so v vanishes off the
+    regions."""
+    return 1.0, regions.v_max * regions.mask(grid.x)
 
 
 def cost_gradient(state: Trajectory, controls: ControlPair, weights: CostWeights,
@@ -204,7 +240,7 @@ def cost_gradient(state: Trajectory, controls: ControlPair, weights: CostWeights
 def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeights,
                regions: QuarantineRegions, grid: Grid,
                sweep: SweepSettings = SweepSettings(), on_iterate=None
-               ) -> tuple[Trajectory, Trajectory, ControlPair, SweepReport]:
+               ) -> tuple[Trajectory, float, ControlPair, SweepReport]:
     """Forward-backward sweep from zero controls to a fixed point u = P(S(u))
     of the projected controls.
 
@@ -223,16 +259,18 @@ def fbsm_solve(initial_state: np.ndarray, params: ModelParams, weights: CostWeig
     coarse residual below it, so passes that solve the coarse problem further
     are wasted (the nested-iteration rule of multigrid).  Non-convergence on
     ``grid`` is reported, not raised.  ``on_iterate`` (if given) receives
-    each updated ControlPair on ``grid``.  Returns the state, adjoint and
-    controls of the last pass and the SweepReport.  The passes hold no
-    adjoint (see project_controls); once the sweep has freed its history, one
-    more adjoint solve gives the one returned.
+    each updated ControlPair on ``grid``.  Returns the state, the cost J and
+    the controls of the last pass and the SweepReport; J is the report's last
+    cost.  The passes hold no state or adjoint trajectory (see _sweep); once
+    the sweep has freed its history, one held forward solve gives the state
+    returned.
     """
     _check_initial(initial_state, params, grid)
     coarse = _coarse_grid(initial_state, params, regions, grid)
-    state, controls, report = _sweep(initial_state, coarse, params, weights, regions, grid,
-                                     sweep, on_iterate)
-    return state, adjoint_solve(state, controls, weights, params, grid), controls, report
+    controls, report = _sweep(initial_state, coarse, params, weights, regions, grid, sweep,
+                              on_iterate)
+    state = pde.forward_solve(initial_state, controls, params, grid)
+    return state, report.cost_history[-1], controls, report
 
 
 def _coarse_grid(initial: np.ndarray, params: ModelParams,
@@ -265,25 +303,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
            weights: CostWeights, regions: QuarantineRegions, grid: Grid,
-           sweep: SweepSettings, on_iterate
-           ) -> tuple[Trajectory, ControlPair, SweepReport]:
+           sweep: SweepSettings, on_iterate) -> tuple[ControlPair, SweepReport]:
     """Anderson type-II iteration (Walker & Ni 2011) of x -> P(S(x)) on
     ``grid``, from zero controls, or, given a ``coarse`` grid, from the
     controls of this sweep on ``coarse`` from zero, stopped at a residual of
     max(tol, sqrt(tol)), held onto ``grid`` (see _to_grid).
 
-    Each pass solves the state forward and projects the optimality formulas
-    at the current controls x_k (see project_controls), giving the residual
-    f_k = P(x_k) - x_k.  Unless it stops, the next controls are
-    x_k + r f_k - sum_j gamma_j (dx_j + r df_j), clipped onto the box of
-    project_controls (see _admissible), where r is ``sweep.relaxation``,
-    dx_j and df_j are the last ANDERSON_DEPTH differences of iterates and
-    residuals, and gamma minimizes |f_k - sum_j gamma_j df_j|.  With no
-    history this is the relaxed update (1 - r) x_k + r P(x_k).
+    Each pass solves the state forward at the current controls x_k, streamed
+    into the rows the adjoint reads and each level's state cost (see _Rows),
+    prices x_k, and projects the optimality formulas (see project_controls)
+    over those rows, giving the residual f_k = P(x_k) - x_k.  Unless it
+    stops, the next controls are x_k + r f_k - sum_j gamma_j (dx_j + r df_j),
+    clipped onto the box of project_controls (see _upper_bounds), where r is
+    ``sweep.relaxation``, dx_j and df_j are the last ANDERSON_DEPTH
+    differences of iterates and residuals, and gamma minimizes
+    |f_k - sum_j gamma_j df_j|.  With no history this is the relaxed update
+    (1 - r) x_k + r P(x_k).
 
     The differences are kept in float32 (only gamma depends on them); f_k
-    waits in the slot of its difference until f_{k+1} is known.  Returns
-    the state and controls of the last pass and the SweepReport, whose
+    waits in the slot of its difference until f_{k+1} is known.  The update
+    builds u, then v: each part's f_k is spent once its part is built, so a
+    pass holds the controls, the history and the three rows of _Rows.
+    Returns the controls of the last pass and the SweepReport, whose
     coarse_iterations is 0 without a coarse stage.  The coarse
     controls are freed once _to_grid has read them, and the start made from
     them at the first update.
@@ -292,9 +333,8 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
         controls, coarse_iterations = ControlPair.zeros(grid, regions), 0
     else:
         start_sweep = replace(sweep, tolerance=max(sweep.tolerance, sweep.tolerance ** 0.5))
-        # only the controls and the report, so no coarse trajectory outlives the call
         start, report = _sweep(
-            initial_state, None, params, weights, regions, coarse, start_sweep, None)[1:]
+            initial_state, None, params, weights, regions, coarse, start_sweep, None)
         controls, coarse_iterations = _to_grid(start), report.iterations
         del start
     shape = (ANDERSON_DEPTH, 2, grid.nt + 1, grid.nx)
@@ -302,17 +342,21 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
     changes = np.empty(shape, dtype=np.float32)  # f_{j+1} - f_j
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # df_i . df_j
     r = sweep.relaxation
+    state_weights, upper = _state_weights(weights, regions, grid), _upper_bounds(grid, regions)
     history = []
     for iterations in range(sweep.max_iterations + 1):
-        state = forward_solve(initial_state, controls, params, grid)
-        history.append(cost_functional(state, controls, weights))
-        projected = project_controls(state, controls, weights, params)
-        f = (np.subtract(projected.u, controls.u, out=projected.u),
-             np.subtract(projected.v, controls.v, out=projected.v))
+        rows = _Rows(params, grid, state_weights)
+        forward_solve(initial_state, controls.u[:, None], controls.v[:, None], params, grid,
+                      rows)
+        history.append(_cost(rows.state_cost, controls.u, controls.v, weights, grid))
+        projected = project_controls(rows, controls, weights, params)  # over rows.i, rows.s
+        del rows  # frees Lambda; the I and S rows are the projection's now
+        f = [np.subtract(projected.u, controls.u, out=projected.u),
+             np.subtract(projected.v, controls.v, out=projected.v)]
+        del projected
         residual = float(max(f[0].max(), -f[0].min(), f[1].max(), -f[1].min()))
         if residual <= sweep.tolerance or iterations == sweep.max_iterations:
             break
-        del state, projected
 
         n = min(iterations, ANDERSON_DEPTH)
         if iterations:  # complete the newest df and its row of the Gram matrix
@@ -324,20 +368,20 @@ def _sweep(initial_state: np.ndarray, coarse: Grid | None, params: ModelParams,
         rhs = [_dot(changes[i, 0], f[0]) + _dot(changes[i, 1], f[1]) for i in range(n)]
         gamma = np.linalg.lstsq(gram[:n, :n], rhs, rcond=None)[0].tolist() if n else []
 
-        u, v = f[0] * r, f[1] * r
-        for part, (y, x) in enumerate(((u, controls.u), (v, controls.v))):
+        slot = iterations % ANDERSON_DEPTH
+        for part, x in enumerate((controls.u, controls.v)):
+            y = f[part] * r
             y += x
             for j, g in enumerate(gamma):
                 y -= g * steps[j, part]
                 y -= (r * g) * changes[j, part]
-        boxed = _admissible(u, v, grid, regions)  # clips u and v in place
-        slot = iterations % ANDERSON_DEPTH
-        np.subtract(u, controls.u, out=steps[slot, 0])
-        np.subtract(v, controls.v, out=steps[slot, 1])
-        changes[slot, 0], changes[slot, 1] = f
-        del f, x, y  # the projection and the previous controls
-        controls = boxed
+            np.clip(y, 0.0, upper[part], out=y)
+            np.subtract(y, x, out=steps[slot, part])
+            changes[slot, part] = f[part]
+            f[part] = y  # f_k's part is spent: the next controls' part takes its place
+        del x, y  # the previous controls
+        controls = ControlPair(*f, grid, regions)
         if on_iterate is not None:
             on_iterate(controls)
-    return state, controls, SweepReport(iterations, coarse_iterations, history, residual,
-                                        residual <= sweep.tolerance)
+    return controls, SweepReport(iterations, coarse_iterations, history, residual,
+                                 residual <= sweep.tolerance)

@@ -26,9 +26,10 @@ leave the admissible box.  The step loop writes into a buffer of levels and
 checks each block of them before it reuses their slots.  forward_solve holds
 all nt + 1 levels; the streamed solves hold a ring of _BLOCK + 1 and hand
 each block of levels to a consumer: _forward_batch, so the baseline run
-never holds its (nt + 1, 6, nx) trajectory and the oracles keep only
-per-level reductions of each member; and sensitivity_solve, which keeps only
-the imaginary part of its complex levels.  The block size is this module's
+never holds its (nt + 1, 6, nx) trajectory, a sweep pass keeps only the rows
+its adjoint and projection read, and the oracles keep only per-level
+reductions of each member; and sensitivity_solve, which keeps only the
+imaginary part of its complex levels.  The block size is this module's
 own: a consumer reduces each level on its own, so its results do not depend
 on it.
 
@@ -40,9 +41,12 @@ dt * rho rides in the product as two constant operand rows.  The adjoint has
 one step loop too, run downward: adjoint_solve holds all nt + 1 levels, and
 the projection of the sweep (control.project_controls) streams them through
 a ring of _BLOCK + 1, each block handed to its consumer once certified, so a
-sweep pass holds no adjoint trajectory.  Both steps read N from their
-operand's copy of y or p (see _stencil).  The sensitivity solve runs the
-forward step itself on complex values (complex step).
+sweep pass holds no adjoint trajectory.  Of the state, the adjoint reads only
+the rows (Lambda_m, S_m) = _adjoint_rows @ y_m: from a Trajectory, one product
+per block, or as a sweep pass keeps them from its streamed forward solve (see
+control._Rows), so the pass holds no state trajectory either.  Both steps read
+N from their operand's copy of y or p (see _stencil).  The sensitivity solve
+runs the forward step itself on complex values (complex step).
 neumann_laplacian, reaction_rhs and state_jacobian are the per-equation forms
 the steps are tested against.
 """
@@ -419,10 +423,18 @@ def adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     return _adjoint_solve(state, controls, weights, params, grid)
 
 
-def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
+def _adjoint_rows(params: ModelParams, grid: Grid) -> np.ndarray:
+    """The (2, 6) matrix whose product with a state level y_m gives the two rows of it
+    that the adjoint step reads, Lambda_m = (dt * contact) @ y_m and S_m."""
+    return np.vstack([_step_operator(params, grid)[3], np.eye(6)[_S]])
+
+
+def _adjoint_solve(state, controls, weights: CostWeights,
                    params: ModelParams, grid: Grid, consume=None) -> Trajectory | None:
     """adjoint_solve without its entry checks, for a state that forward_solve
-    returned for ``controls`` on ``grid``: its _check_finite certified it.
+    returned for ``controls`` on ``grid``: its _check_finite certified it.  ``state`` is
+    that Trajectory, or the rows ``state.lam`` and ``state.s`` of it, each
+    (nt + 1, nx), that _adjoint_rows gives, as a sweep pass keeps them.
 
     The steps run down from level nt - 1 in blocks of the departure levels lo..hi - 1:
     _BLOCK levels a block, _BLOCK - 1 in the first, which also holds level nt, and one
@@ -447,12 +459,12 @@ def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
     R = np.column_stack([e[_S], rho_dt[:, 0]])
     R[_S, 1] = 0.0
     K = np.hstack([M.T, np.column_stack([e[_S], contact_dt, e[_S], e[_I]]), np.diag(c), R])
-    BT4, lam_s = B.T[[0, 0, 1, 2]], np.vstack([contact_dt, e[_S]])  # (Lambda_m, S_m)
+    BT4, lam_s = B.T[[0, 0, 1, 2]], _adjoint_rows(params, grid)  # (Lambda_m, S_m)
     # rows (Lambda_m, S_m, v_m, u_m) of the levels of one block, filled per block
     W, Z = np.empty((_BLOCK, 4, grid.nx)), np.empty((18, grid.nx))
     p, flows, near = Z[:6], Z[6:10], Z[10:16]
     Z[16], Z[17] = rho_dt[_S], 1.0
-    u, v, values, nt = controls.u, controls.v, state.values, grid.nt
+    u, v, nt = controls.u, controls.v, grid.nt
     ring = consume is not None
     out = np.zeros((min(nt, _BLOCK) + 1 if ring else nt + 1, 6, grid.nx))
     tops = [nt, *range(nt - _BLOCK + 1, 1, -_BLOCK)]  # hi of each block, going down
@@ -466,7 +478,10 @@ def _adjoint_solve(state: Trajectory, controls, weights: CostWeights,
             elif ring:  # the previous block's lowest arrival departs this one
                 out[hi - 1 - base] = out[0]
             w = W[:hi - lo]
-            np.matmul(lam_s, values[lo:hi], out=w[:, :2])
+            if isinstance(state, Trajectory):
+                np.matmul(lam_s, state.values[lo:hi], out=w[:, :2])
+            else:
+                w[:, 0], w[:, 1] = state.lam[lo:hi], state.s[lo:hi]
             w[:, 2], w[:, 3] = v[lo:hi], u[lo:hi]
             # levels m = hi - 1 down to lo: departure m, arrival m - 1, rows w[m - lo]
             for departure, arrival, w_m in zip(out[lo - base:hi - base][::-1],

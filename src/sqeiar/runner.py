@@ -81,16 +81,19 @@ class _Levels:
         self.rows[i:j] = block[[m - lo for m in self.levels[i:j]]]
 
 
-def _result(name: str, config: ScenarioConfig, seen: _Levels, u: np.ndarray, v: np.ndarray,
-            sweep: SweepReport | None = None) -> ScenarioResult:
+def _result(name: str, config: ScenarioConfig, seen: _Levels, u: np.ndarray | None,
+            v: np.ndarray | None, sweep: SweepReport | None = None) -> ScenarioResult:
     """Cost, trajectory checks and metrics of one solved scenario from what
     ``seen`` kept of its levels, and copies of the rows of its control fields
     u and v, shape (nt + 1, nx), that `run` writes, so the result keeps neither
-    ``seen`` nor the fields alive."""
+    ``seen`` nor the fields alive.  u and v None are zero controls, which the
+    cost does not price."""
     cost = cost_functional(seen.state_cost, u, v, config.weights, config.grid)
     checks = [mass_balance_check(seen, config.params), positivity_check(seen)]
     rows = dict(zip(COMPARTMENTS, np.moveaxis(seen.rows, 1, 0)))
-    rows.update(u=u[seen.levels], v=v[seen.levels])
+    for key, field in (("u", u), ("v", v)):
+        rows[key] = np.zeros((len(seen.levels), config.grid.nx)) if field is None else (
+            field[seen.levels])
     return ScenarioResult(name, seen.levels, rows, cost, extract_metrics(seen), checks, sweep)
 
 
@@ -100,11 +103,11 @@ def _solve_baseline(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResu
     seen = _Levels(config)
     forward_solve(initial, zeros, zeros, config.params, config.grid,
                   lambda lo, levels: seen(lo, levels[:, :, 0]))
-    return _result("baseline", config, seen, zeros[:, 0], zeros[:, 0])
+    return _result("baseline", config, seen, None, None)
 
 
 def _solve_optimal(config: ScenarioConfig, initial: np.ndarray) -> ScenarioResult:
-    state, _adjoint, controls, report = fbsm_solve(
+    state, _, controls, report = fbsm_solve(
         initial, config.params, config.weights, config.regions, config.grid, config.sweep)
     seen = _Levels(config)
     seen(0, state.values)

@@ -42,9 +42,9 @@ def optimal_run(default_config):
     cfg = default_config
     iterates = []
     start = time.perf_counter()
-    state, adjoint, controls, report = sq.fbsm_solve(
+    state, cost, controls, report = sq.fbsm_solve(
         cfg.initial_array(), cfg.params, cfg.weights, cfg.regions, cfg.grid, cfg.sweep,
         on_iterate=iterates.append)
     elapsed = time.perf_counter() - start
-    return state, adjoint, controls, report, iterates, elapsed
+    return state, cost, controls, report, iterates, elapsed
 

@@ -50,8 +50,8 @@ MUTANTS = [
     ("model.py", "out[(x > a) & (x < b)] = 1.0", "out[(x >= a) & (x <= b)] = 1.0",
      "tests/test_model.py::TestRegions::test_mask_open_intervals"),
     # v_max dropped from the box clip
-    ("control.py", "np.clip(v, 0.0, regions.v_max * regions.mask(grid.x), out=v)",
-     "np.clip(v, 0.0, regions.mask(grid.x), out=v)",
+    ("control.py", "return 1.0, regions.v_max * regions.mask(grid.x)",
+     "return 1.0, regions.mask(grid.x)",
      "tests/test_control.py::TestSweep::test_anderson_iterates_admissible"),
     # rho1 on every node in rho_source
     ("model.py", "out[_S] = weights.rho1 * regions.mask(grid.x)", "out[_S] = weights.rho1",
@@ -86,6 +86,14 @@ MUTANTS = [
     # eps dropped from v's bump
     ("verify.py", "np.add(base.v, eps * h_v, out=v[:, b])", "np.add(base.v, h_v, out=v[:, b])",
      "tests/test_verify.py::test_batched_oracles_match_per_direction_loops"),
+    # the sweep's projection writes its sources into fresh arrays, not over its rows
+    ("control.py", "src_u, src_v = state.i, state.s\n",
+     "src_u, src_v = state.i.copy(), state.s.copy()\n",
+     "tests/test_pde.py::test_sweep_holds_no_adjoint_trajectory[fbsm_solve-12]"),
+    # the adjoint reads Lambda where a sweep pass's rows give S
+    ("pde.py", "w[:, 0], w[:, 1] = state.lam[lo:hi], state.s[lo:hi]",
+     "w[:, 0], w[:, 1] = state.lam[lo:hi], state.lam[lo:hi]",
+     "tests/test_steps.py::TestAdjointRing::test_rows_of_a_pass_give_the_bits_of_its_state"),
 ]
 
 

@@ -249,31 +249,27 @@ class TestOutputs:
     def test_no_coarse_trajectory_alive_in_the_fine_stage(self, tmp_path, small_config,
                                                           monkeypatch):
         # the coarse stage hands only its controls and report to the fine stage; its
-        # passes hold no adjoint, so its state is its one trajectory
+        # passes hold no trajectory, and the rows each pass keeps of its state die with it
         import weakref
 
         import sqeiar.control
 
         coarse, alive = [], []
 
-        def sweep(*args):
-            result = run_sweep(*args)
-            if args[5] != config.grid:
-                coarse.append(weakref.ref(result[0].values))
-            return result
-
-        def forward_solve(initial, controls, *args):
-            if controls.grid == config.grid:
+        def forward_solve(initial, u, v, params, grid, rows):
+            if grid == config.grid:
                 alive.append(sum(ref() is not None for ref in coarse))
-            return solve(initial, controls, *args)
+            else:
+                coarse.extend(weakref.ref(a) for a in (rows.lam, rows.s, rows.i))
+            return solve(initial, u, v, params, grid, rows)
 
-        run_sweep, solve = sqeiar.control._sweep, sqeiar.control.forward_solve
-        monkeypatch.setattr(sqeiar.control, "_sweep", sweep)
+        solve = sqeiar.control.forward_solve
         monkeypatch.setattr(sqeiar.control, "forward_solve", forward_solve)
         config = replace(small_config, output_dir=tmp_path / "run", mode="optimal")
         summary = sq.run_scenario(config)
-        assert summary.optimal.sweep.coarse_iterations > 0 and len(coarse) == 1
-        assert alive and set(alive) == {0}
+        sweep = summary.optimal.sweep
+        assert sweep.coarse_iterations > 0 and len(coarse) == 3 * (sweep.coarse_iterations + 1)
+        assert len(alive) == sweep.iterations + 1 and set(alive) == {0}
 
     @pytest.mark.parametrize("rows, columns", [(1, 1), (1, 7), (_CSV_VALUES // 8, 8),
                                                (_CSV_VALUES // 4 + 5, 12), (9, _CSV_VALUES + 3)])

@@ -196,11 +196,11 @@ class TestSweep:
         grid = small_config.grid
         initial = small_config.initial_array()
         iterates = []
-        state, adjoint, controls, report = sq.fbsm_solve(
+        state, J, controls, report = sq.fbsm_solve(
             initial, TABLE, sq.CostWeights(), WHOLE, grid, on_iterate=iterates.append)
         assert report.converged
         assert report.residual <= 1e-4
-        assert report.cost_history[-1] < report.cost_history[0]
+        assert J == report.cost_history[-1] < report.cost_history[0]
         assert len(iterates) == report.iterations
         for it in iterates:  # every accepted iterate is admissible
             assert it.u.min() >= 0.0 and it.u.max() <= 1.0
@@ -268,10 +268,10 @@ class TestSweep:
             refs.extend(weakref.ref(a) for a in (controls.u, controls.v, start.u, start.v))
             return start
 
-        def forward_solve(initial, controls, params, on):
+        def forward_solve(initial, u, v, params, on, consume):
             if on == grid:
                 alive.append([ref() is not None for ref in refs])
-            return solve(initial, controls, params, on)
+            return solve(initial, u, v, params, on, consume)
 
         hold, solve = sqeiar.control._to_grid, sqeiar.control.forward_solve
         monkeypatch.setattr(sqeiar.control, "_to_grid", to_grid)

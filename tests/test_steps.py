@@ -7,7 +7,8 @@ change of the step that changes rounding fails here.  A second group counts
 the Python-level frames a solve opens: none per step.  A third pins the
 per-level reductions a run keeps: any blocking of the levels gives their bits.
 A fourth pins the adjoint's ring, through which the sweep's projection streams,
-against the held adjoint.
+against the held adjoint, and the rows a sweep pass keeps of its state against the
+state.
 """
 
 import gc
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 
 import sqeiar as sq
-from sqeiar.control import (ControlPair, _dot, cost_functional, cost_gradient, fbsm_solve,
-                            project_controls)
+from sqeiar.control import (ControlPair, _dot, _Rows, _state_cost, _state_weights,
+                            cost_functional, cost_gradient, fbsm_solve, project_controls)
 from sqeiar.model import _I, _S, QuarantineRegions, rho_source
 from sqeiar.pde import (_BLOCK, _adjoint_solve, _blocks, _forward_batch, _integrals, _stencil,
                         _step_operator, adjoint_solve, forward_solve, sensitivity_solve)
@@ -188,6 +189,27 @@ class TestAdjointRing:
         state = forward_solve(initial, pair, cfg.params, grid)
         return grid, cfg, state, pair, adjoint_solve(state, pair, cfg.weights, cfg.params, grid)
 
+    def test_rows_of_a_pass_give_the_bits_of_its_state(self, nx, nt):
+        # a sweep pass streams its forward solve into _Rows: its I rows and state cost,
+        # its adjoint and its projection are bit for bit those of the held state, and
+        # the projection is written over its I and S rows
+        grid, cfg, state, pair, adjoint = self.solve(nx, nt)
+        state_weights = _state_weights(cfg.weights, TWO, grid)
+        rows = _Rows(cfg.params, grid, state_weights)
+        _forward_batch(scenario(nx, nt)[2], pair.u[:, None], pair.v[:, None], cfg.params,
+                       grid, rows)
+        assert np.array_equal(rows.i, state.i) and np.array_equal(rows.s, state.s)
+        assert np.array_equal(rows.state_cost, _state_cost(state.values, state_weights))
+        seen = []
+        _adjoint_solve(rows, pair, cfg.weights, cfg.params, grid,
+                       lambda lo, levels: seen.append(levels.copy()))
+        assert np.array_equal(np.concatenate(seen[::-1]), adjoint.values)
+        expected = project_controls(state, pair, cfg.weights, cfg.params)
+        projected = project_controls(rows, pair, cfg.weights, cfg.params)
+        assert projected.u is rows.i and projected.v is rows.s
+        assert np.array_equal(projected.u, expected.u)
+        assert np.array_equal(projected.v, expected.v)
+
     def test_every_level_reaches_the_consumer_once(self, nx, nt):
         grid, cfg, state, pair, adjoint = self.solve(nx, nt)
         seen = []
@@ -211,13 +233,15 @@ class TestAdjointRing:
         assert np.array_equal(projected.v, np.clip(v, 0.0, TWO.v_max * TWO.mask(grid.x)))
 
 
-def test_fbsm_adjoint_is_the_adjoint_of_its_controls(small_config):
-    grid = small_config.grid
-    state, adjoint, controls, report = fbsm_solve(
-        small_config.initial_array(), small_config.params, small_config.weights, TWO, grid)
+def test_fbsm_cost_is_the_cost_of_its_state_and_controls(small_config):
+    # slot 1 is the J of the last pass, priced from the rows the pass streamed: bit for
+    # bit the J of the held state returned, at the controls returned
+    state, J, controls, report = fbsm_solve(
+        small_config.initial_array(), small_config.params, small_config.weights, TWO,
+        small_config.grid)
     assert report.iterations > 0
-    expected = adjoint_solve(state, controls, small_config.weights, small_config.params, grid)
-    assert np.array_equal(adjoint.values, expected.values)
+    assert J == cost_functional(state, controls, small_config.weights)
+    assert J == report.cost_history[-1]
 
 
 @pytest.mark.parametrize("below, step", [(None, 497), (300, 297), (120, 117), (40, 37),
